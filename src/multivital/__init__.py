@@ -22,7 +22,6 @@ from .doa import (
     angle_map,
     build_phase_error_table,
     elevation_spectrum,
-    far_field_azimuth_fft,
     junction_phase_error,
     near_field_azimuth_fft,
     select_region_signal,
@@ -35,7 +34,6 @@ from .geometry import (
     VirtualElement,
     build_virtual_array,
     select_azimuth_ula,
-    steering_vector,
 )
 from .io import (
     export_angle_map,
@@ -69,7 +67,6 @@ from .simulate import (
     ScatterPoint,
     Scene,
     SinusoidMotion,
-    add_noise,
     far_field_distance,
     simulate,
     synthesize_frame,
@@ -99,7 +96,6 @@ __all__ = [
     "angle_map",
     "build_phase_error_table",
     "elevation_spectrum",
-    "far_field_azimuth_fft",
     "junction_phase_error",
     "near_field_azimuth_fft",
     "select_region_signal",
@@ -113,7 +109,6 @@ __all__ = [
     "VirtualElement",
     "build_virtual_array",
     "select_azimuth_ula",
-    "steering_vector",
     "export_angle_map",
     "export_traces",
     "load_cube",
@@ -146,7 +141,6 @@ __all__ = [
     "ScatterPoint",
     "Scene",
     "SinusoidMotion",
-    "add_noise",
     "far_field_distance",
     "simulate",
     "synthesize_frame",

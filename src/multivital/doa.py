@@ -9,12 +9,13 @@ folded into a block-decomposed FFT.
 
 Sign conventions. Raw IF data carry phase exp(-j pi p u) across virtual
 position p (direction cosine u), so the forward DFT of raw data peaks at
-negative grid indices. The region-selection pipeline therefore conjugates
-the slow-time data before the azimuth transform (peak lands at
-l = N sin(phi)/2, matching the grid theta_l = arcsin(2 l / N)) and
-conjugates the selected spectrum value back so the slow-time phase keeps
+negative grid indices. The Beamformer, the one steering path behind angle
+estimation, region selection and the angle map, therefore conjugates the
+slow-time data before the azimuth transform (peak lands at
+l = N sin(phi)/2, matching the grid theta_l = arcsin(2 l / N)), and region
+selection conjugates the steered value back so the slow-time phase keeps
 the +4 pi R / lambda sign. The phase-error table is defined for raw-signed
-data; the pipeline passes its negation to match the conjugated feed.
+data; the Beamformer applies its negation to match the conjugated feed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ProcessingError
-from .geometry import ArrayGeometry, AzimuthUlaSelection
+from .geometry import ArrayGeometry, AzimuthUlaSelection, build_virtual_array
 from .rangeproc import RangeCube, SubjectLocation, extract_range_bin
 
 REGION_IDS = ("A", "P", "T", "E", "M")
@@ -45,10 +46,6 @@ class PhaseErrorTable:
 
     dphi: np.ndarray  # rad, shape (n_junctions, n_fft)
     range_z: float  # m
-
-    @property
-    def n_fft(self) -> int:
-        return self.dphi.shape[1]
 
 
 @dataclass(frozen=True)
@@ -102,29 +99,11 @@ def _block_transform(
     return out
 
 
-def far_field_azimuth_fft(
-    x: np.ndarray, sel: AzimuthUlaSelection, n_fft: int
-) -> AzimuthSpectrum:
-    """Zero-padded azimuth DFT computed through the block decomposition.
-
-    Parameters
-    ----------
-    x : complex ndarray
-        ULA samples ordered by ULA index.
-    sel : AzimuthUlaSelection
-    n_fft : int
-        Transform length, >= len(x).
-
-    Returns
-    -------
-    AzimuthSpectrum
-        Equal to the direct zero-padded DFT of x.
-    """
-    x = np.asarray(x)
-    _check_ula_input(x, sel, n_fft)
-    values = _block_transform(x[:, None], sel, n_fft)[:, 0]
-    _, grid = _shifted_grid(n_fft)
-    return AzimuthSpectrum(values=values, grid=grid)
+def _cumulative_phasors(dphi: np.ndarray) -> np.ndarray:
+    """Per-block correction phasors: identity for block 0, then e^{-j cumsum}."""
+    phasors = np.ones((dphi.shape[0] + 1, dphi.shape[1]), dtype=np.complex128)
+    phasors[1:] = np.exp(-1j * np.cumsum(dphi, axis=0))
+    return phasors
 
 
 def near_field_azimuth_fft(
@@ -137,38 +116,110 @@ def near_field_azimuth_fft(
 
     Block b is rotated by exp(-j sum of the first b table rows), so a
     signal whose blocks carry the tabulated phase steps is re-aligned
-    before recombination. An all-zero table reproduces
-    far_field_azimuth_fft exactly.
+    before recombination. An all-zero table gives the plain zero-padded
+    DFT of x.
     """
     x = np.asarray(x)
-    _check_ula_input(x, sel, n_fft)
-    if table.dphi.shape != (len(sel.junctions), n_fft):
-        raise ProcessingError(
-            f"phase table shape {table.dphi.shape} does not match "
-            f"{len(sel.junctions)} junctions x n_fft {n_fft}"
-        )
-    phasors = _cumulative_phasors(table)
-    values = _block_transform(x[:, None], sel, n_fft, phasors)[:, 0]
-    _, grid = _shifted_grid(n_fft)
-    return AzimuthSpectrum(values=values, grid=grid)
-
-
-def _cumulative_phasors(table: PhaseErrorTable) -> np.ndarray:
-    """Per-block correction phasors: identity for block 0, then e^{-j cumsum}."""
-    cum = np.cumsum(table.dphi, axis=0)
-    n_fft = table.n_fft
-    phasors = np.ones((cum.shape[0] + 1, n_fft), dtype=np.complex128)
-    phasors[1:] = np.exp(-1j * cum)
-    return phasors
-
-
-def _check_ula_input(x: np.ndarray, sel: AzimuthUlaSelection, n_fft: int) -> None:
     if x.shape[0] != len(sel.chosen):
         raise ProcessingError(
             f"expected {len(sel.chosen)} ULA samples, got {x.shape[0]}"
         )
     if n_fft < x.shape[0]:
         raise ConfigError(f"n_fft {n_fft} is smaller than the array length {x.shape[0]}")
+    if table.dphi.shape != (len(sel.junctions), n_fft):
+        raise ProcessingError(
+            f"phase table shape {table.dphi.shape} does not match "
+            f"{len(sel.junctions)} junctions x n_fft {n_fft}"
+        )
+    phasors = _cumulative_phasors(table.dphi)
+    values = _block_transform(x[:, None], sel, n_fft, phasors)[:, 0]
+    _, grid = _shifted_grid(n_fft)
+    return AzimuthSpectrum(values=values, grid=grid)
+
+
+@dataclass(frozen=True)
+class Beamformer:
+    """Steers one array's azimuth ULA and elevation rows over the grid.
+
+    The only holder of the conjugate-feed convention: feed() conjugates the
+    raw channel data, and build() negates the raw-signed junction table to
+    match. Azimuth lives on the grid u_l = 2 l / n_fft.
+    """
+
+    sel: AzimuthUlaSelection
+    n_fft: int
+    ula: list[int]  # channel (tx * n_rx + rx) of every ULA position
+    phasors: np.ndarray | None  # (n_blocks, n_fft) junction corrections
+    # (elevation, channels, azimuth positions) per elevation row, row 0 first
+    rows: tuple[tuple[int, list[int], np.ndarray], ...]
+
+    @classmethod
+    def build(
+        cls,
+        sel: AzimuthUlaSelection,
+        geom: ArrayGeometry,
+        n_fft: int,
+        table: PhaseErrorTable | None = None,
+    ) -> "Beamformer":
+        """Beamformer for a ULA selection of geom.
+
+        A phase table (raw-signed, as build_phase_error_table makes it)
+        turns on near-field junction compensation of the ULA spectrum.
+        """
+        # Conjugated feed flips the sign of the junction steps.
+        phasors = None if table is None else _cumulative_phasors(-table.dphi)
+        grouped: dict[int, list[tuple[int, int]]] = {}
+        for e in build_virtual_array(geom).elements:
+            grouped.setdefault(e.elevation, []).append((e.tx * geom.n_rx + e.rx, e.azimuth))
+        rows = tuple(
+            (el, [c for c, _ in grouped[el]],
+             np.array([a for _, a in grouped[el]], dtype=np.float64))
+            for el in sorted(grouped, key=lambda e: (e != 0, e))
+        )
+        ula = [t * geom.n_rx + r for t, r in sel.chosen]
+        return cls(sel=sel, n_fft=n_fft, ula=ula, phasors=phasors, rows=rows)
+
+    @property
+    def elevations(self) -> list[int]:
+        """Row positions in half-wavelength units, in row order."""
+        return [el for el, _, _ in self.rows]
+
+    @staticmethod
+    def feed(channels: np.ndarray) -> np.ndarray:
+        """Conjugated complex128 copy of raw channel data (n_tx * n_rx, n_cols)."""
+        return np.conj(channels.astype(np.complex128))
+
+    def ula_spectrum(self, y: np.ndarray) -> np.ndarray:
+        """ULA spectrum of fed data over the grid, shape (n_fft, n_cols)."""
+        return _block_transform(y[self.ula], self.sel, self.n_fft, self.phasors)
+
+    def row_sums(self, y: np.ndarray, u) -> np.ndarray:
+        """Mean matched sum of every row of fed data at direction cosines u.
+
+        Returns shape (n_rows, len(u), n_cols).
+        """
+        u = np.asarray(u, dtype=np.float64)
+        return np.stack([
+            np.exp(-1j * np.pi * np.outer(u, az)) @ y[ch] / len(ch)
+            for _, ch, az in self.rows
+        ])
+
+    def steer(self, y: np.ndarray, spectra: np.ndarray, l, sin_theta) -> np.ndarray:
+        """Array output at grid azimuth indices l and elevation sines.
+
+        Row 0 contributes the ULA spectrum (spectra = ula_spectrum(y)) at l,
+        every other row its matched sum at u = 2 l / n_fft; the rows are
+        then combined with elevation matched weights and averaged.
+
+        Returns shape (len(l), len(sin_theta), n_cols).
+        """
+        l = np.asarray(l)
+        rows = self.row_sums(y, 2.0 * l / self.n_fft)
+        # Row 0 comes from the compensated ULA, not the full azimuth plane.
+        rows[0] = spectra[l + self.n_fft // 2] / len(self.ula)
+        el = np.asarray(self.elevations, dtype=np.float64)
+        weights = np.exp(-1j * np.pi * np.outer(el, sin_theta))
+        return np.einsum("re,rlc->lec", weights, rows) / len(el)
 
 
 def _element_coords(geom: ArrayGeometry, wavelength: float):
@@ -302,16 +353,6 @@ def elevation_spectrum(
     return np.abs(y @ phase) ** 2
 
 
-def _elevation_rows(geom: ArrayGeometry) -> dict[int, list[tuple[int, int]]]:
-    """Virtual elements grouped by elevation row: {el_pos: [(channel, az_pos)]}."""
-    n_rx = geom.n_rx
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for ti, (ta, te) in enumerate(geom.tx_elements):
-        for ri, (ra, re) in enumerate(geom.rx_elements):
-            rows.setdefault(te + re, []).append((ti * n_rx + ri, ta + ra))
-    return rows
-
-
 def select_region_signal(
     rc: RangeCube,
     loc: SubjectLocation,
@@ -355,25 +396,8 @@ def select_region_signal(
         if rid not in REGION_IDS:
             raise ConfigError(f"region must be one of {REGION_IDS}, got {rid!r}")
 
-    channels = extract_range_bin(rc, loc.bin)  # (n_tx*n_rx, frames)
-    y = np.conj(channels.astype(np.complex128))
-    ula_idx = [t * geom.n_rx + r for t, r in sel.chosen]
-    x_ula = y[ula_idx, :]  # (86, frames)
-
-    phasors = None
-    if calibrate:
-        z = loc.range_m if range_z is None else range_z
-        table = build_phase_error_table(sel, geom, wavelength, z, n_fft)
-        # Conjugated feed flips the sign of the junction steps.
-        phasors = _cumulative_phasors(
-            PhaseErrorTable(dphi=-table.dphi, range_z=table.range_z)
-        )
-    spectra = _block_transform(x_ula, sel, n_fft, phasors)  # (n_fft, frames)
-
-    rows = _elevation_rows(geom)
-    upper_rows = sorted(e for e in rows if e != 0)
-    n_ula = len(sel.chosen)
-
+    bf, y = _fed_beamformer(rc, loc, sel, geom, wavelength, n_fft, calibrate, range_z)
+    spectra = bf.ula_spectrum(y)  # (n_fft, frames)
     out: list[RegionSignal] = []
     for rid, (phi, theta) in regions.items():
         if not (abs(phi) < np.pi / 2 and abs(theta) < np.pi / 2):
@@ -385,22 +409,7 @@ def select_region_signal(
             raise ProcessingError(
                 f"region {rid} azimuth {phi:.3f} rad falls off the angular grid"
             )
-        u_star = 2.0 * l_star / n_fft
-
-        row_values = [spectra[l_star + n_fft // 2, :] / n_ula]
-        row_weights = [1.0 + 0.0j]
-        for el in upper_rows:
-            members = rows[el]
-            ch = [c for c, _ in members]
-            az = np.array([a for _, a in members], dtype=np.float64)
-            w = np.exp(-1j * np.pi * az * u_star)
-            row_values.append((w @ y[ch, :]) / len(members))
-            row_weights.append(np.exp(-1j * np.pi * el * np.sin(theta)))
-
-        combined = np.zeros_like(row_values[0])
-        for wgt, val in zip(row_weights, row_values):
-            combined += wgt * val
-        combined /= len(row_values)
+        combined = bf.steer(y, spectra, [l_star], [np.sin(theta)])[0, 0]
         out.append(RegionSignal(region=rid, slowtime=np.conj(combined)).validate())
     return out
 
@@ -424,41 +433,22 @@ def angle_map(
     if elevation_grid is None:
         elevation_grid = np.deg2rad(np.arange(-45.0, 46.0, 1.0))
 
-    slab = rc.bins[frame, :, :, loc.bin].reshape(-1).astype(np.complex128)
-    y = np.conj(slab)
-    ula_idx = [t * geom.n_rx + r for t, r in sel.chosen]
-    phasors = None
-    if calibrate:
-        z = loc.range_m if range_z is None else range_z
-        table = build_phase_error_table(sel, geom, wavelength, z, n_fft)
-        phasors = _cumulative_phasors(
-            PhaseErrorTable(dphi=-table.dphi, range_z=table.range_z)
-        )
-    s0 = _block_transform(y[ula_idx][:, None], sel, n_fft, phasors)[:, 0]
-    n_ula = len(sel.chosen)
+    bf, y = _fed_beamformer(rc, loc, sel, geom, wavelength, n_fft, calibrate, range_z)
+    y = y[:, frame:frame + 1]
     l, az_grid = _shifted_grid(n_fft)
-    u_l = 2.0 * l / n_fft
-
-    rows = _elevation_rows(geom)
-    upper_rows = sorted(e for e in rows if e != 0)
-    row_vals = [s0 / n_ula]  # (n_fft,) per row
-    for el in upper_rows:
-        members = rows[el]
-        ch = [c for c, _ in members]
-        az = np.array([a for _, a in members], dtype=np.float64)
-        # Matched sum of this sparse row at every grid direction cosine.
-        steer = np.exp(-1j * np.pi * np.outer(u_l, az))
-        row_vals.append((steer @ y[ch]) / len(members))
-
-    el_pos = [0] + upper_rows
-    weights = np.exp(
-        -1j * np.pi * np.outer(np.asarray(el_pos, dtype=np.float64),
-                               np.sin(elevation_grid))
-    )  # (n_rows, n_el)
-    stack = np.stack(row_vals, axis=0)  # (n_rows, n_fft)
-    combined = np.einsum("re,rl->le", weights, stack) / len(el_pos)
+    combined = bf.steer(y, bf.ula_spectrum(y), l, np.sin(elevation_grid))[:, :, 0]
     return AngleMap(
         power=np.abs(combined) ** 2,
         azimuth_grid=az_grid,
         elevation_grid=np.asarray(elevation_grid, dtype=np.float64),
     )
+
+
+def _fed_beamformer(rc, loc, sel, geom, wavelength, n_fft, calibrate, range_z):
+    """Beamformer (near-field compensated when calibrate) and fed subject-bin data."""
+    table = None
+    if calibrate:
+        z = loc.range_m if range_z is None else range_z
+        table = build_phase_error_table(sel, geom, wavelength, z, n_fft)
+    bf = Beamformer.build(sel, geom, n_fft, table)
+    return bf, bf.feed(extract_range_bin(rc, loc.bin))

@@ -70,6 +70,7 @@ class VirtualArray:
     """All Tx/Rx pairings; element position = Tx position + Rx position."""
 
     elements: tuple[VirtualElement, ...]
+    geometry: ArrayGeometry
 
 
 def build_virtual_array(geom: ArrayGeometry) -> VirtualArray:
@@ -90,7 +91,7 @@ def build_virtual_array(geom: ArrayGeometry) -> VirtualArray:
         for ti, (ta, te) in enumerate(geom.tx_elements)
         for ri, (ra, re) in enumerate(geom.rx_elements)
     )
-    return VirtualArray(elements=elements)
+    return VirtualArray(elements=elements, geometry=geom)
 
 
 @dataclass(frozen=True)
@@ -144,15 +145,9 @@ def select_azimuth_ula(va: VirtualArray) -> AzimuthUlaSelection:
 
     # Rx cluster membership drives the run-continuation rule: within one
     # block the Tx is fixed and consecutive positions step through one
-    # contiguous Rx cluster. The virtual array does not carry the geometry,
-    # so recover per-index offsets from the pairwise sums first.
-    rx_pos: dict[int, int | None] = {}
-    tx_pos: dict[int, int | None] = {}
-    for e in plane:
-        tx_pos.setdefault(e.tx, None)
-        rx_pos.setdefault(e.rx, None)
-    _solve_positions(plane, tx_pos, rx_pos)
-    clusters = _clusters_from_positions(rx_pos)
+    # contiguous Rx cluster.
+    rx = va.geometry.rx_elements
+    clusters = _clusters_from_positions({e.rx: rx[e.rx][0] for e in plane})
 
     chosen: list[tuple[int, int]] = []
     blocks: list[tuple[int, int]] = []
@@ -182,30 +177,6 @@ def select_azimuth_ula(va: VirtualArray) -> AzimuthUlaSelection:
     )
 
 
-def _solve_positions(plane, tx_pos: dict[int, int | None], rx_pos: dict[int, int | None]) -> None:
-    """Recover per-index Tx/Rx azimuth offsets from the pairwise sums.
-
-    Offsets are determined up to one shared constant; the split constant is
-    irrelevant because only Rx-position adjacency (cluster structure) is
-    consumed. Anchor the lowest Tx index at offset 0.
-    """
-    anchor = min(tx_pos)
-    tx_pos[anchor] = 0
-    changed = True
-    while changed:
-        changed = False
-        for e in plane:
-            tp, rp = tx_pos[e.tx], rx_pos[e.rx]
-            if tp is not None and rp is None:
-                rx_pos[e.rx] = e.azimuth - tp
-                changed = True
-            elif rp is not None and tp is None:
-                tx_pos[e.tx] = e.azimuth - rp
-                changed = True
-    if any(v is None for v in tx_pos.values()) or any(v is None for v in rx_pos.values()):
-        raise ProcessingError("virtual array is not connected; cannot infer Rx clusters")
-
-
 def _clusters_from_positions(rx_pos: dict[int, int]) -> dict[int, int]:
     ordered = sorted(rx_pos.items(), key=lambda kv: kv[1])
     clusters: dict[int, int] = {}
@@ -217,43 +188,24 @@ def _clusters_from_positions(rx_pos: dict[int, int]) -> dict[int, int]:
     return clusters
 
 
-def steering_vector(
-    geom: ArrayGeometry, theta: float, phi: float
+def steering_from_cosines(
+    geom: ArrayGeometry, u: float, v: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tx and Rx steering phasors for a plane wave from direction (theta, phi).
+    """Tx and Rx steering phasors for a plane wave with direction cosines u, v.
 
-    theta is the off-boresight angle and phi orients the deviation between
-    the azimuth plane (phi = 0) and the elevation plane (phi = pi/2), so the
-    direction cosines are u = cos(phi) sin(theta) along azimuth and
-    v = sin(phi) sin(theta) along elevation. Tx entries carry a positive
+    u runs along azimuth and v along elevation. Tx entries carry a positive
     exponent, Rx entries a negative one:
 
-        a[i] = exp(+j 2 pi (p_az u + p_el v) / 2)
-        b[i] = exp(-j 2 pi (q_az u + q_el v) / 2)
+        a[i] = exp(+j pi (p_az u + p_el v))
+        b[i] = exp(-j pi (q_az u + q_el v))
 
-    with positions p, q in half-wavelength units (hence the /2 to express
-    them in wavelengths).
-
-    Parameters
-    ----------
-    geom : ArrayGeometry
-    theta, phi : float
-        Angles in radians, |theta| < pi/2.
+    with positions p, q in half-wavelength units.
 
     Returns
     -------
     (a, b) : tuple of complex ndarray
         Unit-modulus vectors of length n_tx and n_rx.
     """
-    u = np.cos(phi) * np.sin(theta)
-    v = np.sin(phi) * np.sin(theta)
-    return steering_from_cosines(geom, u, v)
-
-
-def steering_from_cosines(
-    geom: ArrayGeometry, u: float, v: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Steering phasors from direction cosines (u azimuth, v elevation)."""
     tx = np.asarray(geom.tx_elements, dtype=np.float64)
     rx = np.asarray(geom.rx_elements, dtype=np.float64)
     a = np.exp(1j * np.pi * (tx[:, 0] * u + tx[:, 1] * v))

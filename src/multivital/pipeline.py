@@ -8,12 +8,9 @@ import numpy as np
 
 from .config import derive_waveform
 from .doa import (
+    Beamformer,
     angle_map,
     build_phase_error_table,
-    PhaseErrorTable,
-    _block_transform,
-    _cumulative_phasors,
-    _elevation_rows,
     elevation_spectrum,
     select_region_signal,
 )
@@ -47,33 +44,19 @@ def estimate_angles(
     spectrum; elevation from a matched-filter sweep of the elevation rows
     at the azimuth peak.
     """
-    channels = extract_range_bin(rc, loc.bin)
-    y = np.conj(channels.astype(np.complex128))
-    ula_idx = [t * geom.n_rx + r for t, r in sel.chosen]
-    phasors = None
+    table = None
     if calibrate:
         z = loc.range_m if range_z is None else range_z
         table = build_phase_error_table(sel, geom, wavelength, z, n_fft)
-        phasors = _cumulative_phasors(
-            PhaseErrorTable(dphi=-table.dphi, range_z=table.range_z)
-        )
-    spectra = _block_transform(y[ula_idx, :], sel, n_fft, phasors)
-    power = np.mean(np.abs(spectra) ** 2, axis=1)
+    bf = Beamformer.build(sel, geom, n_fft, table)
+    y = bf.feed(extract_range_bin(rc, loc.bin))
+    power = np.mean(np.abs(bf.ula_spectrum(y)) ** 2, axis=1)
     l_hat = int(np.argmax(power)) - n_fft // 2
     azimuth = float(np.arcsin(2.0 * l_hat / n_fft))
 
-    rows = _elevation_rows(geom)
-    u_hat = 2.0 * l_hat / n_fft
-    row_positions = sorted(rows)
-    row_values = []
-    for el in row_positions:
-        members = rows[el]
-        ch = [c for c, _ in members]
-        az = np.array([a for _, a in members], dtype=np.float64)
-        w = np.exp(-1j * np.pi * az * u_hat)
-        row_values.append((w @ y[ch, 0]) / len(members))
+    row_values = bf.row_sums(y[:, :1], [2.0 * l_hat / n_fft])[:, 0, 0]
     grid = np.deg2rad(np.arange(-45.0, 45.25, 0.25))
-    pattern = elevation_spectrum(np.array(row_values), row_positions, grid)
+    pattern = elevation_spectrum(row_values, bf.elevations, grid)
     elevation = float(grid[int(np.argmax(pattern))])
     return azimuth, elevation
 

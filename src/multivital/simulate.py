@@ -284,25 +284,3 @@ def simulate(scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry) -> RawDataCube
                 out[m] = frame
     return RawDataCube(samples=out, chirp=cfg, geometry=geom, seed=scene.seed).validate()
 
-
-def add_noise(cube: RawDataCube, snr_db: float, seed: int) -> RawDataCube:
-    """Add circularly-symmetric complex Gaussian noise at the target SNR.
-
-    snr_db of +inf is the no-op sentinel and returns the cube unchanged.
-    Noise power is set per frame from that frame's mean sample power, with
-    per-frame streams keyed (seed, frame) so results are reproducible.
-    """
-    if math.isinf(snr_db) and snr_db > 0:
-        return cube
-    if not math.isfinite(snr_db):
-        raise ConfigError(f"snr_db must be finite or +inf, got {snr_db}")
-    cube.validate()
-    out = np.empty_like(cube.samples)
-    factor = 10.0 ** (-snr_db / 10.0)
-    for m in range(cube.samples.shape[0]):
-        frame = cube.samples[m].astype(np.complex128)
-        power = float(np.mean(np.abs(frame) ** 2)) * factor
-        out[m] = (frame + _noise(frame.shape, power, seed, m)).astype(np.complex64)
-    return RawDataCube(
-        samples=out, chirp=cube.chirp, geometry=cube.geometry, seed=cube.seed
-    )

@@ -10,7 +10,6 @@ from multivital.doa import (
     angle_map,
     build_phase_error_table,
     elevation_spectrum,
-    far_field_azimuth_fft,
     junction_phase_error,
     near_field_azimuth_fft,
     select_region_signal,
@@ -27,6 +26,10 @@ def _direct_dft(x, n_fft):
     return np.fft.fftshift(np.fft.fft(x, n=n_fft))
 
 
+def _zero_table(sel, n_fft):
+    return PhaseErrorTable(dphi=np.zeros((len(sel.junctions), n_fft)), range_z=1.0)
+
+
 @given(seed=st.integers(0, 2**32 - 1), n_fft=st.sampled_from([128, 256, 512]))
 @settings(max_examples=60, deadline=None)
 def test_block_fft_equals_direct_dft(ula, seed, n_fft):
@@ -34,22 +37,14 @@ def test_block_fft_equals_direct_dft(ula, seed, n_fft):
     # twiddles must reproduce the plain zero-padded DFT.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(86) + 1j * rng.standard_normal(86)
-    got = far_field_azimuth_fft(x, ula, n_fft).values
+    got = near_field_azimuth_fft(x, ula, _zero_table(ula, n_fft), n_fft).values
     want = _direct_dft(x, n_fft)
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-10
 
 
-def test_zero_table_is_bitwise_identity(ula):
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(86) + 1j * rng.standard_normal(86)
-    table = PhaseErrorTable(dphi=np.zeros((20, 256)), range_z=1.0)
-    nf = near_field_azimuth_fft(x, ula, table, 256)
-    ff = far_field_azimuth_fft(x, ula, 256)
-    assert np.array_equal(nf.values, ff.values)
-
-
 def test_spectrum_grid(ula):
-    spec = far_field_azimuth_fft(np.ones(86, dtype=complex), ula, 512)
+    spec = near_field_azimuth_fft(np.ones(86, dtype=complex), ula,
+                                  _zero_table(ula, 512), 512)
     assert len(spec.grid) == 512
     assert spec.grid[256] == 0.0
     assert spec.grid[256 + 64] == pytest.approx(np.arcsin(0.25))
@@ -57,9 +52,11 @@ def test_spectrum_grid(ula):
 
 def test_input_length_checks(ula):
     with pytest.raises(ProcessingError):
-        far_field_azimuth_fft(np.ones(85, dtype=complex), ula, 256)
+        near_field_azimuth_fft(np.ones(85, dtype=complex), ula,
+                               _zero_table(ula, 256), 256)
     with pytest.raises(ConfigError):
-        far_field_azimuth_fft(np.ones(86, dtype=complex), ula, 64)
+        near_field_azimuth_fft(np.ones(86, dtype=complex), ula,
+                               _zero_table(ula, 64), 64)
 
 
 def test_table_shape_check(ula):
@@ -151,7 +148,7 @@ def test_calibration_recovers_close_target(table2, cascade, ula):
     n_fft = 512
     table = build_phase_error_table(ula, cascade, WL77, z, n_fft)
     flipped = PhaseErrorTable(dphi=-table.dphi, range_z=z)
-    ff = far_field_azimuth_fft(x, ula, n_fft)
+    ff = near_field_azimuth_fft(x, ula, _zero_table(ula, n_fft), n_fft)
     nf = near_field_azimuth_fft(x, ula, flipped, n_fft)
 
     l0 = round(n_fft * np.sin(theta0) / 2.0)
@@ -248,3 +245,23 @@ def test_angle_map_frame_bounds(table1, cascade, ula, offset_cube):
     wl = derive_waveform(table1).wavelength
     with pytest.raises(ProcessingError):
         angle_map(rc, loc, ula, cascade, wl, 512, frame=99)
+
+
+@pytest.mark.parametrize("calibrate", [True, False])
+def test_region_signal_matches_angle_map_cell(table1, cascade, ula, offset_cube,
+                                              calibrate):
+    # Region selection and the angle map steer through the same beamformer:
+    # a region on a grid azimuth and a map elevation must carry the map's
+    # power at that cell in every frame.
+    rc = range_fft(offset_cube, 512)
+    loc = locate_subject(rc)
+    wl = derive_waveform(table1).wavelength
+    l, k = 154, 48  # sin(phi) = 0.6016, theta = 3 deg
+    amap = angle_map(rc, loc, ula, cascade, wl, 512, calibrate=calibrate)
+    phi, theta = amap.azimuth_grid[256 + l], amap.elevation_grid[k]
+    signal = select_region_signal(rc, loc, {"A": (phi, theta)}, ula, cascade,
+                                  wl, 512, calibrate=calibrate)[0].slowtime
+    for f in (0, 5):
+        power = angle_map(rc, loc, ula, cascade, wl, 512, frame=f,
+                          calibrate=calibrate).power[256 + l, k]
+        assert abs(signal[f]) ** 2 == pytest.approx(power, rel=1e-12)

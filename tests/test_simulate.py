@@ -13,7 +13,6 @@ from multivital.simulate import (
     Scene,
     SinusoidMotion,
     _resolve_mode,
-    add_noise,
     far_field_distance,
     simulate,
     synthesize_frame,
@@ -135,33 +134,6 @@ def test_noise_differs_across_frames_and_seeds(table2, cascade):
     assert not np.array_equal(cube.samples[0], cube.samples[1])
     other = simulate(dataclasses.replace(scene, seed=2), cfg, cascade)
     assert not np.array_equal(cube.samples, other.samples)
-
-
-def test_add_noise_inf_is_noop(table2, cascade):
-    cfg = dataclasses.replace(table2, n_frames=2)
-    cube = simulate(_static_scene((0.0, 0.8, 0.0)), cfg, cascade)
-    same = add_noise(cube, math.inf, seed=0)
-    assert same is cube
-
-
-def test_add_noise_rejects_nan(table2, cascade):
-    cfg = dataclasses.replace(table2, n_frames=1)
-    cube = simulate(_static_scene((0.0, 0.8, 0.0)), cfg, cascade)
-    with pytest.raises(ConfigError):
-        add_noise(cube, math.nan, seed=0)
-    with pytest.raises(ConfigError):
-        add_noise(cube, -math.inf, seed=0)
-
-
-def test_add_noise_matches_inline_noise(table2, cascade):
-    # Adding noise afterwards must reproduce the inline snr_db path exactly:
-    # both draw from the per-frame (seed, frame) stream.
-    cfg = dataclasses.replace(table2, n_frames=2)
-    clean_scene = _static_scene((0.0, 0.8, 0.0))
-    noisy_scene = _static_scene((0.0, 0.8, 0.0), snr_db=15.0, seed=9)
-    inline = simulate(noisy_scene, cfg, cascade)
-    outline = add_noise(simulate(clean_scene, cfg, cascade), 15.0, seed=9)
-    assert np.allclose(inline.samples, outline.samples, atol=1e-6)
 
 
 def test_reflectivity_scales_linearly(table2, cascade):
