@@ -21,7 +21,6 @@ from .doa import (
     RegionSignal,
     angle_map,
     build_phase_error_table,
-    elevation_spectrum,
     junction_phase_error,
     near_field_azimuth_fft,
     select_region_signal,
@@ -95,7 +94,6 @@ __all__ = [
     "RegionSignal",
     "angle_map",
     "build_phase_error_table",
-    "elevation_spectrum",
     "junction_phase_error",
     "near_field_azimuth_fft",
     "select_region_signal",

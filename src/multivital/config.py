@@ -22,13 +22,11 @@ class ChirpConfig:
     n_adc: int  # ADC samples per chirp
     fs: float  # ADC sampling frequency, Hz
     k_chirp: float  # chirp slope, Hz/s
-    n_chirps_per_frame: int = 1
     n_frames: int = 1
 
     def validate(self) -> "ChirpConfig":
         """Check positivity and that the sampled window fits inside the PRT."""
-        for name in ("fc", "prt", "t_frame", "n_adc", "fs",
-                     "k_chirp", "n_chirps_per_frame", "n_frames"):
+        for name in ("fc", "prt", "t_frame", "n_adc", "fs", "k_chirp", "n_frames"):
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(f"chirp.{name} must be strictly positive, got {value}")

@@ -21,13 +21,15 @@ data; the Beamformer applies its negation to match the conjugated feed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigError, ProcessingError
 from .geometry import ArrayGeometry, AzimuthUlaSelection, build_virtual_array
-from .rangeproc import RangeCube, SubjectLocation, extract_range_bin
+# Not called here: kept so multivital.doa.extract_range_bin stays importable;
+# the bench tracer wraps it at this name.
+from .rangeproc import extract_range_bin  # noqa: F401
 
 REGION_IDS = ("A", "P", "T", "E", "M")
 
@@ -179,11 +181,6 @@ class Beamformer:
         ula = [t * geom.n_rx + r for t, r in sel.chosen]
         return cls(sel=sel, n_fft=n_fft, ula=ula, phasors=phasors, rows=rows)
 
-    @property
-    def elevations(self) -> list[int]:
-        """Row positions in half-wavelength units, in row order."""
-        return [el for el, _, _ in self.rows]
-
     @staticmethod
     def feed(channels: np.ndarray) -> np.ndarray:
         """Conjugated complex128 copy of raw channel data (n_tx * n_rx, n_cols)."""
@@ -204,12 +201,22 @@ class Beamformer:
             for _, ch, az in self.rows
         ])
 
+    def combine(self, rows: np.ndarray, sin_theta) -> np.ndarray:
+        """Elevation matched combination of per-row values, averaged over rows.
+
+        rows has shape (n_rows, n_azimuth, n_cols) in row order; returns
+        shape (n_azimuth, len(sin_theta), n_cols).
+        """
+        el = np.array([e for e, _, _ in self.rows], dtype=np.float64)
+        weights = np.exp(-1j * np.pi * np.outer(el, sin_theta))
+        return np.einsum("re,rlc->lec", weights, rows) / len(el)
+
     def steer(self, y: np.ndarray, spectra: np.ndarray, l, sin_theta) -> np.ndarray:
         """Array output at grid azimuth indices l and elevation sines.
 
         Row 0 contributes the ULA spectrum (spectra = ula_spectrum(y)) at l,
         every other row its matched sum at u = 2 l / n_fft; the rows are
-        then combined with elevation matched weights and averaged.
+        then combined over elevation.
 
         Returns shape (len(l), len(sin_theta), n_cols).
         """
@@ -217,9 +224,7 @@ class Beamformer:
         rows = self.row_sums(y, 2.0 * l / self.n_fft)
         # Row 0 comes from the compensated ULA, not the full azimuth plane.
         rows[0] = spectra[l + self.n_fft // 2] / len(self.ula)
-        el = np.asarray(self.elevations, dtype=np.float64)
-        weights = np.exp(-1j * np.pi * np.outer(el, sin_theta))
-        return np.einsum("re,rlc->lec", weights, rows) / len(el)
+        return self.combine(rows, sin_theta)
 
 
 def _element_coords(geom: ArrayGeometry, wavelength: float):
@@ -326,65 +331,28 @@ def build_phase_error_table(
     return PhaseErrorTable(dphi=dphi, range_z=z)
 
 
-def elevation_spectrum(
-    y: np.ndarray, row_positions: Sequence[float], grid: np.ndarray
-) -> np.ndarray:
-    """Matched-filter power over elevation angles for nonuniform row positions.
-
-    Parameters
-    ----------
-    y : complex ndarray
-        One value per elevation row (conjugate-fed convention).
-    row_positions : sequence of float
-        Row positions in half-wavelength units.
-    grid : ndarray
-        Elevation angles to evaluate, rad.
-
-    Returns
-    -------
-    ndarray
-        |sum_i y_i e^{-j pi p_i sin(theta)}|^2 per grid angle.
-    """
-    y = np.asarray(y)
-    p = np.asarray(row_positions, dtype=np.float64)
-    if y.shape[0] != p.shape[0]:
-        raise ProcessingError("one value per elevation row required")
-    phase = np.exp(-1j * np.pi * np.outer(p, np.sin(np.asarray(grid))))
-    return np.abs(y @ phase) ** 2
-
-
 def select_region_signal(
-    rc: RangeCube,
-    loc: SubjectLocation,
+    bf: Beamformer,
+    y: np.ndarray,
+    spectra: np.ndarray,
     regions: Mapping[str, tuple[float, float]],
-    sel: AzimuthUlaSelection,
-    geom: ArrayGeometry,
-    wavelength: float,
-    n_fft: int,
-    calibrate: bool = True,
-    range_z: float | None = None,
 ) -> list[RegionSignal]:
     """Slow-time signal per chest region from its (azimuth, elevation) angles.
 
-    For every frame the conjugated subject-bin data are steered to each
-    region: the dense azimuth ULA through the (optionally near-field
-    corrected) block FFT evaluated at the grid index nearest sin(phi), the
-    elevation rows through matched sums at the same direction cosine, then
-    all rows are combined with elevation matched weights at theta. The
-    result is conjugated back so phase grows with range.
+    For every frame the fed subject-bin data are steered to each region:
+    the dense azimuth ULA through its spectrum at the grid index nearest
+    sin(phi), the elevation rows through matched sums at the same direction
+    cosine, then all rows are combined over elevation at theta. The result
+    is conjugated back so phase grows with range.
 
     Parameters
     ----------
-    rc, loc : range cube and subject location
+    bf : Beamformer
+    y : ndarray
+        Fed subject-bin data, bf.feed(channels), shape (channels, frames).
+    spectra : ndarray
+        bf.ula_spectrum(y).
     regions : mapping region id -> (phi, theta) in rad
-    sel, geom : ULA selection and geometry
-    wavelength : float, m
-    n_fft : int
-        Azimuth transform length.
-    calibrate : bool
-        Apply near-field junction compensation to the azimuth ULA.
-    range_z : float, optional
-        Boresight range for the phase table; defaults to loc.range_m.
 
     Returns
     -------
@@ -396,8 +364,7 @@ def select_region_signal(
         if rid not in REGION_IDS:
             raise ConfigError(f"region must be one of {REGION_IDS}, got {rid!r}")
 
-    bf, y = _fed_beamformer(rc, loc, sel, geom, wavelength, n_fft, calibrate, range_z)
-    spectra = bf.ula_spectrum(y)  # (n_fft, frames)
+    n_fft = bf.n_fft
     out: list[RegionSignal] = []
     for rid, (phi, theta) in regions.items():
         if not (abs(phi) < np.pi / 2 and abs(theta) < np.pi / 2):
@@ -415,40 +382,23 @@ def select_region_signal(
 
 
 def angle_map(
-    rc: RangeCube,
-    loc: SubjectLocation,
-    sel: AzimuthUlaSelection,
-    geom: ArrayGeometry,
-    wavelength: float,
-    n_fft: int,
+    bf: Beamformer,
+    y: np.ndarray,
     frame: int = 0,
     elevation_grid: np.ndarray | None = None,
-    calibrate: bool = True,
-    range_z: float | None = None,
 ) -> AngleMap:
-    """Azimuth x elevation beamformed power of one frame at the subject bin."""
-    n_frames = rc.bins.shape[0]
+    """Azimuth x elevation beamformed power of one frame of fed data y."""
+    n_frames = y.shape[1]
     if not 0 <= frame < n_frames:
         raise ProcessingError(f"frame {frame} outside 0..{n_frames - 1}")
     if elevation_grid is None:
         elevation_grid = np.deg2rad(np.arange(-45.0, 46.0, 1.0))
 
-    bf, y = _fed_beamformer(rc, loc, sel, geom, wavelength, n_fft, calibrate, range_z)
     y = y[:, frame:frame + 1]
-    l, az_grid = _shifted_grid(n_fft)
+    l, az_grid = _shifted_grid(bf.n_fft)
     combined = bf.steer(y, bf.ula_spectrum(y), l, np.sin(elevation_grid))[:, :, 0]
     return AngleMap(
         power=np.abs(combined) ** 2,
         azimuth_grid=az_grid,
         elevation_grid=np.asarray(elevation_grid, dtype=np.float64),
     )
-
-
-def _fed_beamformer(rc, loc, sel, geom, wavelength, n_fft, calibrate, range_z):
-    """Beamformer (near-field compensated when calibrate) and fed subject-bin data."""
-    table = None
-    if calibrate:
-        z = loc.range_m if range_z is None else range_z
-        table = build_phase_error_table(sel, geom, wavelength, z, n_fft)
-    bf = Beamformer.build(sel, geom, n_fft, table)
-    return bf, bf.feed(extract_range_bin(rc, loc.bin))

@@ -114,7 +114,6 @@ def load_cube(path: str, geometry: ArrayGeometry | None = None) -> RawDataCube:
         n_adc=n_samples,
         fs=fs,
         k_chirp=k_chirp,
-        n_chirps_per_frame=1,
         n_frames=n_frames,
     )
     return RawDataCube(

@@ -7,13 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import derive_waveform
-from .doa import (
-    Beamformer,
-    angle_map,
-    build_phase_error_table,
-    elevation_spectrum,
-    select_region_signal,
-)
+from .doa import Beamformer, angle_map, build_phase_error_table, select_region_signal
 from .geometry import build_virtual_array, select_azimuth_ula
 from .metrics import SensorLayout, compute_alignment
 from .rangeproc import extract_range_bin, locate_subject, range_fft
@@ -34,31 +28,58 @@ class PipelineResult:
     traces: list[DisplacementTrace]
 
 
-def estimate_angles(
+def steer_subject(
     rc, loc, sel, geom, wavelength: float, n_fft: int,
     calibrate: bool, range_z: float | None = None,
-) -> tuple[float, float]:
-    """Azimuth/elevation of the strongest return at the subject bin.
+) -> tuple[Beamformer, np.ndarray]:
+    """Beamformer for the subject bin and its fed slow-time data.
 
-    Azimuth from the frame-averaged power of the (conjugate-fed) ULA
-    spectrum; elevation from a matched-filter sweep of the elevation rows
-    at the azimuth peak.
+    The one place a run builds its steering: with calibrate, the near-field
+    phase table at range_z (the subject's range when None), then the
+    Beamformer and the conjugate-fed subject-bin slab (channels, frames).
     """
     table = None
     if calibrate:
         z = loc.range_m if range_z is None else range_z
         table = build_phase_error_table(sel, geom, wavelength, z, n_fft)
     bf = Beamformer.build(sel, geom, n_fft, table)
-    y = bf.feed(extract_range_bin(rc, loc.bin))
-    power = np.mean(np.abs(bf.ula_spectrum(y)) ** 2, axis=1)
+    return bf, bf.feed(extract_range_bin(rc, loc.bin))
+
+
+def estimate_angles(
+    bf: Beamformer, y: np.ndarray, spectra: np.ndarray
+) -> tuple[float, float]:
+    """Azimuth/elevation of the strongest return in fed subject-bin data y.
+
+    Azimuth from the frame-averaged power of the ULA spectrum
+    (spectra = bf.ula_spectrum(y)); elevation from a matched sweep of the
+    elevation rows at the azimuth peak, on frame 0.
+    """
+    n_fft = bf.n_fft
+    power = np.mean(np.abs(spectra) ** 2, axis=1)
     l_hat = int(np.argmax(power)) - n_fft // 2
     azimuth = float(np.arcsin(2.0 * l_hat / n_fft))
 
-    row_values = bf.row_sums(y[:, :1], [2.0 * l_hat / n_fft])[:, 0, 0]
+    rows = bf.row_sums(y[:, :1], [2.0 * l_hat / n_fft])
     grid = np.deg2rad(np.arange(-45.0, 45.25, 0.25))
-    pattern = elevation_spectrum(row_values, bf.elevations, grid)
+    pattern = np.abs(bf.combine(rows, np.sin(grid))[0, :, 0]) ** 2
     elevation = float(grid[int(np.argmax(pattern))])
     return azimuth, elevation
+
+
+def _steered_subject(cube, pcfg, layout, near_field):
+    """Range pass, subject location and steer_subject for one cube."""
+    calibrate = pcfg.near_field if near_field is None else near_field
+    wavelength = derive_waveform(cube.chirp).wavelength
+    geom = cube.geometry
+    sel = select_azimuth_ula(build_virtual_array(geom))
+    rc = range_fft(cube, pcfg.n_fft_range)
+    loc = locate_subject(rc)
+    range_z = layout.z_a if layout is not None else None
+    bf, y = steer_subject(
+        rc, loc, sel, geom, wavelength, pcfg.n_fft_azimuth, calibrate, range_z
+    )
+    return loc, wavelength, bf, y
 
 
 def run_pipeline(
@@ -82,26 +103,15 @@ def run_pipeline(
     near_field : bool, optional
         Override pcfg.near_field when given.
     """
-    calibrate = pcfg.near_field if near_field is None else near_field
-    wavelength = derive_waveform(cube.chirp).wavelength
-    geom = cube.geometry
-    sel = select_azimuth_ula(build_virtual_array(geom))
-
-    rc = range_fft(cube, pcfg.n_fft_range)
-    loc = locate_subject(rc)
-    range_z = layout.z_a if layout is not None else None
-    az_peak, el_peak = estimate_angles(
-        rc, loc, sel, geom, wavelength, pcfg.n_fft_azimuth, calibrate, range_z
-    )
+    loc, wavelength, bf, y = _steered_subject(cube, pcfg, layout, near_field)
+    spectra = bf.ula_spectrum(y)  # (n_fft, frames)
+    az_peak, el_peak = estimate_angles(bf, y, spectra)
     if layout is not None:
         regions = compute_alignment(layout)
     else:
         regions = {"A": (az_peak, el_peak)}
 
-    signals = select_region_signal(
-        rc, loc, regions, sel, geom, wavelength, pcfg.n_fft_azimuth,
-        calibrate=calibrate, range_z=range_z,
-    )
+    signals = select_region_signal(bf, y, spectra, regions)
     frame_rate = cube.chirp.frame_rate
     traces = [region_signal_to_trace(s, wavelength, frame_rate) for s in signals]
     return PipelineResult(
@@ -122,14 +132,5 @@ def make_angle_map(
     frame: int = 0,
 ):
     """Angle map of one frame at the located subject bin."""
-    calibrate = pcfg.near_field if near_field is None else near_field
-    wavelength = derive_waveform(cube.chirp).wavelength
-    geom = cube.geometry
-    sel = select_azimuth_ula(build_virtual_array(geom))
-    rc = range_fft(cube, pcfg.n_fft_range)
-    loc = locate_subject(rc)
-    return angle_map(
-        rc, loc, sel, geom, wavelength, pcfg.n_fft_azimuth, frame=frame,
-        calibrate=calibrate,
-        range_z=layout.z_a if layout is not None else None,
-    )
+    _, _, bf, y = _steered_subject(cube, pcfg, layout, near_field)
+    return angle_map(bf, y, frame=frame)

@@ -64,10 +64,19 @@ def locate_subject(rc: RangeCube) -> SubjectLocation:
     """Find the range bin with the largest magnitude summed over channels and frames.
 
     Ties resolve to the lowest bin (argmax returns the first maximum).
+
+    Raises
+    ------
+    ProcessingError
+        empty cube, or a non-finite range profile. One NaN or inf sample
+        spreads through the FFT to every bin of its channel, so checking
+        the profile catches any non-finite input.
     """
     if rc.bins.size == 0:
         raise ProcessingError("empty range cube")
     profile = np.abs(rc.bins).sum(axis=(0, 1, 2))
+    if not np.all(np.isfinite(profile)):
+        raise ProcessingError("range profile is not finite: the cube holds NaN or inf samples")
     bin_idx = int(np.argmax(profile))
     return SubjectLocation(bin=bin_idx, range_m=bin_idx * rc.bin_width_m)
 

@@ -79,7 +79,7 @@ def _parse_chirp(obj: dict, path: str) -> ChirpConfig:
     _check_keys(
         obj, path,
         required=("fc_hz", "prt_s", "t_frame_s", "n_adc", "fs_hz", "k_chirp_hz_per_s"),
-        optional=("n_chirps_per_frame", "n_frames"),
+        optional=("n_frames",),
     )
     return ChirpConfig(
         fc=_number(obj, path, "fc_hz"),
@@ -88,7 +88,6 @@ def _parse_chirp(obj: dict, path: str) -> ChirpConfig:
         n_adc=_integer(obj, path, "n_adc"),
         fs=_number(obj, path, "fs_hz"),
         k_chirp=_number(obj, path, "k_chirp_hz_per_s"),
-        n_chirps_per_frame=_integer(obj, path, "n_chirps_per_frame", 1),
         n_frames=_integer(obj, path, "n_frames", 1),
     ).validate()
 
@@ -222,7 +221,7 @@ def _parse_layout(obj: dict, path: str) -> SensorLayout:
 
 def _parse_outputs(obj: dict, path: str) -> dict:
     _check_keys(obj, path, required=(),
-                optional=("cube", "traces", "report", "angle_map", "truth"))
+                optional=("cube", "traces", "report", "truth"))
     for key, value in obj.items():
         if not isinstance(value, str) or not value:
             raise ConfigError(f"{path}.{key} must be a non-empty path string")

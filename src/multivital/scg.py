@@ -46,18 +46,12 @@ class ScgChannel:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """High-pass filter used throughout the chain."""
+    """Butterworth (maximally flat) high-pass filter used throughout the chain."""
 
-    kind: str = "high-pass"
     cutoff: float = 0.5  # Hz
     order: int = 4
-    design: str = "maximally-flat"
 
     def validate(self, fs: float) -> "FilterSpec":
-        if self.kind != "high-pass":
-            raise ConfigError(f"only high-pass filtering is supported, got {self.kind!r}")
-        if self.design != "maximally-flat":
-            raise ConfigError(f"only the maximally-flat design is supported, got {self.design!r}")
         if not 0 < self.cutoff < fs / 2:
             raise ConfigError(
                 f"cutoff {self.cutoff} Hz must lie in (0, fs/2) = (0, {fs / 2}) Hz"

@@ -9,7 +9,7 @@ def table1():
     """Long-window waveform used for the far single-target scenario."""
     return ChirpConfig(
         fc=77e9, prt=85.3e-6, t_frame=0.135, n_adc=512, fs=7e6,
-        k_chirp=63.005e12, n_chirps_per_frame=128, n_frames=50,
+        k_chirp=63.005e12, n_frames=50,
     )
 
 
@@ -18,7 +18,7 @@ def table2():
     """20 Hz frame-rate waveform used for the close-range scenarios."""
     return ChirpConfig(
         fc=77e9, prt=70e-6, t_frame=0.05, n_adc=256, fs=5e6,
-        k_chirp=65.998e12, n_chirps_per_frame=1, n_frames=600,
+        k_chirp=65.998e12, n_frames=600,
     )
 
 

@@ -26,7 +26,7 @@ from multivital import (
 )
 from multivital.doa import near_field_azimuth_fft
 from multivital.metrics import max_freq_difference
-from multivital.pipeline import estimate_angles
+from multivital.pipeline import estimate_angles, steer_subject
 from multivital.rangeproc import locate_subject, range_fft
 from multivital.runconfig import load_run_config
 from multivital.scg import FilterSpec, ScgChannel, scg_to_displacement
@@ -110,12 +110,10 @@ def test_a3_junction_calibration_sweep(table2, cascade, ula, capsys):
         cube = simulate(scene, chirp, cascade)
         rc = range_fft(cube, 256)
         loc = locate_subject(rc)
-        az_cal, _ = estimate_angles(
-            rc, loc, ula, cascade, wl, n_fft, calibrate=True, range_z=z
-        )
-        az_unc, _ = estimate_angles(
-            rc, loc, ula, cascade, wl, n_fft, calibrate=False
-        )
+        bf, y = steer_subject(rc, loc, ula, cascade, wl, n_fft, calibrate=True, range_z=z)
+        az_cal, _ = estimate_angles(bf, y, bf.ula_spectrum(y))
+        bf, y = steer_subject(rc, loc, ula, cascade, wl, n_fft, calibrate=False)
+        az_unc, _ = estimate_angles(bf, y, bf.ula_spectrum(y))
         err_cal = abs(math.sin(az_cal) - math.sin(phi)) / cell  # grid cells
         err_unc = abs(math.sin(az_unc) - math.sin(phi)) / cell
         n_cases += 1
@@ -174,9 +172,8 @@ def test_a5_two_scatterers_same_bin(table2, cascade, ula, capsys):
     rc = range_fft(cube, 256)
     loc = locate_subject(rc)
     regions = {"A": (phi, 0.0), "P": (-phi, 0.0)}
-    signals = select_region_signal(
-        rc, loc, regions, ula, cascade, wl, 512, calibrate=True, range_z=z
-    )
+    bf, y = steer_subject(rc, loc, ula, cascade, wl, 512, calibrate=True, range_z=z)
+    signals = select_region_signal(bf, y, bf.ula_spectrum(y), regions)
     frame_rate = table2.frame_rate
     times = np.arange(table2.n_frames) / frame_rate
     refs = {f: np.sin(2.0 * np.pi * f * times) for f in own.values()}

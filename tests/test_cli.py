@@ -1,13 +1,15 @@
 """End-to-end checks of the console entry points via main(argv)."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from multivital.cli import main
-from multivital.io import read_trace_table
+from multivital.io import load_cube, read_trace_table, save_cube
+from multivital.runconfig import load_run_config
 
 RATE = 250.0  # Hz, synthetic accelerometer rate
 
@@ -109,6 +111,21 @@ def test_process_writes_readable_traces(workdir, tmp_path, capsys):
     assert list(table) == ["A"]
     assert len(table["A"]["displacement_mm"]) == 16
     assert "subject at" in capsys.readouterr().out
+
+
+def test_non_finite_cube_reports_processing_error(workdir, tmp_path, capsys):
+    geometry = load_run_config(str(workdir["cfg"])).geometry
+    cube = load_cube(str(workdir["cube"]), geometry=geometry)
+    samples = cube.samples.copy()
+    samples[2, 1, 3, 40] = np.nan
+    bad = tmp_path / "nan.mvdc"
+    save_cube(dataclasses.replace(cube, samples=samples), str(bad))
+    rc = main([
+        "process", "--cube", str(bad),
+        "--config", str(workdir["cfg"]), "--out", str(tmp_path / "t.csv"),
+    ])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "processing"
 
 
 def test_process_near_field_flag_and_angle_map(workdir, tmp_path, capsys):

@@ -40,7 +40,6 @@ def test_frame_rate(table2):
     ("n_adc", 0),
     ("fs", 0.0),
     ("k_chirp", 0.0),
-    ("n_chirps_per_frame", 0),
     ("n_frames", 0),
 ])
 def test_validate_rejects_nonpositive(table1, field, value):

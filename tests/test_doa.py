@@ -6,16 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from multivital.config import derive_waveform
 from multivital.doa import (
+    Beamformer,
     PhaseErrorTable,
     angle_map,
     build_phase_error_table,
-    elevation_spectrum,
     junction_phase_error,
     near_field_azimuth_fft,
     select_region_signal,
 )
 from multivital.errors import ConfigError, ProcessingError
 from multivital.geometry import ArrayGeometry, AzimuthUlaSelection
+from multivital.pipeline import steer_subject
 from multivital.rangeproc import locate_subject, range_fft
 from multivital.simulate import ScatterPoint, Scene, SinusoidMotion, simulate
 
@@ -157,29 +158,29 @@ def test_calibration_recovers_close_target(table2, cascade, ula):
     assert np.max(np.abs(nf.values)) > np.max(np.abs(ff.values))
 
 
-def test_elevation_matched_beamwidth():
-    # Half-power width of the {0,1,4,6} row arrangement steered broadside.
-    rows = [0, 1, 4, 6]
+def _elevation_pattern(bf, row_values, grid):
+    return np.abs(bf.combine(row_values[:, None, None], np.sin(grid))[0, :, 0]) ** 2
+
+
+def test_elevation_matched_beamwidth(cascade, ula):
+    # Half-power width of the cascade's {0,1,4,6} rows steered broadside.
+    bf = Beamformer.build(ula, cascade, 256)
+    assert [el for el, _, _ in bf.rows] == [0, 1, 4, 6]
     grid = np.arcsin(np.linspace(-0.6, 0.6, 200001))
-    pat = elevation_spectrum(np.ones(4, dtype=complex), rows, grid)
+    pat = _elevation_pattern(bf, np.ones(4, dtype=complex), grid)
     pat = pat / pat.max()
     half = np.degrees(grid[pat >= 0.5])
     assert half.max() - half.min() == pytest.approx(12.17, abs=0.05)
 
 
-def test_elevation_peak_at_steered_angle():
-    rows = [0, 1, 4, 6]
+def test_elevation_peak_at_steered_angle(cascade, ula):
+    bf = Beamformer.build(ula, cascade, 256)
+    rows = np.array([el for el, _, _ in bf.rows])
     theta0 = np.deg2rad(-9.0)
-    y = np.exp(1j * np.pi * np.asarray(rows) * np.sin(theta0))
+    y = np.exp(1j * np.pi * rows * np.sin(theta0))
     grid = np.deg2rad(np.arange(-45.0, 45.25, 0.25))
-    pat = elevation_spectrum(y, rows, grid)
+    pat = _elevation_pattern(bf, y, grid)
     assert abs(np.degrees(grid[int(np.argmax(pat))]) + 9.0) <= 0.25
-
-
-def test_elevation_spectrum_length_check():
-    with pytest.raises(ProcessingError):
-        elevation_spectrum(np.ones(3, dtype=complex), [0, 1, 4, 6],
-                           np.zeros(5))
 
 
 @pytest.fixture(scope="module")
@@ -192,14 +193,18 @@ def offset_cube(table1, cascade):
     return simulate(scene, cfg, cascade)
 
 
+def _steered(cube, cascade, ula, calibrate=True):
+    """Beamformer and fed subject-bin data of cube at n_fft 512."""
+    rc = range_fft(cube, 512)
+    wl = derive_waveform(cube.chirp).wavelength
+    return steer_subject(rc, locate_subject(rc), ula, cascade, wl, 512, calibrate)
+
+
 def test_select_region_signal_recovers_motion(table1, cascade, ula, offset_cube):
-    rc = range_fft(offset_cube, 512)
-    loc = locate_subject(rc)
     wl = derive_waveform(table1).wavelength
     phi = np.arctan2(3.0, 4.0)
-    signals = select_region_signal(
-        rc, loc, {"A": (phi, 0.0)}, ula, cascade, wl, 512, calibrate=False
-    )
+    bf, y = _steered(offset_cube, cascade, ula, calibrate=False)
+    signals = select_region_signal(bf, y, bf.ula_spectrum(y), {"A": (phi, 0.0)})
     assert len(signals) == 1
     phase = np.unwrap(np.angle(signals[0].slowtime))
     t = np.arange(8) * table1.t_frame
@@ -209,16 +214,15 @@ def test_select_region_signal_recovers_motion(table1, cascade, ula, offset_cube)
     assert np.max(np.abs(got - want)) < 1e-3
 
 
-def test_select_region_signal_angle_checks(offset_cube, cascade, ula, table1):
-    rc = range_fft(offset_cube, 512)
-    loc = locate_subject(rc)
-    wl = derive_waveform(table1).wavelength
+def test_select_region_signal_angle_checks(offset_cube, cascade, ula):
+    bf, y = _steered(offset_cube, cascade, ula)
+    spectra = bf.ula_spectrum(y)
     with pytest.raises(ProcessingError, match="field of view"):
-        select_region_signal(rc, loc, {"A": (1.6, 0.0)}, ula, cascade, wl, 512)
+        select_region_signal(bf, y, spectra, {"A": (1.6, 0.0)})
     with pytest.raises(ConfigError):
-        select_region_signal(rc, loc, {"Q": (0.0, 0.0)}, ula, cascade, wl, 512)
+        select_region_signal(bf, y, spectra, {"Q": (0.0, 0.0)})
     with pytest.raises(ProcessingError):
-        select_region_signal(rc, loc, {}, ula, cascade, wl, 512)
+        select_region_signal(bf, y, spectra, {})
 
 
 def test_angle_map_peak(table1, cascade, ula):
@@ -228,10 +232,7 @@ def test_angle_map_peak(table1, cascade, ula):
     y = r * np.sqrt(1 - u * u - v * v)
     scene = Scene(points=(ScatterPoint((u * r, y, v * r)),), mode="plane-wave")
     cube = simulate(scene, cfg, cascade)
-    rc = range_fft(cube, 512)
-    loc = locate_subject(rc)
-    wl = derive_waveform(cfg).wavelength
-    am = angle_map(rc, loc, ula, cascade, wl, 512, calibrate=False)
+    am = angle_map(*_steered(cube, cascade, ula, calibrate=False))
     az_i, el_i = np.unravel_index(np.argmax(am.power), am.power.shape)
     assert np.degrees(am.azimuth_grid[az_i]) == pytest.approx(
         np.degrees(np.arcsin(u)), abs=0.35)
@@ -239,29 +240,23 @@ def test_angle_map_peak(table1, cascade, ula):
         np.degrees(np.arcsin(v)), abs=1.0)
 
 
-def test_angle_map_frame_bounds(table1, cascade, ula, offset_cube):
-    rc = range_fft(offset_cube, 512)
-    loc = locate_subject(rc)
-    wl = derive_waveform(table1).wavelength
+def test_angle_map_frame_bounds(cascade, ula, offset_cube):
+    bf, y = _steered(offset_cube, cascade, ula)
     with pytest.raises(ProcessingError):
-        angle_map(rc, loc, ula, cascade, wl, 512, frame=99)
+        angle_map(bf, y, frame=99)
 
 
 @pytest.mark.parametrize("calibrate", [True, False])
-def test_region_signal_matches_angle_map_cell(table1, cascade, ula, offset_cube,
-                                              calibrate):
+def test_region_signal_matches_angle_map_cell(cascade, ula, offset_cube, calibrate):
     # Region selection and the angle map steer through the same beamformer:
     # a region on a grid azimuth and a map elevation must carry the map's
     # power at that cell in every frame.
-    rc = range_fft(offset_cube, 512)
-    loc = locate_subject(rc)
-    wl = derive_waveform(table1).wavelength
+    bf, y = _steered(offset_cube, cascade, ula, calibrate=calibrate)
     l, k = 154, 48  # sin(phi) = 0.6016, theta = 3 deg
-    amap = angle_map(rc, loc, ula, cascade, wl, 512, calibrate=calibrate)
+    amap = angle_map(bf, y)
     phi, theta = amap.azimuth_grid[256 + l], amap.elevation_grid[k]
-    signal = select_region_signal(rc, loc, {"A": (phi, theta)}, ula, cascade,
-                                  wl, 512, calibrate=calibrate)[0].slowtime
+    signal = select_region_signal(bf, y, bf.ula_spectrum(y),
+                                  {"A": (phi, theta)})[0].slowtime
     for f in (0, 5):
-        power = angle_map(rc, loc, ula, cascade, wl, 512, frame=f,
-                          calibrate=calibrate).power[256 + l, k]
+        power = angle_map(bf, y, frame=f).power[256 + l, k]
         assert abs(signal[f]) ** 2 == pytest.approx(power, rel=1e-12)

@@ -45,7 +45,6 @@ def test_cube_round_trip(tmp_path, table2, cascade):
     assert (c.prt, c.t_frame) == (table2.prt, table2.t_frame)
     assert c.n_adc == 256
     assert c.n_frames == 2
-    assert c.n_chirps_per_frame == 1
 
 
 def test_cube_header_layout(tmp_path, table2, cascade):

@@ -38,7 +38,11 @@ def test_load_bundled_single_target():
     cfg = load_run_config("sim-single-target")
     assert cfg.chirp.fc == 77.0e9
     assert cfg.chirp.n_frames == 50
-    assert cfg.chirp.n_chirps_per_frame == 128
+    # Cubes hold one chirp per frame, so a chirp count is an unknown key.
+    doc = minimal_doc()
+    doc["chirp"]["n_chirps_per_frame"] = 128
+    with pytest.raises(ConfigError, match=r"unknown key config\.chirp\.n_chirps_per_frame"):
+        parse_run_config(doc)
     assert len(cfg.scene.points) == 1
     point = cfg.scene.points[0]
     assert point.position0 == (3.0, 4.0, 0.0)
