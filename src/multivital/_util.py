@@ -28,13 +28,18 @@ def thread_count() -> int:
     return n
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write bytes to path via a temp file in the same directory plus rename."""
+def atomic_write_bytes(path: str, *chunks) -> None:
+    """Write byte chunks in order to path via a temp file in the same directory plus rename.
+
+    A chunk is any C-contiguous buffer (bytes, a numpy array), written from
+    its own memory without a copy.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

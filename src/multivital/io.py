@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import os
 import struct
 
 import numpy as np
@@ -54,8 +55,7 @@ def save_cube(cube: RawDataCube, path: str) -> None:
         cube.chirp.t_frame,
         cube.seed & 0xFFFFFFFFFFFFFFFF,
     )
-    payload = np.ascontiguousarray(cube.samples, dtype="<c8").tobytes()
-    atomic_write_bytes(path, header + payload)
+    atomic_write_bytes(path, header, np.ascontiguousarray(cube.samples, dtype="<c8"))
 
 
 def load_cube(path: str, geometry: ArrayGeometry | None = None) -> RawDataCube:
@@ -68,45 +68,50 @@ def load_cube(path: str, geometry: ArrayGeometry | None = None) -> RawDataCube:
     Raises
     ------
     CubeFormatError
-        bad magic, unsupported version, truncated header or payload, or a
-        geometry whose channel count does not match the header.
+        bad magic, unsupported version, truncated header, a payload whose
+        size does not match the header, or a geometry whose channel count
+        does not match the header.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise CubeFormatError(
-            f"{path}: truncated header, {len(raw)} bytes < {_HEADER.size}"
-        )
-    magic, version, n_frames, n_tx, n_rx, n_samples, fc, fs, k_chirp, prt, t_frame, seed = (
-        _HEADER.unpack_from(raw)
-    )
-    if magic != MVDC_MAGIC:
-        raise CubeFormatError(f"{path}: bad magic {magic!r}, expected {MVDC_MAGIC!r}")
-    if version != MVDC_VERSION:
-        raise CubeFormatError(
-            f"{path}: unsupported version {version}, this build reads {MVDC_VERSION}"
-        )
-    expected = 8 * n_frames * n_tx * n_rx * n_samples
-    payload = raw[_HEADER.size:]
-    if len(payload) != expected:
-        raise CubeFormatError(
-            f"{path}: truncated payload, expected {expected} bytes, got {len(payload)}"
-        )
-    if geometry is None:
-        if (n_tx, n_rx) != (12, 16):
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
             raise CubeFormatError(
-                f"{path}: no geometry given and {n_tx}x{n_rx} channels do not "
-                "match the cascade layout"
+                f"{path}: truncated header, {len(head)} bytes < {_HEADER.size}"
             )
-        geometry = ArrayGeometry.ti_cascade()
-    if (geometry.n_tx, geometry.n_rx) != (n_tx, n_rx):
-        raise CubeFormatError(
-            f"{path}: geometry is {geometry.n_tx}x{geometry.n_rx} but the "
-            f"header says {n_tx}x{n_rx}"
+        magic, version, n_frames, n_tx, n_rx, n_samples, fc, fs, k_chirp, prt, t_frame, seed = (
+            _HEADER.unpack(head)
         )
-    samples = np.frombuffer(payload, dtype="<c8").reshape(
-        n_frames, n_tx, n_rx, n_samples
-    )
+        if magic != MVDC_MAGIC:
+            raise CubeFormatError(f"{path}: bad magic {magic!r}, expected {MVDC_MAGIC!r}")
+        if version != MVDC_VERSION:
+            raise CubeFormatError(
+                f"{path}: unsupported version {version}, this build reads {MVDC_VERSION}"
+            )
+        expected = 8 * n_frames * n_tx * n_rx * n_samples
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != expected:
+            raise CubeFormatError(
+                f"{path}: payload is {size} bytes, the header implies {expected}"
+            )
+        if geometry is None:
+            if (n_tx, n_rx) != (12, 16):
+                raise CubeFormatError(
+                    f"{path}: no geometry given and {n_tx}x{n_rx} channels do not "
+                    "match the cascade layout"
+                )
+            geometry = ArrayGeometry.ti_cascade()
+        if (geometry.n_tx, geometry.n_rx) != (n_tx, n_rx):
+            raise CubeFormatError(
+                f"{path}: geometry is {geometry.n_tx}x{geometry.n_rx} but the "
+                f"header says {n_tx}x{n_rx}"
+            )
+        # Read the payload straight into the array that the cube keeps.
+        samples = np.empty((n_frames, n_tx, n_rx, n_samples), dtype="<c8")
+        got = fh.readinto(samples.reshape(-1).view(np.uint8))
+    if got != expected:
+        raise CubeFormatError(
+            f"{path}: truncated payload, expected {expected} bytes, got {got}"
+        )
     chirp = ChirpConfig(
         fc=fc,
         prt=prt,
@@ -117,7 +122,7 @@ def load_cube(path: str, geometry: ArrayGeometry | None = None) -> RawDataCube:
         n_frames=n_frames,
     )
     return RawDataCube(
-        samples=samples.astype(np.complex64), chirp=chirp, geometry=geometry,
+        samples=samples.astype(np.complex64, copy=False), chirp=chirp, geometry=geometry,
         seed=int(seed),
     ).validate()
 

@@ -79,7 +79,7 @@ def normalized_xcorr_max(r: np.ndarray, x: np.ndarray) -> tuple[float, int]:
     """Peak of the normalized cross-correlation between two traces.
 
     Both signals are mean-removed; the correlation is evaluated at every
-    lag and normalized by the peak autocorrelations, so the result is
+    lag and normalized by the zero-lag autocorrelations, so the result is
     scale- and shift-invariant and self-correlation gives exactly 1.0.
 
     Returns
@@ -101,10 +101,12 @@ def normalized_xcorr_max(r: np.ndarray, x: np.ndarray) -> tuple[float, int]:
     if not np.any(rm) or not np.any(xm):
         raise ProcessingError("constant input has no normalized cross-correlation")
     c_rx = np.abs(np.correlate(rm, xm, mode="full"))
-    c_rr = np.abs(np.correlate(rm, rm, mode="full"))
-    c_xx = np.abs(np.correlate(xm, xm, mode="full"))
+    # An autocorrelation peaks at zero lag (Cauchy-Schwarz), and "valid" mode
+    # of a signal with itself computes only that lag.
+    e_rr = np.correlate(rm, rm, mode="valid")[0]
+    e_xx = np.correlate(xm, xm, mode="valid")[0]
     peak = int(np.argmax(c_rx))
-    rho = float(c_rx[peak] / math.sqrt(c_rr.max() * c_xx.max()))
+    rho = float(c_rx[peak] / math.sqrt(e_rr * e_xx))
     return min(rho, 1.0), peak - (x.size - 1)
 
 

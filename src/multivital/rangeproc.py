@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
+from ._util import thread_count
 from .config import derive_waveform
 from .errors import ConfigError, ProcessingError
 from .simulate import RawDataCube
@@ -40,8 +42,11 @@ def range_fft(cube: RawDataCube, n_fft_range: int) -> RangeCube:
     Returns
     -------
     RangeCube
-        bin_width_m = range_resolution * n_adc / n_fft_range, so zero
-        padding refines the grid without changing the resolution.
+        complex64 bins, transformed in single precision with up to
+        thread_count() workers; the only allocation is the output (scipy
+        zero-pads into it). bin_width_m = range_resolution * n_adc /
+        n_fft_range, so zero padding refines the grid without changing the
+        resolution.
     """
     n_adc = cube.chirp.n_adc
     if n_fft_range < n_adc:
@@ -51,10 +56,9 @@ def range_fft(cube: RawDataCube, n_fft_range: int) -> RangeCube:
     if n_fft_range & (n_fft_range - 1):
         raise ConfigError(f"n_fft_range must be a power of two, got {n_fft_range}")
     wf = derive_waveform(cube.chirp)
-    # float64 internally; the stored cube is complex64.
-    bins = np.fft.fft(cube.samples.astype(np.complex128), n=n_fft_range, axis=-1)
+    bins = scipy.fft.fft(cube.samples, n=n_fft_range, axis=-1, workers=thread_count())
     return RangeCube(
-        bins=bins.astype(np.complex64),
+        bins=bins,
         n_fft_range=n_fft_range,
         bin_width_m=wf.range_resolution * n_adc / n_fft_range,
     )

@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,19 +116,24 @@ def test_process_writes_readable_traces(workdir, tmp_path, capsys):
     assert "subject at" in capsys.readouterr().out
 
 
-def test_non_finite_cube_reports_processing_error(workdir, tmp_path, capsys):
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_cube_reports_processing_error(workdir, tmp_path, bad):
+    """stderr is the one JSON error object, with no warning printed ahead of it."""
     geometry = load_run_config(str(workdir["cfg"])).geometry
     cube = load_cube(str(workdir["cube"]), geometry=geometry)
     samples = cube.samples.copy()
-    samples[2, 1, 3, 40] = np.nan
-    bad = tmp_path / "nan.mvdc"
-    save_cube(dataclasses.replace(cube, samples=samples), str(bad))
-    rc = main([
-        "process", "--cube", str(bad),
-        "--config", str(workdir["cfg"]), "--out", str(tmp_path / "t.csv"),
-    ])
-    assert rc == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "processing"
+    samples[2, 1, 3, 40] = bad
+    bad_cube = tmp_path / "bad.mvdc"
+    save_cube(dataclasses.replace(cube, samples=samples), str(bad_cube))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from multivital.cli import main; sys.exit(main())",
+         "process", "--cube", str(bad_cube),
+         "--config", str(workdir["cfg"]), "--out", str(tmp_path / "t.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "processing"  # nothing else on stderr
 
 
 def test_process_near_field_flag_and_angle_map(workdir, tmp_path, capsys):

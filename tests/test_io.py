@@ -94,6 +94,35 @@ def test_cube_truncation(tmp_path, table2, cascade):
         load_cube(str(tmp_path / "chopped.mvdc"))
 
 
+def test_cube_trailing_bytes_rejected(tmp_path, table2, cascade):
+    cube = _small_cube(table2, cascade)
+    path = tmp_path / "cube.mvdc"
+    save_cube(cube, str(path))
+    (tmp_path / "long.mvdc").write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(CubeFormatError, match="payload"):
+        load_cube(str(tmp_path / "long.mvdc"))
+
+
+def test_loaded_samples_are_writable_contiguous_complex64(tmp_path, table2, cascade):
+    path = str(tmp_path / "cube.mvdc")
+    save_cube(_small_cube(table2, cascade), path)
+    samples = load_cube(path).samples
+    assert samples.dtype == np.complex64
+    assert samples.flags.c_contiguous and samples.flags.writeable
+    samples[0, 0, 0, 0] = 1j  # the cube owns its buffer
+
+
+def test_saved_cube_is_header_then_sample_bytes(tmp_path, table2, cascade):
+    """The file is the packed header followed by the samples' own bytes."""
+    cube = _small_cube(table2, cascade)
+    path = tmp_path / "cube.mvdc"
+    save_cube(cube, str(path))
+    c = cube.chirp
+    header = struct.pack("<4s5I5dQ", b"MVDC", 1, *cube.samples.shape,
+                         c.fc, c.fs, c.k_chirp, c.prt, c.t_frame, cube.seed)
+    assert path.read_bytes() == header + cube.samples.astype("<c8").tobytes()
+
+
 def test_cube_geometry_mismatch(tmp_path, table2, cascade):
     cube = _small_cube(table2, cascade)
     path = str(tmp_path / "cube.mvdc")

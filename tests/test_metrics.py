@@ -102,6 +102,28 @@ def test_rho_bounded(seed):
     assert 0.0 <= rho <= 1.0
 
 
+def _three_correlation_rho(r, x):
+    """The full-lag formula: peak |cross-correlation| over the peak |autocorrelations|."""
+    rm, xm = r - r.mean(), x - x.mean()
+    c_rx = np.abs(np.correlate(rm, xm, mode="full"))
+    c_rr = np.abs(np.correlate(rm, rm, mode="full"))
+    c_xx = np.abs(np.correlate(xm, xm, mode="full"))
+    peak = int(np.argmax(c_rx))
+    rho = float(c_rx[peak] / math.sqrt(c_rr.max() * c_xx.max()))
+    return min(rho, 1.0), peak - (x.size - 1)
+
+
+@pytest.mark.parametrize("n_r, n_x", [(5, 5), (40, 60), (333, 200), (2000, 2000)])
+def test_rho_matches_three_correlation_formula(n_r, n_x):
+    rng = np.random.default_rng(n_r + n_x)
+    for _ in range(5):
+        r = np.cumsum(rng.standard_normal(n_r))
+        x = np.cumsum(rng.standard_normal(n_x))
+        assert normalized_xcorr_max(r, x) == _three_correlation_rho(r, x)
+    x = _smooth_noise(n_x)
+    assert normalized_xcorr_max(x, np.roll(x, 3)) == _three_correlation_rho(x, np.roll(x, 3))
+
+
 def test_delta_f_identical_is_zero():
     t = np.arange(600) / 20.0
     x = np.sin(2 * np.pi * 1.0 * t)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,3 +67,34 @@ def test_locate_empty_cube():
                    n_fft_range=512, bin_width_m=0.03)
     with pytest.raises(ProcessingError):
         locate_subject(rc)
+
+
+@pytest.mark.parametrize("n_fft", [512, 1024])
+def test_range_fft_is_single_precision_within_1e6_of_float64(cube5m, n_fft):
+    bins = range_fft(cube5m, n_fft).bins
+    ref = np.fft.fft(cube5m.samples.astype(np.complex128), n=n_fft, axis=-1)
+    assert bins.dtype == np.complex64
+    assert bins.flags.c_contiguous
+    assert np.linalg.norm(bins - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+def test_range_fft_bit_identical_across_thread_counts(cube5m, monkeypatch):
+    monkeypatch.setenv("MULTIVITAL_THREADS", "1")
+    one = range_fft(cube5m, 1024).bins
+    monkeypatch.setenv("MULTIVITAL_THREADS", "2")
+    two = range_fft(cube5m, 1024).bins
+    assert one.tobytes() == two.tobytes()
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+def test_range_fft_peak_memory_is_its_output(cube5m, pad):
+    """Traced peak <= output + half the cube: 1.5x the cube with no padding."""
+    n_adc = cube5m.chirp.n_adc
+    tracemalloc.start()
+    try:
+        rc = range_fft(cube5m, pad * n_adc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc.bins.nbytes == pad * cube5m.samples.nbytes
+    assert peak <= rc.bins.nbytes + 0.5 * cube5m.samples.nbytes
