@@ -15,14 +15,12 @@ from .config import (
 )
 from .doa import (
     AngleMap,
-    AzimuthSpectrum,
     PhaseErrorTable,
     REGION_IDS,
     RegionSignal,
     angle_map,
     build_phase_error_table,
     junction_phase_error,
-    near_field_azimuth_fft,
     select_region_signal,
 )
 from .errors import ConfigError, CubeFormatError, MultivitalError, ProcessingError
@@ -88,14 +86,12 @@ __all__ = [
     "DerivedWaveform",
     "derive_waveform",
     "AngleMap",
-    "AzimuthSpectrum",
     "PhaseErrorTable",
     "REGION_IDS",
     "RegionSignal",
     "angle_map",
     "build_phase_error_table",
     "junction_phase_error",
-    "near_field_azimuth_fft",
     "select_region_signal",
     "ConfigError",
     "CubeFormatError",

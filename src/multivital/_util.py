@@ -13,8 +13,9 @@ THREADS_ENV = "MULTIVITAL_THREADS"
 def thread_count() -> int:
     """Worker thread cap from the MULTIVITAL_THREADS environment variable.
 
-    Unset or 0 means auto (cpu count, capped at 8). Values below 0 or
-    non-integers are rejected.
+    Unset or 0 means auto: the CPUs this process may run on (its affinity
+    set where the platform has one, else the cpu count), capped at 8.
+    Values below 0 or non-integers are rejected.
     """
     raw = os.environ.get(THREADS_ENV, "0")
     try:
@@ -24,7 +25,11 @@ def thread_count() -> int:
     if n < 0:
         raise ConfigError(f"{THREADS_ENV} must be >= 0, got {n}")
     if n == 0:
-        return min(os.cpu_count() or 1, 8)
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count() or 1
+        return min(usable, 8)
     return n
 
 

@@ -7,15 +7,11 @@ that realize adjacent ULA positions, leaving a phase step at every block
 junction. Those steps are precomputed per steering angle into a table and
 folded into a block-decomposed FFT.
 
-Sign conventions. Raw IF data carry phase exp(-j pi p u) across virtual
-position p (direction cosine u), so the forward DFT of raw data peaks at
-negative grid indices. The Beamformer, the one steering path behind angle
-estimation, region selection and the angle map, therefore conjugates the
-slow-time data before the azimuth transform (peak lands at
-l = N sin(phi)/2, matching the grid theta_l = arcsin(2 l / N)), and region
-selection conjugates the steered value back so the slow-time phase keeps
-the +4 pi R / lambda sign. The phase-error table is defined for raw-signed
-data; the Beamformer applies its negation to match the conjugated feed.
+Sign convention. Raw IF data carry phase exp(-j pi p u) across virtual
+position p (direction cosine u); the Beamformer steers them with matched
+exp(+j pi p u) weights, so the azimuth peak lands at l = N sin(phi) / 2 on
+the grid theta_l = arcsin(2 l / N), and the steered slow-time phase keeps
+the +4 pi R / lambda sign.
 """
 
 from __future__ import annotations
@@ -26,20 +22,17 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, ProcessingError
-from .geometry import ArrayGeometry, AzimuthUlaSelection, build_virtual_array
+from .geometry import (
+    ArrayGeometry,
+    AzimuthUlaSelection,
+    build_virtual_array,
+    element_positions_m,
+)
 # Not called here: kept so multivital.doa.extract_range_bin stays importable;
 # the bench tracer wraps it at this name.
 from .rangeproc import extract_range_bin  # noqa: F401
 
 REGION_IDS = ("A", "P", "T", "E", "M")
-
-
-@dataclass(frozen=True)
-class AzimuthSpectrum:
-    """Complex spectrum over the angular grid theta_l = arcsin(2l / n_fft)."""
-
-    values: np.ndarray  # complex, length n_fft, index l + n_fft//2
-    grid: np.ndarray  # rad, monotone
 
 
 @dataclass(frozen=True)
@@ -77,75 +70,13 @@ def _shifted_grid(n_fft: int) -> tuple[np.ndarray, np.ndarray]:
     return l, np.arcsin(2.0 * l / n_fft)
 
 
-def _block_transform(
-    x: np.ndarray,
-    sel: AzimuthUlaSelection,
-    n_fft: int,
-    block_phasors: np.ndarray | None = None,
-) -> np.ndarray:
-    """Block-decomposed zero-padded DFT of ULA data, fftshifted.
-
-    x has shape (n_ula, n_cols); each block's segment is transformed
-    separately, shifted to its position with a twiddle factor, optionally
-    rotated by a per-block phasor row, and accumulated.
-    """
-    l, _ = _shifted_grid(n_fft)
-    out = np.zeros((n_fft, x.shape[1]), dtype=np.complex128)
-    for b, (start, stop) in enumerate(sel.blocks):
-        seg = x[start:stop + 1]
-        spec = np.fft.fftshift(np.fft.fft(seg, n=n_fft, axis=0), axes=0)
-        tw = np.exp(-2j * np.pi * l * start / n_fft)
-        if block_phasors is not None:
-            tw = tw * block_phasors[b]
-        out += spec * tw[:, None]
-    return out
-
-
-def _cumulative_phasors(dphi: np.ndarray) -> np.ndarray:
-    """Per-block correction phasors: identity for block 0, then e^{-j cumsum}."""
-    phasors = np.ones((dphi.shape[0] + 1, dphi.shape[1]), dtype=np.complex128)
-    phasors[1:] = np.exp(-1j * np.cumsum(dphi, axis=0))
-    return phasors
-
-
-def near_field_azimuth_fft(
-    x: np.ndarray,
-    sel: AzimuthUlaSelection,
-    table: PhaseErrorTable,
-    n_fft: int,
-) -> AzimuthSpectrum:
-    """Azimuth DFT with cumulative junction phase corrections.
-
-    Block b is rotated by exp(-j sum of the first b table rows), so a
-    signal whose blocks carry the tabulated phase steps is re-aligned
-    before recombination. An all-zero table gives the plain zero-padded
-    DFT of x.
-    """
-    x = np.asarray(x)
-    if x.shape[0] != len(sel.chosen):
-        raise ProcessingError(
-            f"expected {len(sel.chosen)} ULA samples, got {x.shape[0]}"
-        )
-    if n_fft < x.shape[0]:
-        raise ConfigError(f"n_fft {n_fft} is smaller than the array length {x.shape[0]}")
-    if table.dphi.shape != (len(sel.junctions), n_fft):
-        raise ProcessingError(
-            f"phase table shape {table.dphi.shape} does not match "
-            f"{len(sel.junctions)} junctions x n_fft {n_fft}"
-        )
-    phasors = _cumulative_phasors(table.dphi)
-    values = _block_transform(x[:, None], sel, n_fft, phasors)[:, 0]
-    _, grid = _shifted_grid(n_fft)
-    return AzimuthSpectrum(values=values, grid=grid)
-
-
 @dataclass(frozen=True)
 class Beamformer:
     """Steers one array's azimuth ULA and elevation rows over the grid.
 
-    The only holder of the conjugate-feed convention: feed() conjugates the
-    raw channel data, and build() negates the raw-signed junction table to
-    match. Azimuth lives on the grid u_l = 2 l / n_fft.
+    Takes raw channel data, shape (n_tx * n_rx, n_cols), and steers it
+    with matched weights (sign convention in the module docstring).
+    Azimuth lives on the grid u_l = 2 l / n_fft.
     """
 
     sel: AzimuthUlaSelection
@@ -165,11 +96,23 @@ class Beamformer:
     ) -> "Beamformer":
         """Beamformer for a ULA selection of geom.
 
-        A phase table (raw-signed, as build_phase_error_table makes it)
-        turns on near-field junction compensation of the ULA spectrum.
+        A phase table from build_phase_error_table turns on near-field
+        junction compensation of the ULA spectrum: block b is rotated by
+        exp(-j sum of the first b table rows).
         """
-        # Conjugated feed flips the sign of the junction steps.
-        phasors = None if table is None else _cumulative_phasors(-table.dphi)
+        if n_fft < len(sel.chosen):
+            raise ConfigError(
+                f"n_fft {n_fft} is smaller than the array length {len(sel.chosen)}"
+            )
+        phasors = None
+        if table is not None:
+            if table.dphi.shape != (len(sel.junctions), n_fft):
+                raise ProcessingError(
+                    f"phase table shape {table.dphi.shape} does not match "
+                    f"{len(sel.junctions)} junctions x n_fft {n_fft}"
+                )
+            phasors = np.ones((len(sel.blocks), n_fft), dtype=np.complex128)
+            phasors[1:] = np.exp(-1j * np.cumsum(table.dphi, axis=0))
         grouped: dict[int, list[tuple[int, int]]] = {}
         for e in build_virtual_array(geom).elements:
             grouped.setdefault(e.elevation, []).append((e.tx * geom.n_rx + e.rx, e.azimuth))
@@ -181,23 +124,34 @@ class Beamformer:
         ula = [t * geom.n_rx + r for t, r in sel.chosen]
         return cls(sel=sel, n_fft=n_fft, ula=ula, phasors=phasors, rows=rows)
 
-    @staticmethod
-    def feed(channels: np.ndarray) -> np.ndarray:
-        """Conjugated complex128 copy of raw channel data (n_tx * n_rx, n_cols)."""
-        return np.conj(channels.astype(np.complex128))
-
     def ula_spectrum(self, y: np.ndarray) -> np.ndarray:
-        """ULA spectrum of fed data over the grid, shape (n_fft, n_cols)."""
-        return _block_transform(y[self.ula], self.sel, self.n_fft, self.phasors)
+        """Matched ULA spectrum of raw data y over the grid, shape (n_fft, n_cols).
+
+        Each block is transformed on its own, shifted to its position with
+        a twiddle, rotated by its junction phasor row, and accumulated.
+        """
+        x = y[self.ula]
+        l, _ = _shifted_grid(self.n_fft)
+        out = np.zeros((self.n_fft, x.shape[1]), dtype=np.complex128)
+        for b, (start, stop) in enumerate(self.sel.blocks):
+            seg = x[start:stop + 1]
+            spec = np.fft.fftshift(
+                np.fft.ifft(seg, n=self.n_fft, axis=0, norm="forward"), axes=0
+            )
+            tw = np.exp(2j * np.pi * l * start / self.n_fft)
+            if self.phasors is not None:
+                tw = tw * self.phasors[b]
+            out += spec * tw[:, None]
+        return out
 
     def row_sums(self, y: np.ndarray, u) -> np.ndarray:
-        """Mean matched sum of every row of fed data at direction cosines u.
+        """Mean matched sum of every row of raw data y at direction cosines u.
 
         Returns shape (n_rows, len(u), n_cols).
         """
         u = np.asarray(u, dtype=np.float64)
         return np.stack([
-            np.exp(-1j * np.pi * np.outer(u, az)) @ y[ch] / len(ch)
+            np.exp(1j * np.pi * np.outer(u, az)) @ y[ch] / len(ch)
             for _, ch, az in self.rows
         ])
 
@@ -208,7 +162,7 @@ class Beamformer:
         shape (n_azimuth, len(sin_theta), n_cols).
         """
         el = np.array([e for e, _, _ in self.rows], dtype=np.float64)
-        weights = np.exp(-1j * np.pi * np.outer(el, sin_theta))
+        weights = np.exp(1j * np.pi * np.outer(el, sin_theta))
         return np.einsum("re,rlc->lec", weights, rows) / len(el)
 
     def steer(self, y: np.ndarray, spectra: np.ndarray, l, sin_theta) -> np.ndarray:
@@ -225,13 +179,6 @@ class Beamformer:
         # Row 0 comes from the compensated ULA, not the full azimuth plane.
         rows[0] = spectra[l + self.n_fft // 2] / len(self.ula)
         return self.combine(rows, sin_theta)
-
-
-def _element_coords(geom: ArrayGeometry, wavelength: float):
-    half = wavelength / 2.0  # m
-    tx = np.array([(a * half, 0.0, e * half) for a, e in geom.tx_elements])
-    rx = np.array([(a * half, 0.0, e * half) for a, e in geom.rx_elements])
-    return tx, rx
 
 
 def _path_difference(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -291,7 +238,7 @@ def junction_phase_error(
     th = np.atleast_1d(theta)
     p = np.stack([z * np.tan(th), np.full_like(th, z), np.zeros_like(th)], axis=-1)
     u = np.sin(th)
-    tx_xyz, rx_xyz = _element_coords(geom, wavelength)
+    tx_xyz, rx_xyz = element_positions_m(geom, wavelength)
     tx_az = [a for a, _ in geom.tx_elements]
     rx_az = [a for a, _ in geom.rx_elements]
 
@@ -339,17 +286,16 @@ def select_region_signal(
 ) -> list[RegionSignal]:
     """Slow-time signal per chest region from its (azimuth, elevation) angles.
 
-    For every frame the fed subject-bin data are steered to each region:
+    For every frame the subject-bin data are steered to each region:
     the dense azimuth ULA through its spectrum at the grid index nearest
     sin(phi), the elevation rows through matched sums at the same direction
-    cosine, then all rows are combined over elevation at theta. The result
-    is conjugated back so phase grows with range.
+    cosine, then all rows are combined over elevation at theta.
 
     Parameters
     ----------
     bf : Beamformer
     y : ndarray
-        Fed subject-bin data, bf.feed(channels), shape (channels, frames).
+        Raw subject-bin data, shape (channels, frames).
     spectra : ndarray
         bf.ula_spectrum(y).
     regions : mapping region id -> (phi, theta) in rad
@@ -377,7 +323,7 @@ def select_region_signal(
                 f"region {rid} azimuth {phi:.3f} rad falls off the angular grid"
             )
         combined = bf.steer(y, spectra, [l_star], [np.sin(theta)])[0, 0]
-        out.append(RegionSignal(region=rid, slowtime=np.conj(combined)).validate())
+        out.append(RegionSignal(region=rid, slowtime=combined).validate())
     return out
 
 
@@ -387,7 +333,7 @@ def angle_map(
     frame: int = 0,
     elevation_grid: np.ndarray | None = None,
 ) -> AngleMap:
-    """Azimuth x elevation beamformed power of one frame of fed data y."""
+    """Azimuth x elevation beamformed power of one frame of raw data y."""
     n_frames = y.shape[1]
     if not 0 <= frame < n_frames:
         raise ProcessingError(f"frame {frame} outside 0..{n_frames - 1}")

@@ -1,8 +1,8 @@
 """Antenna array geometry, MIMO virtual array and azimuth ULA selection.
 
 Element positions are integer multiples of half the carrier wavelength so
-that selection logic stays exact; conversion to meters happens only where
-physical path lengths are needed.
+that selection logic stays exact; element_positions_m converts them to
+meters where physical path lengths are needed.
 """
 
 from __future__ import annotations
@@ -54,6 +54,16 @@ class ArrayGeometry:
     @property
     def n_rx(self) -> int:
         return len(self.rx_elements)
+
+
+def element_positions_m(
+    geom: ArrayGeometry, wavelength: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tx and Rx element positions (x, 0, z) in meters, shapes (n_tx, 3), (n_rx, 3)."""
+    half = wavelength / 2.0  # m
+    tx = np.array([(a * half, 0.0, e * half) for a, e in geom.tx_elements])
+    rx = np.array([(a * half, 0.0, e * half) for a, e in geom.rx_elements])
+    return tx, rx
 
 
 class VirtualElement(NamedTuple):

@@ -32,24 +32,24 @@ def steer_subject(
     rc, loc, sel, geom, wavelength: float, n_fft: int,
     calibrate: bool, range_z: float | None = None,
 ) -> tuple[Beamformer, np.ndarray]:
-    """Beamformer for the subject bin and its fed slow-time data.
+    """Beamformer for the subject bin and its raw slow-time data.
 
     The one place a run builds its steering: with calibrate, the near-field
     phase table at range_z (the subject's range when None), then the
-    Beamformer and the conjugate-fed subject-bin slab (channels, frames).
+    Beamformer and the complex128 subject-bin slab (channels, frames).
     """
     table = None
     if calibrate:
         z = loc.range_m if range_z is None else range_z
         table = build_phase_error_table(sel, geom, wavelength, z, n_fft)
     bf = Beamformer.build(sel, geom, n_fft, table)
-    return bf, bf.feed(extract_range_bin(rc, loc.bin))
+    return bf, extract_range_bin(rc, loc.bin).astype(np.complex128)
 
 
 def estimate_angles(
     bf: Beamformer, y: np.ndarray, spectra: np.ndarray
 ) -> tuple[float, float]:
-    """Azimuth/elevation of the strongest return in fed subject-bin data y.
+    """Azimuth/elevation of the strongest return in subject-bin data y.
 
     Azimuth from the frame-averaged power of the ULA spectrum
     (spectra = bf.ula_spectrum(y)); elevation from a matched sweep of the

@@ -7,6 +7,7 @@ with its full path, so typos cannot silently change a run.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -50,13 +51,22 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> 
             raise ConfigError(f"missing required key {path}.{key}")
 
 
+def _finite(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return number
+
+
 def _number(obj: dict, path: str, key: str, default=None) -> float:
     if key not in obj:
         return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _finite(obj[key], f"{path}.{key}")
 
 
 def _integer(obj: dict, path: str, key: str, default=None) -> int:
@@ -69,10 +79,9 @@ def _integer(obj: dict, path: str, key: str, default=None) -> int:
 
 
 def _vector(value, path: str, length: int) -> tuple:
-    if (not isinstance(value, list) or len(value) != length
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
+    if not isinstance(value, list) or len(value) != length:
         raise ConfigError(f"{path} must be a list of {length} numbers")
-    return tuple(float(v) for v in value)
+    return tuple(_finite(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _parse_chirp(obj: dict, path: str) -> ChirpConfig:
@@ -141,8 +150,7 @@ def _parse_motion(obj, path: str):
         return SampledMotion(
             direction=_vector(obj["direction"], f"{path}.direction", 3),
             displacement_m=tuple(
-                _vector([v], f"{path}.displacement_m[{i}]", 1)[0]
-                for i, v in enumerate(series)
+                _finite(v, f"{path}.displacement_m[{i}]") for i, v in enumerate(series)
             ),
             rate_hz=_number(obj, path, "rate_hz"),
         ).validate()

@@ -19,7 +19,12 @@ import numpy as np
 from ._util import thread_count
 from .config import SPEED_OF_LIGHT, ChirpConfig, derive_waveform
 from .errors import ConfigError
-from .geometry import ArrayGeometry, scene_direction_cosines, steering_from_cosines
+from .geometry import (
+    ArrayGeometry,
+    element_positions_m,
+    scene_direction_cosines,
+    steering_from_cosines,
+)
 
 MODES = ("auto", "plane-wave", "exact-path")
 
@@ -153,12 +158,6 @@ class RawDataCube:
         return self
 
 
-def point_delay(p: ScatterPoint, frame_time: float) -> float:
-    """Two-way propagation delay of a point at the given frame time, seconds."""
-    r = float(np.linalg.norm(p.position_at(frame_time)))
-    return 2.0 * r / SPEED_OF_LIGHT
-
-
 def far_field_distance(geom: ArrayGeometry, wavelength: float) -> float:
     """2 D^2 / lambda for the virtual aperture extent D, meters."""
     az = [t[0] + r[0] for t in geom.tx_elements for r in geom.rx_elements]
@@ -232,13 +231,7 @@ def synthesize_frame(
         # Exact per-channel paths. The two-way path splits into
         # (Tx -> P) + (P -> Rx), so the per-channel tone factorizes into a
         # Tx-dependent and an Rx-dependent term.
-        half_wl = wl / 2.0  # m
-        tx_xyz = np.array(
-            [(a * half_wl, 0.0, e * half_wl) for a, e in geom.tx_elements]
-        )
-        rx_xyz = np.array(
-            [(a * half_wl, 0.0, e * half_wl) for a, e in geom.rx_elements]
-        )
+        tx_xyz, rx_xyz = element_positions_m(geom, wl)
         omega = 2.0 * np.pi * (cfg.k_chirp * ts + cfg.fc)  # rad/s of delay
         for p in scene.points:
             pos = p.position_at(t_m)

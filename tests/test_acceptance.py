@@ -24,7 +24,7 @@ from multivital import (
     select_region_signal,
     simulate,
 )
-from multivital.doa import near_field_azimuth_fft
+from multivital.doa import Beamformer
 from multivital.metrics import max_freq_difference
 from multivital.pipeline import estimate_angles, steer_subject
 from multivital.rangeproc import locate_subject, range_fft
@@ -131,21 +131,23 @@ def test_a3_junction_calibration_sweep(table2, cascade, ula, capsys):
     )
 
 
-def test_a4_block_recombination_matches_direct_dft(ula, capsys):
+def test_a4_block_recombination_matches_direct_dft(cascade, ula, capsys):
     rng = np.random.default_rng(2024)
     n_ula = len(ula.chosen)
-    tables = {
-        n: PhaseErrorTable(
+    beamformers = {
+        n: Beamformer.build(ula, cascade, n, PhaseErrorTable(
             dphi=np.zeros((len(ula.junctions), n)), range_z=1.0
-        )
+        ))
         for n in (128, 256, 512)
     }
+    y = np.zeros((cascade.n_tx * cascade.n_rx, 1), dtype=np.complex128)
     worst = 0.0
     for _ in range(100):
         x = rng.standard_normal(n_ula) + 1j * rng.standard_normal(n_ula)
-        for n_fft, table in tables.items():
-            got = near_field_azimuth_fft(x, ula, table, n_fft).values
-            want = np.fft.fftshift(np.fft.fft(x, n_fft))
+        for n_fft, bf in beamformers.items():
+            y[bf.ula, 0] = x
+            got = bf.ula_spectrum(y)[:, 0]
+            want = np.fft.fftshift(np.fft.ifft(x, n_fft, norm="forward"))
             err = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
             worst = max(worst, err)
     ok = worst < 1e-10

@@ -136,6 +136,24 @@ def test_non_finite_cube_reports_processing_error(workdir, tmp_path, bad):
     assert json.loads(proc.stderr)["error"] == "processing"  # nothing else on stderr
 
 
+def test_non_finite_config_number_reports_config_error(workdir, tmp_path):
+    """A NaN or Infinity in the config fails before any work, as one JSON error."""
+    doc = json.loads(workdir["cfg"].read_text())
+    doc["layout"] = {"z_a_m": float("inf"), "positions_m": {"A": [0.0, 0.0]}}
+    cfg = tmp_path / "inf.json"
+    cfg.write_text(json.dumps(doc))  # writes the bare Infinity token
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from multivital.cli import main; sys.exit(main())",
+         "e2e", "--config", str(cfg), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "config"  # nothing else on stderr
+    assert "config.layout.z_a_m" in proc.stderr
+    assert not (tmp_path / "run" / "cube.mvdc").exists()
+
+
 def test_process_near_field_flag_and_angle_map(workdir, tmp_path, capsys):
     out = tmp_path / "traces.csv"
     amap = tmp_path / "map.csv"

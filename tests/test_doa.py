@@ -11,7 +11,6 @@ from multivital.doa import (
     angle_map,
     build_phase_error_table,
     junction_phase_error,
-    near_field_azimuth_fft,
     select_region_signal,
 )
 from multivital.errors import ConfigError, ProcessingError
@@ -24,47 +23,67 @@ WL77 = 3.893409e-3  # m
 
 
 def _direct_dft(x, n_fft):
-    return np.fft.fftshift(np.fft.fft(x, n=n_fft))
+    return np.fft.fftshift(np.fft.ifft(x, n=n_fft, norm="forward"))
 
 
 def _zero_table(sel, n_fft):
     return PhaseErrorTable(dphi=np.zeros((len(sel.junctions), n_fft)), range_z=1.0)
 
 
+def _ula_input(cascade, ula, x, n_fft):
+    """Beamformer with a zero table, and the 86 ULA samples x on their channels."""
+    bf = Beamformer.build(ula, cascade, n_fft, _zero_table(ula, n_fft))
+    y = np.zeros((cascade.n_tx * cascade.n_rx, 1), dtype=complex)
+    y[bf.ula, 0] = x
+    return bf, y
+
+
+def _ula_spectrum(cascade, ula, x, n_fft):
+    bf, y = _ula_input(cascade, ula, x, n_fft)
+    return bf.ula_spectrum(y)[:, 0]
+
+
 @given(seed=st.integers(0, 2**32 - 1), n_fft=st.sampled_from([128, 256, 512]))
 @settings(max_examples=60, deadline=None)
-def test_block_fft_equals_direct_dft(ula, seed, n_fft):
+def test_block_fft_equals_direct_dft(cascade, ula, seed, n_fft):
     # Regrouping the 86-element transform into per-block FFTs with position
     # twiddles must reproduce the plain zero-padded DFT.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(86) + 1j * rng.standard_normal(86)
-    got = near_field_azimuth_fft(x, ula, _zero_table(ula, n_fft), n_fft).values
+    got = _ula_spectrum(cascade, ula, x, n_fft)
     want = _direct_dft(x, n_fft)
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-10
 
 
-def test_spectrum_grid(ula):
-    spec = near_field_azimuth_fft(np.ones(86, dtype=complex), ula,
-                                  _zero_table(ula, 512), 512)
-    assert len(spec.grid) == 512
-    assert spec.grid[256] == 0.0
-    assert spec.grid[256 + 64] == pytest.approx(np.arcsin(0.25))
+def test_spectrum_grid(cascade, ula):
+    # Index l + 256 of the spectrum sits at theta_l = arcsin(2 l / 512): a
+    # boresight input peaks at 256, and raw data carrying exp(-j pi p u)
+    # with u = 0.25 peak at l = 64.
+    spec = _ula_spectrum(cascade, ula, np.ones(86, dtype=complex), 512)
+    assert len(spec) == 512
+    assert int(np.argmax(np.abs(spec))) == 256
+    bf, y = _ula_input(cascade, ula, np.exp(-1j * np.pi * np.arange(86) * 0.25), 512)
+    assert int(np.argmax(np.abs(bf.ula_spectrum(y)[:, 0]))) == 256 + 64
+    grid = angle_map(bf, y).azimuth_grid
+    assert len(grid) == 512
+    assert grid[256] == 0.0
+    assert grid[256 + 64] == pytest.approx(np.arcsin(0.25))
 
 
-def test_input_length_checks(ula):
-    with pytest.raises(ProcessingError):
-        near_field_azimuth_fft(np.ones(85, dtype=complex), ula,
-                               _zero_table(ula, 256), 256)
+def test_input_length_checks(cascade, ula):
+    # The transform reads its 86 rows through the beamformer's own channel
+    # list, so only the FFT size can be too short for them.
+    assert len(Beamformer.build(ula, cascade, 256).ula) == 86
     with pytest.raises(ConfigError):
-        near_field_azimuth_fft(np.ones(86, dtype=complex), ula,
-                               _zero_table(ula, 64), 64)
+        Beamformer.build(ula, cascade, 64, _zero_table(ula, 64))
+    with pytest.raises(ConfigError):
+        Beamformer.build(ula, cascade, 64)
 
 
-def test_table_shape_check(ula):
-    x = np.ones(86, dtype=complex)
+def test_table_shape_check(cascade, ula):
     bad = PhaseErrorTable(dphi=np.zeros((19, 256)), range_z=1.0)
     with pytest.raises(ProcessingError):
-        near_field_azimuth_fft(x, ula, bad, 256)
+        Beamformer.build(ula, cascade, 256, bad)
 
 
 def test_junction_step_two_element_example():
@@ -143,19 +162,17 @@ def test_calibration_recovers_close_target(table2, cascade, ula):
     cube = simulate(scene, cfg, cascade)
     rc = range_fft(cube, 256)
     loc = locate_subject(rc)
-    slab = rc.bins[0, :, :, loc.bin].reshape(-1).astype(np.complex128)
-    x = np.conj(slab)[[t * 16 + r for t, r in ula.chosen]]
+    slab = rc.bins[0, :, :, loc.bin].reshape(-1, 1).astype(np.complex128)
 
     n_fft = 512
     table = build_phase_error_table(ula, cascade, WL77, z, n_fft)
-    flipped = PhaseErrorTable(dphi=-table.dphi, range_z=z)
-    ff = near_field_azimuth_fft(x, ula, _zero_table(ula, n_fft), n_fft)
-    nf = near_field_azimuth_fft(x, ula, flipped, n_fft)
+    ff = Beamformer.build(ula, cascade, n_fft).ula_spectrum(slab)[:, 0]
+    nf = Beamformer.build(ula, cascade, n_fft, table).ula_spectrum(slab)[:, 0]
 
     l0 = round(n_fft * np.sin(theta0) / 2.0)
-    err_nf = abs(int(np.argmax(np.abs(nf.values))) - 256 - l0)
+    err_nf = abs(int(np.argmax(np.abs(nf))) - 256 - l0)
     assert err_nf <= 1
-    assert np.max(np.abs(nf.values)) > np.max(np.abs(ff.values))
+    assert np.max(np.abs(nf)) > np.max(np.abs(ff))
 
 
 def _elevation_pattern(bf, row_values, grid):
@@ -177,7 +194,7 @@ def test_elevation_peak_at_steered_angle(cascade, ula):
     bf = Beamformer.build(ula, cascade, 256)
     rows = np.array([el for el, _, _ in bf.rows])
     theta0 = np.deg2rad(-9.0)
-    y = np.exp(1j * np.pi * rows * np.sin(theta0))
+    y = np.exp(-1j * np.pi * rows * np.sin(theta0))  # raw sign
     grid = np.deg2rad(np.arange(-45.0, 45.25, 0.25))
     pat = _elevation_pattern(bf, y, grid)
     assert abs(np.degrees(grid[int(np.argmax(pat))]) + 9.0) <= 0.25
@@ -194,7 +211,7 @@ def offset_cube(table1, cascade):
 
 
 def _steered(cube, cascade, ula, calibrate=True):
-    """Beamformer and fed subject-bin data of cube at n_fft 512."""
+    """Beamformer and raw subject-bin data of cube at n_fft 512."""
     rc = range_fft(cube, 512)
     wl = derive_waveform(cube.chirp).wavelength
     return steer_subject(rc, locate_subject(rc), ula, cascade, wl, 512, calibrate)

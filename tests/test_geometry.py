@@ -6,6 +6,7 @@ from multivital.errors import ConfigError, ProcessingError
 from multivital.geometry import (
     ArrayGeometry,
     build_virtual_array,
+    element_positions_m,
     scene_direction_cosines,
     select_azimuth_ula,
     steering_from_cosines,
@@ -77,6 +78,17 @@ def test_ula_blocks_share_one_tx(ula):
 
 def test_ula_first_block(ula):
     assert ula.chosen[:4] == ((0, 12), (0, 13), (0, 14), (0, 15))
+
+
+def test_element_positions_in_meters(cascade):
+    # Half-wavelength grid units become meters on the x (azimuth) and z
+    # (elevation) axes; the array lies in the y = 0 plane.
+    wl = 3.9e-3
+    tx, rx = element_positions_m(cascade, wl)
+    assert tx.shape == (12, 3) and rx.shape == (16, 3)
+    assert np.all(tx[:, 1] == 0.0) and np.all(rx[:, 1] == 0.0)
+    assert tuple(tx[9]) == pytest.approx((9 * wl / 2, 0.0, wl / 2))
+    assert tuple(rx[4]) == pytest.approx((50 * wl / 2, 0.0, 0.0))
 
 
 def test_ula_gap_raises():

@@ -224,3 +224,42 @@ def test_direction_vector_length():
     doc["scene"]["points"][0]["position_m"] = [1.0, 2.0]
     with pytest.raises(ConfigError, match="list of 3 numbers"):
         parse_run_config(doc)
+
+
+def _with_motion_and_layout() -> dict:
+    doc = minimal_doc()
+    doc["scene"]["points"][0]["motion"] = {
+        "kind": "sinusoid",
+        "direction": [0.0, 1.0, 0.0],
+        "amplitude_m": 0.5e-3,
+        "frequency_hz": 1.2,
+    }
+    doc["layout"] = {"z_a_m": 0.5, "positions_m": {"A": [0.0, 0.0]}}
+    return doc
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize("keys, value, where", [
+    (("layout", "z_a_m"), float("inf"), r"config\.layout\.z_a_m"),
+    (("scene", "points", 0, "position_m", 1), float("nan"),
+     r"config\.scene\.points\[0\]\.position_m\[1\]"),
+    (("scene", "points", 0, "motion", "amplitude_m"), float("-inf"),
+     r"config\.scene\.points\[0\]\.motion\.amplitude_m"),
+    (("chirp", "fc_hz"), float("nan"), r"config\.chirp\.fc_hz"),
+    (("chirp", "fc_hz"), 10**400, r"config\.chirp\.fc_hz"),  # past the float range
+], ids=["layout.z_a_m", "position_m", "motion.amplitude_m", "chirp.fc_hz",
+        "chirp.fc_hz-huge-int"])
+def test_non_finite_number_rejected_with_its_path(tmp_path, keys, value, where):
+    # json.load accepts NaN and Infinity; the schema must not.
+    doc = _with_motion_and_layout()
+    parse_run_config(copy.deepcopy(doc))
+    _set(doc, keys, value)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=where + " must be a finite number"):
+        load_run_config(str(path))
