@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -25,11 +26,13 @@ class ChirpConfig:
     n_frames: int = 1
 
     def validate(self) -> "ChirpConfig":
-        """Check positivity and that the sampled window fits inside the PRT."""
+        """Check finite positivity and that the sampled window fits inside the PRT."""
         for name in ("fc", "prt", "t_frame", "n_adc", "fs", "k_chirp", "n_frames"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"chirp.{name} must be strictly positive, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"chirp.{name} must be finite and strictly positive, got {value}"
+                )
         if self.n_adc / self.fs > self.prt:
             raise ConfigError(
                 f"ADC window n_adc/fs = {self.n_adc / self.fs:.3e} s "

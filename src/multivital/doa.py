@@ -5,7 +5,7 @@ pairs. Under plane-wave arrival the stitching is exact, but for a close
 subject the wavefront curvature differs between the physical Tx/Rx pairs
 that realize adjacent ULA positions, leaving a phase step at every block
 junction. Those steps are precomputed per steering angle into a table and
-folded into a block-decomposed FFT.
+folded into the ULA weights.
 
 Sign convention. Raw IF data carry phase exp(-j pi p u) across virtual
 position p (direction cosine u); the Beamformer steers them with matched
@@ -76,13 +76,15 @@ class Beamformer:
 
     Takes raw channel data, shape (n_tx * n_rx, n_cols), and steers it
     with matched weights (sign convention in the module docstring).
-    Azimuth lives on the grid u_l = 2 l / n_fft.
+    Azimuth lives on the grid u_l = 2 l / n_fft. weights holds the ULA's
+    weight at every grid azimuth, junction compensation included, so every
+    azimuth read of the ULA is one product with its rows. steer gives the
+    whole array's output at chosen grid azimuths and elevations.
     """
 
-    sel: AzimuthUlaSelection
     n_fft: int
     ula: list[int]  # channel (tx * n_rx + rx) of every ULA position
-    phasors: np.ndarray | None  # (n_blocks, n_fft) junction corrections
+    weights: np.ndarray  # (n_fft, len(ula)) complex
     # (elevation, channels, azimuth positions) per elevation row, row 0 first
     rows: tuple[tuple[int, list[int], np.ndarray], ...]
 
@@ -96,23 +98,25 @@ class Beamformer:
     ) -> "Beamformer":
         """Beamformer for a ULA selection of geom.
 
-        A phase table from build_phase_error_table turns on near-field
-        junction compensation of the ULA spectrum: block b is rotated by
-        exp(-j sum of the first b table rows).
+        The weight of ULA position p at grid index l is
+        exp(+2 pi j l p / n_fft). A phase table from build_phase_error_table
+        turns on near-field junction compensation: the weights of block b
+        are rotated by exp(-j sum of the first b table rows).
         """
-        if n_fft < len(sel.chosen):
-            raise ConfigError(
-                f"n_fft {n_fft} is smaller than the array length {len(sel.chosen)}"
-            )
-        phasors = None
+        n_ula = len(sel.chosen)
+        if n_fft < n_ula:
+            raise ConfigError(f"n_fft {n_fft} is smaller than the array length {n_ula}")
+        l, _ = _shifted_grid(n_fft)
+        weights = np.exp(2j * np.pi * np.outer(l, np.arange(n_ula)) / n_fft)
         if table is not None:
             if table.dphi.shape != (len(sel.junctions), n_fft):
                 raise ProcessingError(
                     f"phase table shape {table.dphi.shape} does not match "
                     f"{len(sel.junctions)} junctions x n_fft {n_fft}"
                 )
-            phasors = np.ones((len(sel.blocks), n_fft), dtype=np.complex128)
-            phasors[1:] = np.exp(-1j * np.cumsum(table.dphi, axis=0))
+            rot = np.exp(-1j * np.cumsum(table.dphi, axis=0))
+            for (start, stop), r in zip(sel.blocks[1:], rot):
+                weights[:, start:stop + 1] *= r[:, None]
         grouped: dict[int, list[tuple[int, int]]] = {}
         for e in build_virtual_array(geom).elements:
             grouped.setdefault(e.elevation, []).append((e.tx * geom.n_rx + e.rx, e.azimuth))
@@ -122,27 +126,11 @@ class Beamformer:
             for el in sorted(grouped, key=lambda e: (e != 0, e))
         )
         ula = [t * geom.n_rx + r for t, r in sel.chosen]
-        return cls(sel=sel, n_fft=n_fft, ula=ula, phasors=phasors, rows=rows)
+        return cls(n_fft=n_fft, ula=ula, weights=weights, rows=rows)
 
     def ula_spectrum(self, y: np.ndarray) -> np.ndarray:
-        """Matched ULA spectrum of raw data y over the grid, shape (n_fft, n_cols).
-
-        Each block is transformed on its own, shifted to its position with
-        a twiddle, rotated by its junction phasor row, and accumulated.
-        """
-        x = y[self.ula]
-        l, _ = _shifted_grid(self.n_fft)
-        out = np.zeros((self.n_fft, x.shape[1]), dtype=np.complex128)
-        for b, (start, stop) in enumerate(self.sel.blocks):
-            seg = x[start:stop + 1]
-            spec = np.fft.fftshift(
-                np.fft.ifft(seg, n=self.n_fft, axis=0, norm="forward"), axes=0
-            )
-            tw = np.exp(2j * np.pi * l * start / self.n_fft)
-            if self.phasors is not None:
-                tw = tw * self.phasors[b]
-            out += spec * tw[:, None]
-        return out
+        """Matched ULA spectrum of raw data y over the grid, shape (n_fft, n_cols)."""
+        return self.weights @ y[self.ula]
 
     def row_sums(self, y: np.ndarray, u) -> np.ndarray:
         """Mean matched sum of every row of raw data y at direction cosines u.
@@ -165,19 +153,18 @@ class Beamformer:
         weights = np.exp(1j * np.pi * np.outer(el, sin_theta))
         return np.einsum("re,rlc->lec", weights, rows) / len(el)
 
-    def steer(self, y: np.ndarray, spectra: np.ndarray, l, sin_theta) -> np.ndarray:
-        """Array output at grid azimuth indices l and elevation sines.
+    def steer(self, y: np.ndarray, l, sin_theta) -> np.ndarray:
+        """Array output of raw data y at grid azimuth indices l and elevation sines.
 
-        Row 0 contributes the ULA spectrum (spectra = ula_spectrum(y)) at l,
-        every other row its matched sum at u = 2 l / n_fft; the rows are
-        then combined over elevation.
+        Row 0 is the compensated ULA read through its weight rows at l;
+        every other row is its matched sum at u = 2 l / n_fft. The rows
+        are then combined over elevation.
 
         Returns shape (len(l), len(sin_theta), n_cols).
         """
         l = np.asarray(l)
         rows = self.row_sums(y, 2.0 * l / self.n_fft)
-        # Row 0 comes from the compensated ULA, not the full azimuth plane.
-        rows[0] = spectra[l + self.n_fft // 2] / len(self.ula)
+        rows[0] = self.weights[l + self.n_fft // 2] @ y[self.ula] / len(self.ula)
         return self.combine(rows, sin_theta)
 
 
@@ -281,13 +268,12 @@ def build_phase_error_table(
 def select_region_signal(
     bf: Beamformer,
     y: np.ndarray,
-    spectra: np.ndarray,
     regions: Mapping[str, tuple[float, float]],
 ) -> list[RegionSignal]:
     """Slow-time signal per chest region from its (azimuth, elevation) angles.
 
     For every frame the subject-bin data are steered to each region:
-    the dense azimuth ULA through its spectrum at the grid index nearest
+    the dense azimuth ULA through its weights at the grid index nearest
     sin(phi), the elevation rows through matched sums at the same direction
     cosine, then all rows are combined over elevation at theta.
 
@@ -296,8 +282,6 @@ def select_region_signal(
     bf : Beamformer
     y : ndarray
         Raw subject-bin data, shape (channels, frames).
-    spectra : ndarray
-        bf.ula_spectrum(y).
     regions : mapping region id -> (phi, theta) in rad
 
     Returns
@@ -322,7 +306,7 @@ def select_region_signal(
             raise ProcessingError(
                 f"region {rid} azimuth {phi:.3f} rad falls off the angular grid"
             )
-        combined = bf.steer(y, spectra, [l_star], [np.sin(theta)])[0, 0]
+        combined = bf.steer(y, [l_star], [np.sin(theta)])[0, 0]
         out.append(RegionSignal(region=rid, slowtime=combined).validate())
     return out
 
@@ -342,7 +326,7 @@ def angle_map(
 
     y = y[:, frame:frame + 1]
     l, az_grid = _shifted_grid(bf.n_fft)
-    combined = bf.steer(y, bf.ula_spectrum(y), l, np.sin(elevation_grid))[:, :, 0]
+    combined = bf.steer(y, l, np.sin(elevation_grid))[:, :, 0]
     return AngleMap(
         power=np.abs(combined) ** 2,
         azimuth_grid=az_grid,

@@ -27,7 +27,7 @@ import numpy as np
 from ._util import atomic_write_bytes, atomic_write_text
 from .config import ChirpConfig
 from .doa import AngleMap
-from .errors import CubeFormatError, ProcessingError
+from .errors import ConfigError, CubeFormatError, ProcessingError
 from .geometry import ArrayGeometry
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace
@@ -69,8 +69,9 @@ def load_cube(path: str, geometry: ArrayGeometry | None = None) -> RawDataCube:
     ------
     CubeFormatError
         bad magic, unsupported version, truncated header, a payload whose
-        size does not match the header, or a geometry whose channel count
-        does not match the header.
+        size does not match the header, a geometry whose channel count
+        does not match the header, or chirp values that are not finite and
+        positive or whose ADC window exceeds the PRT.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -105,6 +106,14 @@ def load_cube(path: str, geometry: ArrayGeometry | None = None) -> RawDataCube:
                 f"{path}: geometry is {geometry.n_tx}x{geometry.n_rx} but the "
                 f"header says {n_tx}x{n_rx}"
             )
+        chirp = ChirpConfig(
+            fc=fc, prt=prt, t_frame=t_frame, n_adc=n_samples, fs=fs,
+            k_chirp=k_chirp, n_frames=n_frames,
+        )
+        try:
+            chirp.validate()
+        except ConfigError as exc:
+            raise CubeFormatError(f"{path}: {exc}") from None
         # Read the payload straight into the array that the cube keeps.
         samples = np.empty((n_frames, n_tx, n_rx, n_samples), dtype="<c8")
         got = fh.readinto(samples.reshape(-1).view(np.uint8))
@@ -112,15 +121,6 @@ def load_cube(path: str, geometry: ArrayGeometry | None = None) -> RawDataCube:
         raise CubeFormatError(
             f"{path}: truncated payload, expected {expected} bytes, got {got}"
         )
-    chirp = ChirpConfig(
-        fc=fc,
-        prt=prt,
-        t_frame=t_frame,
-        n_adc=n_samples,
-        fs=fs,
-        k_chirp=k_chirp,
-        n_frames=n_frames,
-    )
     return RawDataCube(
         samples=samples.astype(np.complex64, copy=False), chirp=chirp, geometry=geometry,
         seed=int(seed),

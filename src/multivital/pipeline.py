@@ -46,17 +46,15 @@ def steer_subject(
     return bf, extract_range_bin(rc, loc.bin).astype(np.complex128)
 
 
-def estimate_angles(
-    bf: Beamformer, y: np.ndarray, spectra: np.ndarray
-) -> tuple[float, float]:
+def estimate_angles(bf: Beamformer, y: np.ndarray) -> tuple[float, float]:
     """Azimuth/elevation of the strongest return in subject-bin data y.
 
-    Azimuth from the frame-averaged power of the ULA spectrum
-    (spectra = bf.ula_spectrum(y)); elevation from a matched sweep of the
-    elevation rows at the azimuth peak, on frame 0.
+    Azimuth from the frame-averaged power of the ULA spectrum; elevation
+    from a matched sweep of the elevation rows at the azimuth peak, on
+    frame 0.
     """
     n_fft = bf.n_fft
-    power = np.mean(np.abs(spectra) ** 2, axis=1)
+    power = np.mean(np.abs(bf.ula_spectrum(y)) ** 2, axis=1)
     l_hat = int(np.argmax(power)) - n_fft // 2
     azimuth = float(np.arcsin(2.0 * l_hat / n_fft))
 
@@ -104,14 +102,13 @@ def run_pipeline(
         Override pcfg.near_field when given.
     """
     loc, wavelength, bf, y = _steered_subject(cube, pcfg, layout, near_field)
-    spectra = bf.ula_spectrum(y)  # (n_fft, frames)
-    az_peak, el_peak = estimate_angles(bf, y, spectra)
+    az_peak, el_peak = estimate_angles(bf, y)
     if layout is not None:
         regions = compute_alignment(layout)
     else:
         regions = {"A": (az_peak, el_peak)}
 
-    signals = select_region_signal(bf, y, spectra, regions)
+    signals = select_region_signal(bf, y, regions)
     frame_rate = cube.chirp.frame_rate
     traces = [region_signal_to_trace(s, wavelength, frame_rate) for s in signals]
     return PipelineResult(

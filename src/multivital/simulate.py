@@ -145,6 +145,7 @@ class RawDataCube:
     seed: int = 0
 
     def validate(self) -> "RawDataCube":
+        self.chirp.validate()
         expected = (
             self.chirp.n_frames,
             self.geometry.n_tx,

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -152,6 +153,25 @@ def test_non_finite_config_number_reports_config_error(workdir, tmp_path):
     assert json.loads(proc.stderr)["error"] == "config"  # nothing else on stderr
     assert "config.layout.z_a_m" in proc.stderr
     assert not (tmp_path / "run" / "cube.mvdc").exists()
+
+
+def test_non_finite_cube_header_reports_cube_format_error(workdir, tmp_path):
+    """An infinite chirp slope in the MVDC header fails as one JSON error."""
+    raw = bytearray(workdir["cube"].read_bytes())
+    struct.pack_into("<d", raw, 40, float("inf"))  # k_chirp
+    bad_cube = tmp_path / "inf.mvdc"
+    bad_cube.write_bytes(bytes(raw))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from multivital.cli import main; sys.exit(main())",
+         "process", "--cube", str(bad_cube),
+         "--config", str(workdir["cfg"]), "--out", str(tmp_path / "t.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "cube-format"  # nothing else on stderr
+    assert "chirp.k_chirp" in proc.stderr
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_process_near_field_flag_and_angle_map(workdir, tmp_path, capsys):

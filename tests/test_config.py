@@ -41,8 +41,12 @@ def test_frame_rate(table2):
     ("fs", 0.0),
     ("k_chirp", 0.0),
     ("n_frames", 0),
+    ("k_chirp", float("inf")),
+    ("fc", float("inf")),
+    ("prt", float("inf")),
 ])
 def test_validate_rejects_nonpositive(table1, field, value):
+    # Infinite values are rejected with the non-positive ones.
     bad = dataclasses.replace(table1, **{field: value})
     with pytest.raises(ConfigError):
         bad.validate()

@@ -1,10 +1,12 @@
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from multivital.errors import CubeFormatError, ProcessingError
+from multivital.errors import CubeFormatError, MultivitalError, ProcessingError
 from multivital.geometry import ArrayGeometry
 from multivital.io import (
     export_angle_map,
@@ -130,6 +132,53 @@ def test_cube_geometry_mismatch(tmp_path, table2, cascade):
     other = ArrayGeometry(tx_elements=((0, 0),), rx_elements=((0, 0), (1, 0)))
     with pytest.raises(CubeFormatError, match="geometry"):
         load_cube(path, geometry=other)
+
+
+_HEADER_FIELDS = ("n_frames", "n_tx", "n_rx", "n_samples",
+                  "fc", "fs", "k_chirp", "prt", "t_frame", "seed")
+
+
+def _header_bytes(header):
+    return struct.pack("<4s5I5dQ", b"MVDC", 1, *(header[f] for f in _HEADER_FIELDS))
+
+
+@pytest.mark.parametrize("field", ["fc", "fs", "k_chirp", "prt", "t_frame"])
+def test_cube_non_finite_header_rejected(tmp_path, table2, cascade, field):
+    path = tmp_path / "cube.mvdc"
+    save_cube(_small_cube(table2, cascade), str(path))
+    raw = path.read_bytes()
+    header = dict(zip(_HEADER_FIELDS, struct.unpack_from("<4s5I5dQ", raw)[2:]))
+    header[field] = float("inf")
+    path.write_bytes(_header_bytes(header) + raw[72:])
+    with pytest.raises(CubeFormatError, match=f"cube.mvdc: chirp.{field} must be finite"):
+        load_cube(str(path))
+
+
+_U32 = st.integers(0, 2**32 - 1)
+_F64 = st.floats(allow_nan=True, allow_infinity=True)
+_VALID_HEADER = dict(n_frames=2, n_tx=12, n_rx=16, n_samples=8, fc=77e9, fs=5e6,
+                     k_chirp=65.998e12, prt=70e-6, t_frame=0.05, seed=42)
+_FUZZ = dict(n_frames=st.integers(0, 3) | _U32, n_tx=_U32, n_rx=_U32,
+             n_samples=st.integers(0, 8) | _U32, fc=_F64, fs=_F64, k_chirp=_F64,
+             prt=_F64, t_frame=_F64, seed=st.integers(0, 2**64 - 1))
+
+
+@given(fuzzed=st.sets(st.sampled_from(_HEADER_FIELDS)), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_header_loads_valid_or_fails_as_package_error(tmp_path_factory, fuzzed, data):
+    # A valid header with some fields replaced. Small dims get a payload of
+    # the size the header implies, so the chirp values decide the outcome.
+    header = {f: data.draw(_FUZZ[f], label=f) if f in fuzzed else v
+              for f, v in _VALID_HEADER.items()}
+    size = 8 * header["n_frames"] * header["n_tx"] * header["n_rx"] * header["n_samples"]
+    path = tmp_path_factory.mktemp("fuzz") / "cube.mvdc"
+    path.write_bytes(_header_bytes(header) + bytes(size if size <= 1 << 16 else 8))
+    try:
+        cube = load_cube(str(path))
+    except MultivitalError:
+        return
+    chirp = cube.chirp.validate()
+    assert all(math.isfinite(getattr(chirp, f)) for f in ("fc", "fs", "k_chirp", "prt", "t_frame"))
 
 
 def test_trace_export_round_trip(tmp_path):
