@@ -1,7 +1,9 @@
-"""Small shared helpers: thread-count resolution and atomic file writes."""
+"""Small shared helpers: thread-count resolution, CSV cells and atomic file writes."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import tempfile
 
@@ -31,6 +33,17 @@ def thread_count() -> int:
             usable = os.cpu_count() or 1
         return min(usable, 8)
     return n
+
+
+def csv_cells(*cells: str) -> str:
+    """cells as they appear inside a CSV row, quoted exactly as csv.writer quotes them.
+
+    Formatted between two empty cells so the one-field special case of
+    csv.writer never applies.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(["", *cells, ""])
+    return buf.getvalue()[1:-1]
 
 
 def atomic_write_bytes(path: str, *chunks) -> None:

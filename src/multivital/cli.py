@@ -7,16 +7,14 @@ Exit codes: 0 on success, 1 for data/processing errors (a JSON object with
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io as _io
 import json
 import os
 import sys
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, csv_cells
 from .config import derive_waveform
 from .errors import MultivitalError, ProcessingError
 from .io import (
@@ -139,19 +137,15 @@ def _cmd_scg(args) -> int:
     traces = []
     for ch in channels:
         traces.extend(scg_to_displacement(ch, spec))
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["time_s", "region", "axis", "displacement_mm", "ecg"])
+    ecg_cells = [] if ecg is None else [repr(v) for v in ecg.tolist()]
+    lines = ["time_s,region,axis,displacement_mm,ecg"]
     for tr in traces:
-        for i in range(len(tr.displacement)):
-            writer.writerow([
-                repr(i / tr.fs),
-                tr.region,
-                tr.axis,
-                repr(float(tr.displacement[i])),
-                repr(float(ecg[i])) if ecg is not None and i < len(ecg) else "",
-            ])
-    atomic_write_text(args.out, buf.getvalue())
+        key = csv_cells(tr.region, tr.axis)
+        n = len(tr.displacement)
+        cells = ecg_cells[:n] + [""] * (n - len(ecg_cells))
+        lines += [f"{i / tr.fs!r},{key},{d!r},{e}"
+                  for i, d, e in zip(range(n), tr.displacement.tolist(), cells)]
+    atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(traces)} trace(s) to {args.out}")
     return 0
 

@@ -137,11 +137,7 @@ class Beamformer:
 
         Returns shape (n_rows, len(u), n_cols).
         """
-        u = np.asarray(u, dtype=np.float64)
-        return np.stack([
-            np.exp(1j * np.pi * np.outer(u, az)) @ y[ch] / len(ch)
-            for _, ch, az in self.rows
-        ])
+        return np.stack([_row_sum(y, u, ch, az) for _, ch, az in self.rows])
 
     def combine(self, rows: np.ndarray, sin_theta) -> np.ndarray:
         """Elevation matched combination of per-row values, averaged over rows.
@@ -163,9 +159,18 @@ class Beamformer:
         Returns shape (len(l), len(sin_theta), n_cols).
         """
         l = np.asarray(l)
-        rows = self.row_sums(y, 2.0 * l / self.n_fft)
-        rows[0] = self.weights[l + self.n_fft // 2] @ y[self.ula] / len(self.ula)
+        u = 2.0 * l / self.n_fft
+        rows = np.stack(
+            [self.weights[l + self.n_fft // 2] @ y[self.ula] / len(self.ula)]
+            + [_row_sum(y, u, ch, az) for _, ch, az in self.rows[1:]]
+        )
         return self.combine(rows, sin_theta)
+
+
+def _row_sum(y: np.ndarray, u, ch: list[int], az: np.ndarray) -> np.ndarray:
+    """Mean matched sum of channels ch, at azimuth positions az, at direction cosines u."""
+    u = np.asarray(u, dtype=np.float64)
+    return np.exp(1j * np.pi * np.outer(u, az)) @ y[ch] / len(ch)
 
 
 def _path_difference(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

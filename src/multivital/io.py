@@ -18,19 +18,23 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import json
+import math
 import os
 import struct
 
 import numpy as np
 
-from ._util import atomic_write_bytes, atomic_write_text
+from ._util import atomic_write_bytes, atomic_write_text, csv_cells
 from .config import ChirpConfig
 from .doa import AngleMap
 from .errors import ConfigError, CubeFormatError, ProcessingError
 from .geometry import ArrayGeometry
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace
+
+_CHUNK_ROWS = 8192  # trace CSV rows converted at a time
 
 MVDC_MAGIC = b"MVDC"
 MVDC_VERSION = 1
@@ -135,13 +139,14 @@ def export_traces(traces: list[DisplacementTrace], path: str) -> None:
     """
     if not traces:
         raise ProcessingError("no traces to export")
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["time_s", "region", "phase_rad", "displacement_mm"])
+    lines = ["time_s,region,phase_rad,displacement_mm"]
     for tr in traces:
-        for t, ph, d in zip(tr.times, tr.phase, tr.displacement):
-            writer.writerow([repr(float(t)), tr.region, repr(float(ph)), repr(float(d))])
-    atomic_write_text(path, buf.getvalue())
+        region = csv_cells(tr.region)
+        lines += [
+            f"{t!r},{region},{ph!r},{d!r}"
+            for t, ph, d in zip(tr.times.tolist(), tr.phase.tolist(), tr.displacement.tolist())
+        ]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
@@ -150,40 +155,127 @@ def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
     Accepts the radar trace schema (time_s, region, phase_rad,
     displacement_mm) and the SCG schema (time_s, region, axis,
     displacement_mm, ...). Keys are the region id, or "region.axis".
+    Blank lines and fields past the ones read are ignored.
 
     Returns
     -------
     dict key -> {"time_s": ndarray, "displacement_mm": ndarray, ...}
+
+    Raises
+    ------
+    ProcessingError
+        Naming the file, and the line where there is one, when the file is
+        not UTF-8 CSV, lacks a required column or data rows, has a row too
+        short for the columns read, or holds a value that is not a finite
+        number.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+    with open(path, newline="", encoding="utf-8") as fh:
+        chunks = _csv_chunks(path, fh)
+        header = next(chunks)
+        if not header:
             raise ProcessingError(f"{path}: empty file")
-        required = {"time_s", "region", "displacement_mm"}
-        missing = required - set(reader.fieldnames)
+        header = header[0]
+        missing = {"time_s", "region", "displacement_mm"} - set(header)
         if missing:
             raise ProcessingError(f"{path}: missing columns {sorted(missing)}")
-        has_axis = "axis" in reader.fieldnames
-        has_phase = "phase_rad" in reader.fieldnames
-        grouped: dict[str, dict[str, list[float]]] = {}
-        for row in reader:
-            key = row["region"] + ("." + row["axis"] if has_axis else "")
-            g = grouped.setdefault(
-                key, {"time_s": [], "displacement_mm": [], "phase_rad": []}
-            )
-            try:
-                g["time_s"].append(float(row["time_s"]))
-                g["displacement_mm"].append(float(row["displacement_mm"]))
-                if has_phase:
-                    g["phase_rad"].append(float(row["phase_rad"]))
-            except (TypeError, ValueError):
-                raise ProcessingError(f"{path}: non-numeric row {row}") from None
-    if not grouped:
+        columns = {name: header.index(name)
+                   for name in ("time_s", "displacement_mm", "phase_rad") if name in header}
+        region = header.index("region")
+        axis = header.index("axis") if "axis" in header else None
+        width = 1 + max(region, axis or 0, *columns.values())
+        group_of: dict[str, int] = {}  # key -> group number, in first-seen order
+        groups: list[int] = []  # group number of every data row
+        parts: dict[str, list[np.ndarray]] = {name: [] for name in columns}
+        for chunk in chunks:
+            if min(map(len, chunk)) < width:
+                i = next(i for i, row in enumerate(chunk) if len(row) < width)
+                raise ProcessingError(
+                    f"{path}, line {_data_line(path, len(groups) + i)}: {len(chunk[i])} "
+                    f"fields, the columns read need {width}"
+                )
+            if axis is None:
+                keys = [row[region] for row in chunk]
+            else:
+                keys = [f"{row[region]}.{row[axis]}" for row in chunk]
+            for name, col in columns.items():
+                parts[name].append(
+                    _finite_column(path, [row[col] for row in chunk], name, len(groups))
+                )
+            groups += [group_of.setdefault(key, len(group_of)) for key in keys]
+    if not group_of:
         raise ProcessingError(f"{path}: no data rows")
+    number = np.array(groups)
+    values = {name: np.concatenate(p) for name, p in parts.items()}
     return {
-        key: {col: np.array(vals) for col, vals in g.items() if vals}
-        for key, g in grouped.items()
+        key: {name: v[number == g] for name, v in values.items()}
+        for key, g in group_of.items()
     }
+
+
+def _csv_chunks(path: str, fh):
+    """Non-blank rows of an open CSV text file: a list holding the header
+    row (empty for an empty file), then lists of up to _CHUNK_ROWS data rows.
+
+    Rows are converted a chunk at a time, so no more than one chunk of cell
+    strings is ever held.
+    """
+    reader = csv.reader(fh)
+    rows = filter(None, reader)
+    try:
+        yield list(itertools.islice(rows, 1))
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+            yield chunk
+    except csv.Error as exc:
+        raise ProcessingError(f"{path}, line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _data_line(path: str, k: int) -> int:
+    """Line on which the k-th non-blank row after the header ends."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        ends = (reader.line_num for row in reader if row)
+        return next(itertools.islice(ends, k + 1, None))
+
+
+def _not_utf8(path: str) -> ProcessingError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ProcessingError(f"{path}, line {line}: not UTF-8 text")
+    return ProcessingError(f"{path}: not UTF-8 text")  # the file changed since
+
+
+def _finite_column(path: str, cells: list[str], name: str, first: int) -> np.ndarray:
+    """Cells of consecutive data rows, from data row first on, as float64.
+
+    Raises ProcessingError naming the line of the first cell that is not a
+    finite number.
+    """
+    try:
+        out = np.array(cells, dtype=np.float64)
+    except ValueError:
+        out = np.array([_float_or_nan(c) for c in cells])
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        k = int(bad[0])
+        raise ProcessingError(
+            f"{path}, line {_data_line(path, first + k)}: {name} {cells[k]!r} "
+            "is not a finite number"
+        )
+    return out
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
 def trace_rate_hz(time_s: np.ndarray) -> float:

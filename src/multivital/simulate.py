@@ -6,10 +6,16 @@ into Tx/Rx steering phasors with a common two-way delay, "exact-path"
 computes every Tx-point-Rx path length so wavefront curvature is present in
 the data. "auto" picks exact-path whenever any scatterer sits closer than
 the far-field distance 2 D^2 / lambda of the aperture.
+
+Each path's phase is linear in the fast-time sample index, so its n_adc
+tones are the outer product of about sqrt(n_adc) coarse and sqrt(n_adc)
+fine phasors. A frame is one batched matrix product of those factors over
+the points, plus per-frame noise from a counter-based stream.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -174,25 +180,81 @@ def _resolve_mode(scene: Scene, geom: ArrayGeometry, wavelength: float) -> str:
     return "exact-path" if closest < limit else "plane-wave"
 
 
-def _fast_time(cfg: ChirpConfig) -> np.ndarray:
-    # Centered on the ADC window so the beat term contributes no slow-time
-    # phase at a fixed range bin; the per-frame phase is then exactly
-    # 4 pi R(m) / lambda.
-    return (np.arange(cfg.n_adc) - (cfg.n_adc - 1) / 2.0) / cfg.fs
+@dataclass(frozen=True)
+class _Plan:
+    """What synthesize_frame needs that does not change from frame to frame.
+
+    omega holds the fast-time angular frequencies per second of delay as
+    b = ceil(sqrt(n_adc)) coarse steps (row 0) and b fine steps (row 1):
+    sample i = q b + s sits at omega[0, q] + omega[1, s]. The arrays are
+    read-only because simulate shares one plan across its threads.
+    """
+
+    mode: str
+    omega: np.ndarray  # (2, b) rad/s
+    reflectivity: np.ndarray  # (n_points,)
+    tx_xyz: np.ndarray  # (n_tx, 3) m
+    rx_xyz: np.ndarray  # (n_rx, 3) m
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry) -> _Plan:
+    """Validate the inputs and derive their frame-independent constants.
+
+    Invalid inputs raise and are never cached, so every call with them
+    raises again.
+    """
+    scene.validate()
+    cfg.validate()
+    geom.validate()
+    wl = derive_waveform(cfg).wavelength
+    # Fast time ts[i] is centered on the ADC window so the beat term
+    # contributes no slow-time phase at a fixed range bin; the per-frame
+    # phase is then exactly 4 pi R(m) / lambda. The phase per second of
+    # delay, 2 pi (k_chirp ts[i] + fc), is linear in i.
+    b = math.isqrt(cfg.n_adc - 1) + 1
+    step = 2.0 * np.pi * cfg.k_chirp / cfg.fs  # rad/s per sample
+    first = 2.0 * np.pi * (cfg.fc - cfg.k_chirp * (cfg.n_adc - 1) / 2.0 / cfg.fs)
+    omega = np.stack([first + step * b * np.arange(b), step * np.arange(b)])
+    tx_xyz, rx_xyz = element_positions_m(geom, wl)
+    reflectivity = np.array([p.reflectivity for p in scene.points])
+    for arr in (omega, reflectivity, tx_xyz, rx_xyz):
+        arr.setflags(write=False)
+    return _Plan(
+        mode=_resolve_mode(scene, geom, wl),
+        omega=omega,
+        reflectivity=reflectivity,
+        tx_xyz=tx_xyz,
+        rx_xyz=rx_xyz,
+    )
+
+
+def _phasors(delay: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Coarse and fine fast-time phasors exp(j omega delay), shape delay.shape + (2, b)."""
+    return np.exp(1j * (delay[..., None, None] * omega))
 
 
 def _noise(shape, power: float, seed: int, frame: int) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian noise from a per-frame stream."""
+    """Real and imaginary parts, shape (2, *shape), of circularly-symmetric
+    complex Gaussian noise of the given power, from a per-frame stream.
+    """
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, frame], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    sigma = math.sqrt(power / 2.0)
-    return rng.normal(scale=sigma, size=shape) + 1j * rng.normal(scale=sigma, size=shape)
+    return rng.normal(scale=math.sqrt(power / 2.0), size=(2, *shape))
 
 
 def synthesize_frame(
     scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry, m: int
 ) -> np.ndarray:
     """Synthesize one frame of IF samples for every channel.
+
+    A path's tone over the n_adc fast-time samples is the outer product of
+    b = ceil(sqrt(n_adc)) coarse and b fine phasors, truncated to n_adc, so
+    each path costs 2 b complex exponentials. The reflectivity rides on
+    the Tx side, and one batched matrix product over the points sums every
+    channel's tones with fast time innermost. Validation and the
+    frame-independent constants are computed once per (scene, cfg, geom)
+    and reused across frames.
 
     Parameters
     ----------
@@ -206,46 +268,44 @@ def synthesize_frame(
     -------
     ndarray, complex64, shape (n_tx, n_rx, n_adc)
     """
-    scene.validate()
-    cfg.validate()
-    geom.validate()
+    plan = _plan(scene, cfg, geom)
     if not 0 <= m < cfg.n_frames:
         raise ConfigError(f"frame index {m} outside 0..{cfg.n_frames - 1}")
-    wl = derive_waveform(cfg).wavelength
-    mode = _resolve_mode(scene, geom, wl)
-    t_m = m * cfg.t_frame
-    ts = _fast_time(cfg)  # s
-    frame = np.zeros((geom.n_tx, geom.n_rx, cfg.n_adc), dtype=np.complex128)
-
-    if mode == "plane-wave":
-        for p in scene.points:
-            pos = p.position_at(t_m)
-            tau = 2.0 * float(np.linalg.norm(pos)) / SPEED_OF_LIGHT
-            u, v = scene_direction_cosines(pos)
-            a, b = steering_from_cosines(geom, u, v)
-            tone = np.exp(1j * (2.0 * np.pi * cfg.k_chirp * tau * ts
-                                + 2.0 * np.pi * cfg.fc * tau))
-            frame += p.reflectivity * (
-                np.conj(a)[:, None, None] * b[None, :, None] * tone[None, None, :]
-            )
+    pos = np.array([p.position_at(m * cfg.t_frame) for p in scene.points])  # (P, 3) m
+    refl = plan.reflectivity
+    if plan.mode == "plane-wave":
+        # Point p reaches channel (t, r) as refl conj(a[t]) b[r] times the
+        # tone of the two-way delay 2 |P| / c.
+        ph = _phasors(2.0 * np.linalg.norm(pos, axis=1) / SPEED_OF_LIGHT, plan.omega)
+        a, b = zip(*(steering_from_cosines(geom, *scene_direction_cosines(q)) for q in pos))
+        coarse = np.einsum("p,pt,pr,pq->trqp", refl, np.conj(a), b, ph[:, 0])
+        fine = ph[:, 1]  # (P, b)
     else:
         # Exact per-channel paths. The two-way path splits into
         # (Tx -> P) + (P -> Rx), so the per-channel tone factorizes into a
         # Tx-dependent and an Rx-dependent term.
-        tx_xyz, rx_xyz = element_positions_m(geom, wl)
-        omega = 2.0 * np.pi * (cfg.k_chirp * ts + cfg.fc)  # rad/s of delay
-        for p in scene.points:
-            pos = p.position_at(t_m)
-            d_tx = np.linalg.norm(pos[None, :] - tx_xyz, axis=1)  # m
-            d_rx = np.linalg.norm(pos[None, :] - rx_xyz, axis=1)
-            ph_tx = np.exp(1j * (omega[None, :] * (d_tx[:, None] / SPEED_OF_LIGHT)))
-            ph_rx = np.exp(1j * (omega[None, :] * (d_rx[:, None] / SPEED_OF_LIGHT)))
-            frame += p.reflectivity * ph_tx[:, None, :] * ph_rx[None, :, :]
+        d_tx = np.linalg.norm(pos[:, None, :] - plan.tx_xyz, axis=-1)  # (P, T) m
+        d_rx = np.linalg.norm(pos[:, None, :] - plan.rx_xyz, axis=-1)  # (P, R) m
+        ph_tx = _phasors(d_tx / SPEED_OF_LIGHT, plan.omega)  # (P, T, 2, b)
+        ph_rx = _phasors(d_rx / SPEED_OF_LIGHT, plan.omega)  # (P, R, 2, b)
+        # coarse[t, r, q, p] = refl[p] ph_tx[p, t, 0, q] ph_rx[p, r, 0, q] and
+        # fine[t, r, p, s] = ph_tx[p, t, 1, s] ph_rx[p, r, 1, s], by broadcasting.
+        ctx = (refl[:, None, None] * ph_tx[:, :, 0]).transpose(1, 2, 0)  # (T, b, P)
+        coarse = ctx[:, None] * ph_rx[:, :, 0].transpose(1, 2, 0)
+        fine = ph_tx[:, :, 1].transpose(1, 0, 2)[:, None] * ph_rx[:, :, 1].transpose(1, 0, 2)
+    # One product sums the points: sample q b + s of channel (t, r) is
+    # sum_p coarse[t, r, q, p] fine[(t, r,) p, s]; keep the first n_adc.
+    frame = (coarse @ fine).reshape(geom.n_tx, geom.n_rx, -1)[..., :cfg.n_adc]
 
-    if scene.snr_db is not None and math.isfinite(scene.snr_db):
-        signal_power = float(np.mean(np.abs(frame) ** 2))
+    if scene.snr_db is not None:
+        # einsum, not vdot: a BLAS dot product wakes BLAS worker threads,
+        # which then spin beside simulate's own workers.
+        parts = frame.view(np.float64)
+        signal_power = np.einsum("tri,tri->", parts, parts) / frame.size
         noise_power = signal_power * 10.0 ** (-scene.snr_db / 10.0)
-        frame = frame + _noise(frame.shape, noise_power, scene.seed, m)
+        noise = _noise(frame.shape, noise_power, scene.seed, m)
+        frame.real += noise[0]
+        frame.imag += noise[1]
     return frame.astype(np.complex64)
 
 
@@ -259,9 +319,7 @@ def simulate(scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry) -> RawDataCube
     -------
     RawDataCube
     """
-    scene.validate()
-    cfg.validate()
-    geom.validate()
+    _plan(scene, cfg, geom)  # validates, and builds the plan every frame reuses
     out = np.empty(
         (cfg.n_frames, geom.n_tx, geom.n_rx, cfg.n_adc), dtype=np.complex64
     )

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import struct
@@ -14,6 +15,7 @@ import pytest
 from multivital.cli import main
 from multivital.io import load_cube, read_trace_table, save_cube
 from multivital.runconfig import load_run_config
+from multivital.scg import FilterSpec, load_scg_csv, scg_to_displacement
 
 RATE = 250.0  # Hz, synthetic accelerometer rate
 
@@ -155,6 +157,24 @@ def test_non_finite_config_number_reports_config_error(workdir, tmp_path):
     assert not (tmp_path / "run" / "cube.mvdc").exists()
 
 
+def test_short_trace_row_reports_processing_error(workdir, tmp_path):
+    """A trace CSV row too short for its columns fails compare as one JSON error."""
+    bad = tmp_path / "short.csv"
+    bad.write_text("time_s,region,displacement_mm\n0.1\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from multivital.cli import main; sys.exit(main())",
+         "compare", "--radar", str(bad), "--ref", str(bad),
+         "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)  # nothing else on stderr
+    assert err["error"] == "processing"
+    assert f"{bad}, line 2:" in err["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_non_finite_cube_header_reports_cube_format_error(workdir, tmp_path):
     """An infinite chirp slope in the MVDC header fails as one JSON error."""
     raw = bytearray(workdir["cube"].read_bytes())
@@ -207,6 +227,28 @@ def test_scg_subcommand(workdir, tmp_path, capsys):
     # the table reads back under the shared trace schema, keyed region.axis
     table = read_trace_table(str(out))
     assert set(table) == {"A.x", "A.y", "A.z"}
+    capsys.readouterr()
+
+
+def test_scg_output_matches_csv_writer(tmp_path, capsys):
+    # The f-string writer gives the bytes csv.writer gives, including a
+    # region name that needs quoting and the shared ecg column.
+    accel = tmp_path / "accel.csv"
+    out = tmp_path / "disp.csv"
+    _write_accel_csv(accel, region='R,"1')
+    assert main(["scg", "--in", str(accel), "--out", str(out)]) == 0
+    channels, ecg, _ = load_scg_csv(str(accel))
+    traces = [tr for ch in channels for tr in scg_to_displacement(ch, FilterSpec())]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["time_s", "region", "axis", "displacement_mm", "ecg"])
+    for tr in traces:
+        for i in range(len(tr.displacement)):
+            writer.writerow([repr(i / tr.fs), tr.region, tr.axis,
+                             repr(float(tr.displacement[i])), repr(float(ecg[i]))])
+    assert out.read_bytes() == buf.getvalue().encode()
+    table = read_trace_table(str(out))
+    assert np.array_equal(table['R,"1.y']["displacement_mm"], traces[1].displacement)
     capsys.readouterr()
 
 

@@ -310,3 +310,9 @@ def test_region_signal_matches_angle_map_cell(cascade, ula, offset_cube, calibra
     for f in (0, 5):
         power = angle_map(bf, y, frame=f).power[256 + l, k]
         assert abs(signal[f]) ** 2 == pytest.approx(power, rel=1e-12)
+    # steer reads row 0 through the ULA weight rows only: bit for bit the
+    # full-plane row sums with row 0 overwritten by those rows.
+    ls, sin_el = np.arange(-256, 256), np.sin(amap.elevation_grid)
+    rows = bf.row_sums(y[:, :2], 2.0 * ls / 512)
+    rows[0] = bf.weights[ls + 256] @ y[bf.ula, :2] / len(bf.ula)
+    assert np.array_equal(bf.steer(y[:, :2], ls, sin_el), bf.combine(rows, sin_el))

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -199,6 +202,25 @@ def test_trace_export_round_trip(tmp_path):
     assert trace_rate_hz(table["P"]["time_s"]) == pytest.approx(20.0)
 
 
+def test_trace_export_matches_csv_writer(tmp_path):
+    # The f-string writer gives the bytes csv.writer gives, quoting included.
+    t = np.arange(30) / 20.0
+    traces = [
+        DisplacementTrace.from_phase("A", 0.5 * np.sin(2 * np.pi * t), WL, 20.0),
+        DisplacementTrace.from_phase('P,"q', 1e-9 * np.cos(t), WL, 20.0, t0=3.7),
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["time_s", "region", "phase_rad", "displacement_mm"])
+    for tr in traces:
+        for tt, ph, d in zip(tr.times, tr.phase, tr.displacement):
+            writer.writerow([repr(float(tt)), tr.region, repr(float(ph)), repr(float(d))])
+    path = tmp_path / "traces.csv"
+    export_traces(traces, str(path))
+    assert path.read_bytes() == buf.getvalue().encode()
+    assert list(read_trace_table(str(path))) == ["A", 'P,"q']
+
+
 def test_trace_export_uses_lf_endings(tmp_path):
     t = np.arange(4) / 20.0
     path = str(tmp_path / "traces.csv")
@@ -241,6 +263,65 @@ def test_read_trace_table_errors(tmp_path):
     )
     with pytest.raises(ProcessingError):
         read_trace_table(str(nonnum))
+
+
+@pytest.mark.parametrize("body, line", [
+    (b"time_s,region,displacement_mm\n0.1\n", 2),  # short row
+    (b"time_s,region,displacement_mm\n0.0,A,0.1\n0.1,A,\xff\n", 3),  # not UTF-8
+    (b"time_s,region,displacement_mm\n0.0,A,0.1\n\n0.1,A,nan\n", 4),
+    (b"time_s,region,displacement_mm\n0.0,A,0.1\n0.1,A,0.2\n-inf,A,0.3\n", 4),
+    (b"time_s,region,phase_rad,displacement_mm\n0.0,A,1e400,0.1\n", 2),
+], ids=["short", "utf8", "nan", "inf", "overflow"])
+def test_read_trace_table_bad_row_names_file_and_line(tmp_path, body, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body)
+    with pytest.raises(ProcessingError, match=re.escape(f"{path}, line {line}:")):
+        read_trace_table(str(path))
+
+
+_RADAR = ["time_s", "region", "phase_rad", "displacement_mm"]
+_SCG = ["time_s", "region", "axis", "displacement_mm", "ecg"]
+_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["", "nan", "-inf", "inf", "1e400", "A", "x", " 1 ", "0x1"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    header=st.sampled_from([_RADAR, _SCG]).flatmap(lambda h: st.one_of(
+        st.just(h),
+        st.just(h + ["extra"]),
+        st.integers(0, len(h) - 1).map(lambda i: h[:i] + h[i + 1:]),
+    )),
+    rows=st.lists(st.tuples(st.integers(-2, 2), st.lists(_cells, min_size=7, max_size=7)),
+                  max_size=6),
+    finite_rows=st.integers(0, 4),
+    data=st.data(),
+)
+def test_fuzzed_trace_csv_reads_finite_or_fails_as_package_error(
+    tmp_path_factory, header, rows, finite_rows, data
+):
+    """Short rows, extra fields, empty cells and non-finite values in either
+    schema: equal-length finite columns per key, or a MultivitalError."""
+    numeric = {"time_s", "phase_rad", "displacement_mm", "ecg"}
+    body = [[repr(data.draw(st.floats(-1e3, 1e3))) if h in numeric else "A"
+             for h in header] for _ in range(finite_rows)]
+    body += [cells[:max(len(header) + delta, 0)] for delta, cells in rows]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header] + body)
+    path = tmp_path_factory.mktemp("fuzz") / "trace.csv"
+    path.write_text(buf.getvalue(), encoding="utf-8")
+    try:
+        table = read_trace_table(str(path))
+    except MultivitalError:
+        return
+    assert table
+    for columns in table.values():
+        lengths = {len(v) for v in columns.values()}
+        assert len(lengths) == 1 and lengths != {0}
+        assert all(np.isfinite(v).all() for v in columns.values())
 
 
 def test_export_angle_map(tmp_path):

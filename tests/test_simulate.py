@@ -4,14 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from multivital.config import derive_waveform
+from multivital.config import SPEED_OF_LIGHT, derive_waveform
 from multivital.errors import ConfigError
+from multivital.geometry import (
+    element_positions_m,
+    scene_direction_cosines,
+    steering_from_cosines,
+)
 from multivital.simulate import (
     RawDataCube,
     SampledMotion,
     ScatterPoint,
     Scene,
     SinusoidMotion,
+    _noise,
+    _plan,
     _resolve_mode,
     far_field_distance,
     simulate,
@@ -22,6 +29,89 @@ from multivital.simulate import (
 def _static_scene(position, mode="plane-wave", snr_db=None, seed=0):
     return Scene(points=(ScatterPoint(position0=position),),
                  snr_db=snr_db, seed=seed, mode=mode)
+
+
+def _reference_frame(scene, cfg, geom, m):
+    """Noise-free frame summed point by point with a direct exp per sample."""
+    wl = derive_waveform(cfg).wavelength
+    t_m = m * cfg.t_frame
+    ts = (np.arange(cfg.n_adc) - (cfg.n_adc - 1) / 2.0) / cfg.fs  # s
+    frame = np.zeros((geom.n_tx, geom.n_rx, cfg.n_adc), dtype=np.complex128)
+    if _resolve_mode(scene, geom, wl) == "plane-wave":
+        for p in scene.points:
+            pos = p.position_at(t_m)
+            tau = 2.0 * float(np.linalg.norm(pos)) / SPEED_OF_LIGHT
+            a, b = steering_from_cosines(geom, *scene_direction_cosines(pos))
+            tone = np.exp(1j * (2.0 * np.pi * cfg.k_chirp * tau * ts
+                                + 2.0 * np.pi * cfg.fc * tau))
+            frame += p.reflectivity * (
+                np.conj(a)[:, None, None] * b[None, :, None] * tone[None, None, :]
+            )
+    else:
+        tx_xyz, rx_xyz = element_positions_m(geom, wl)
+        omega = 2.0 * np.pi * (cfg.k_chirp * ts + cfg.fc)  # rad/s of delay
+        for p in scene.points:
+            pos = p.position_at(t_m)
+            d_tx = np.linalg.norm(pos[None, :] - tx_xyz, axis=1)  # m
+            d_rx = np.linalg.norm(pos[None, :] - rx_xyz, axis=1)
+            ph_tx = np.exp(1j * (omega[None, :] * (d_tx[:, None] / SPEED_OF_LIGHT)))
+            ph_rx = np.exp(1j * (omega[None, :] * (d_rx[:, None] / SPEED_OF_LIGHT)))
+            frame += p.reflectivity * ph_tx[:, None, :] * ph_rx[None, :, :]
+    return frame
+
+
+@pytest.mark.parametrize("n_adc", [64, 250, 512])
+@pytest.mark.parametrize("n_points", [1, 5])
+@pytest.mark.parametrize("mode", ["plane-wave", "exact-path"])
+def test_frame_matches_point_by_point_reference(table1, cascade, mode, n_points, n_adc):
+    # The factored tones and the single point sum change only the rounding:
+    # square (64) and non-square (250, 512) sample counts, one reflectivity
+    # off unity, moving points at a frame past the first.
+    cfg = dataclasses.replace(table1, n_adc=n_adc, n_frames=8)
+    points = tuple(
+        ScatterPoint(
+            (-0.02 * i, 0.5 + 0.3 * i, -0.03 * i),
+            SinusoidMotion(direction=(0.0, 1.0, 0.0), amplitude=5e-4,
+                           frequency=1.1, phase=0.3 * i),
+            reflectivity=0.6 if i == 0 else 1.0,
+        )
+        for i in range(n_points)
+    )
+    scene = Scene(points=points, mode=mode)
+    want = _reference_frame(scene, cfg, cascade, 5)
+    got = synthesize_frame(scene, cfg, cascade, 5)
+    assert got.shape == want.shape
+    err = np.max(np.abs(got.astype(np.complex128) - want)) / np.max(np.abs(want))
+    assert err < 1e-6
+
+
+def test_noise_draw_is_two_successive_normal_calls():
+    # One (2, ...) draw is the same stream as the real then the imaginary
+    # normal(size=shape) call, bit for bit.
+    shape, power = (12, 16, 64), 0.37
+    sigma = math.sqrt(power / 2.0)
+    rng = np.random.Generator(np.random.Philox(key=np.array([3, 1], dtype=np.uint64)))
+    real = rng.normal(scale=sigma, size=shape)
+    imag = rng.normal(scale=sigma, size=shape)
+    noise = _noise(shape, power, 3, 1)
+    assert np.array_equal(noise[0], real)
+    assert np.array_equal(noise[1], imag)
+
+
+def test_invalid_scene_raises_after_a_valid_plan_is_cached(table2, cascade):
+    cfg = dataclasses.replace(table2, n_frames=2)
+    good = _static_scene((0.0, 1.0, 0.0))
+    synthesize_frame(good, cfg, cascade, 0)
+    plan = _plan(good, cfg, cascade)
+    assert _plan(good, cfg, cascade) is plan
+    with pytest.raises(ValueError):  # shared across simulate's threads
+        plan.omega[0, 0] = 0.0
+    bad = Scene(points=(ScatterPoint((0.0, 1.0, 0.0), reflectivity=-1.0),))
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            synthesize_frame(bad, cfg, cascade, 0)
+    with pytest.raises(ConfigError):
+        synthesize_frame(dataclasses.replace(good, mode="warp"), cfg, cascade, 0)
 
 
 def test_range_peak_bin(table1, cascade):
