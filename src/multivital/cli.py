@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from ._util import atomic_write_text, csv_cells
+from ._util import atomic_write_bytes, csv_cells
 from .config import derive_waveform
 from .errors import MultivitalError, ProcessingError
 from .io import (
@@ -137,15 +137,19 @@ def _cmd_scg(args) -> int:
     traces = []
     for ch in channels:
         traces.extend(scg_to_displacement(ch, spec))
-    ecg_cells = [] if ecg is None else [repr(v) for v in ecg.tolist()]
-    lines = ["time_s,region,axis,displacement_mm,ecg"]
+    ecg_cells = [repr(v) for v in ecg.tolist()]
+    # One encoded chunk per trace, so no more than one trace's rows are
+    # ever held as text.
+    chunks = [b"time_s,region,axis,displacement_mm,ecg\n"]
     for tr in traces:
         key = csv_cells(tr.region, tr.axis)
         n = len(tr.displacement)
         cells = ecg_cells[:n] + [""] * (n - len(ecg_cells))
-        lines += [f"{i / tr.fs!r},{key},{d!r},{e}"
-                  for i, d, e in zip(range(n), tr.displacement.tolist(), cells)]
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+        chunks.append("".join([
+            f"{i / tr.fs!r},{key},{d!r},{e}\n"
+            for i, d, e in zip(range(n), tr.displacement.tolist(), cells)
+        ]).encode("utf-8"))
+    atomic_write_bytes(args.out, *chunks)
     print(f"wrote {len(traces)} trace(s) to {args.out}")
     return 0
 

@@ -29,7 +29,11 @@ class ChirpConfig:
         """Check finite positivity and that the sampled window fits inside the PRT."""
         for name in ("fc", "prt", "t_frame", "n_adc", "fs", "k_chirp", "n_frames"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            try:
+                ok = math.isfinite(value) and value > 0
+            except OverflowError:  # an integer beyond the float range
+                ok = False
+            if not ok:
                 raise ConfigError(
                     f"chirp.{name} must be finite and strictly positive, got {value}"
                 )

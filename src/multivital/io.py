@@ -26,7 +26,7 @@ import struct
 
 import numpy as np
 
-from ._util import atomic_write_bytes, atomic_write_text, csv_cells
+from ._util import atomic_write_bytes, atomic_write_text, csv_cells, csv_data_line
 from .config import ChirpConfig
 from .doa import AngleMap
 from .errors import ConfigError, CubeFormatError, ProcessingError
@@ -190,7 +190,7 @@ def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
             if min(map(len, chunk)) < width:
                 i = next(i for i, row in enumerate(chunk) if len(row) < width)
                 raise ProcessingError(
-                    f"{path}, line {_data_line(path, len(groups) + i)}: {len(chunk[i])} "
+                    f"{path}, line {csv_data_line(path, len(groups) + i)}: {len(chunk[i])} "
                     f"fields, the columns read need {width}"
                 )
             if axis is None:
@@ -231,14 +231,6 @@ def _csv_chunks(path: str, fh):
         raise _not_utf8(path) from None
 
 
-def _data_line(path: str, k: int) -> int:
-    """Line on which the k-th non-blank row after the header ends."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        ends = (reader.line_num for row in reader if row)
-        return next(itertools.islice(ends, k + 1, None))
-
-
 def _not_utf8(path: str) -> ProcessingError:
     """The error for a file that is not UTF-8, naming the line of its first bad byte."""
     with open(path, "rb") as fh:
@@ -265,7 +257,7 @@ def _finite_column(path: str, cells: list[str], name: str, first: int) -> np.nda
     if bad.size:
         k = int(bad[0])
         raise ProcessingError(
-            f"{path}, line {_data_line(path, first + k)}: {name} {cells[k]!r} "
+            f"{path}, line {csv_data_line(path, first + k)}: {name} {cells[k]!r} "
             "is not a finite number"
         )
     return out

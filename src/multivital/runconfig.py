@@ -268,10 +268,10 @@ def bundled_config_names() -> list[str]:
 def load_run_config(source: str) -> RunConfig:
     """Load a RunConfig from a file path or a bundled config name."""
     if os.path.exists(source):
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad syntax, not UTF-8, an integer too long to read
                 raise ConfigError(f"{source}: invalid JSON: {exc}") from None
         return parse_run_config(doc)
     candidate = resources.files("multivital") / "configs" / f"{source}.json"

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import signal
 from scipy.integrate import cumulative_trapezoid
 
+from ._util import csv_data_line
 from .errors import ConfigError, ProcessingError
 
 SCG_AXES = ("x", "y", "z")
@@ -183,14 +184,26 @@ def load_scg_csv(path: str) -> tuple[list[ScgChannel], np.ndarray, np.ndarray]:
     Returns
     -------
     (channels, ecg, time_s)
+
+    Raises
+    ------
+    ProcessingError
+        For a file that is not UTF-8 CSV, an empty file, a wrong header,
+        ragged rows or too few of them, and, naming the line, for a cell
+        that is not a finite number or a time_s that does not strictly
+        increase.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ProcessingError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise ProcessingError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ProcessingError(f"{path}: not UTF-8 text") from None
+    if header is None:
+        raise ProcessingError(f"{path}: empty file")
     header = [h.strip() for h in header]
     if not header or header[0] != "time_s" or header[-1] != "ecg":
         raise ProcessingError(
@@ -202,10 +215,24 @@ def load_scg_csv(path: str) -> tuple[list[ScgChannel], np.ndarray, np.ndarray]:
         raise ProcessingError(f"{path}: non-numeric cell: {exc}") from None
     if data.ndim != 2 or data.shape[1] != len(header):
         raise ProcessingError(f"{path}: ragged rows")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        k, col = bad[0]
+        raise ProcessingError(
+            f"{path}, line {csv_data_line(path, k)}: {header[col]} {rows[k][col]!r} "
+            "is not a finite number"
+        )
     time_s = data[:, 0]
     if len(time_s) < 2:
         raise ProcessingError(f"{path}: need at least 2 samples")
-    fs = 1.0 / float(np.median(np.diff(time_s)))
+    step = np.diff(time_s)
+    if not np.all(step > 0):
+        k = int(np.argmin(step > 0)) + 1
+        raise ProcessingError(
+            f"{path}, line {csv_data_line(path, k)}: time_s {rows[k][0]!r} does not "
+            f"increase on the {rows[k - 1][0]!r} before it"
+        )
+    fs = 1.0 / float(np.median(step))
 
     regions: dict[str, dict[str, np.ndarray]] = {}
     for col, name in enumerate(header[1:-1], start=1):

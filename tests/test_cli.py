@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,17 @@ def test_usage_errors_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["simulate", "--config", "x"]) == 2  # missing --out
     capsys.readouterr()
+
+
+def test_python_m_multivital_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "multivital", "--help"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0
+    for command in ("simulate", "process", "scg", "compare", "e2e"):
+        assert command in proc.stdout
 
 
 def test_missing_cube_reports_io_error(workdir, tmp_path, capsys):
@@ -250,6 +262,63 @@ def test_scg_output_matches_csv_writer(tmp_path, capsys):
     table = read_trace_table(str(out))
     assert np.array_equal(table['R,"1.y']["displacement_mm"], traces[1].displacement)
     capsys.readouterr()
+
+
+def test_scg_output_is_written_one_trace_at_a_time(tmp_path, monkeypatch, capsys):
+    """Once the traces exist, writing 15 of them takes less than twice the
+    file's size; holding every row as text, joined and encoded took ~4x."""
+    t = np.arange(int(10.0 * RATE)) / RATE
+    header = ["time_s"] + [f"{r}_a{ax}" for r in "ABCDE" for ax in "xyz"] + ["ecg"]
+    cols = [t] + [0.1 * np.sin(2 * np.pi * (1.0 + 0.1 * k) * t) for k in range(15)]
+    cols.append(np.zeros_like(t))
+    accel = tmp_path / "accel.csv"
+    accel.write_text(",".join(header) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in np.column_stack(cols).tolist()))
+    out = tmp_path / "disp.csv"
+    held = []
+
+    def calibrate_then_reset_peak(*args, **kwargs):
+        traces = scg_to_displacement(*args, **kwargs)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return traces
+
+    monkeypatch.setattr("multivital.cli.scg_to_displacement", calibrate_then_reset_peak)
+    tracemalloc.start()
+    try:
+        assert main(["scg", "--in", str(accel), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held[-1] < 2 * out.stat().st_size
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", ["nan-cell", "constant-time"])
+def test_bad_scg_input_reports_processing_error(tmp_path, bad):
+    """A nan cell, or a constant time_s column, fails scg as one JSON error
+    naming line 3, the first row that is wrong."""
+    accel = tmp_path / "accel.csv"
+    _write_accel_csv(accel)
+    rows = accel.read_text().splitlines()
+    if bad == "nan-cell":
+        cells = rows[2].split(",")
+        cells[2] = "nan"
+        rows[2] = ",".join(cells)
+    else:
+        rows[1:] = ["0.0," + row.split(",", 1)[1] for row in rows[1:]]
+    accel.write_text("\n".join(rows) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from multivital.cli import main; sys.exit(main())",
+         "scg", "--in", str(accel), "--out", str(tmp_path / "disp.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)  # nothing else on stderr
+    assert err["error"] == "processing"
+    assert f"{accel}, line 3:" in err["message"]
+    assert not (tmp_path / "disp.csv").exists()
 
 
 def test_scg_cutoff_override(tmp_path, capsys):

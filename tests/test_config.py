@@ -44,6 +44,8 @@ def test_frame_rate(table2):
     ("k_chirp", float("inf")),
     ("fc", float("inf")),
     ("prt", float("inf")),
+    pytest.param("n_adc", 10**400, id="n_adc-past-float-range"),
+    pytest.param("n_frames", 10**400, id="n_frames-past-float-range"),
 ])
 def test_validate_rejects_nonpositive(table1, field, value):
     # Infinite values are rejected with the non-positive ones.

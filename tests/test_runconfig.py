@@ -2,12 +2,20 @@
 
 import copy
 import json
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multivital import ConfigError
+from multivital.errors import MultivitalError
 from multivital.geometry import ArrayGeometry
-from multivital.runconfig import bundled_config_names, load_run_config, parse_run_config
+from multivital.runconfig import (
+    RunConfig,
+    bundled_config_names,
+    load_run_config,
+    parse_run_config,
+)
 from multivital.simulate import SampledMotion, SinusoidMotion
 
 
@@ -92,6 +100,17 @@ def test_unknown_source_name():
 def test_invalid_json_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_run_config(str(path))
+
+
+@pytest.mark.parametrize("raw", [
+    b"\xff\xfe{}",
+    b'{"chirp": 1' + b"0" * 5000 + b"}",  # past Python's integer-string limit
+], ids=["not-utf8", "long-integer"])
+def test_unreadable_json_file(tmp_path, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_run_config(str(path))
 
@@ -263,3 +282,54 @@ def test_non_finite_number_rejected_with_its_path(tmp_path, keys, value, where):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=where + " must be a finite number"):
         load_run_config(str(path))
+
+
+_BUNDLED = {
+    name: json.loads((resources.files("multivital") / "configs" / f"{name}.json").read_text())
+    for name in bundled_config_names()
+}
+_EXTREMES = st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, -10**400,
+                             2**64, 1e308, -1e308, 5e-324, 0, -1])
+_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(), st.floats(), _EXTREMES,
+    st.lists(st.floats(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _nodes(node, path=()):
+    """The path of every value below node, node itself first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+@given(name=st.sampled_from(sorted(_BUNDLED)), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_config_parses_or_fails_as_package_error(name, data):
+    """A bundled config with keys dropped or added, values swapped for other
+    types, non-finite or huge numbers: a RunConfig or a MultivitalError."""
+    doc = copy.deepcopy(_BUNDLED[name])
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        path = data.draw(st.sampled_from(list(_nodes(doc))[1:]), label="path")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["drop", "swap", "extreme", "insert"]),
+                           label="action")
+        if action == "drop":
+            del parent[path[-1]]
+        elif action in ("swap", "extreme"):
+            parent[path[-1]] = data.draw(_ODD_VALUES if action == "swap" else _EXTREMES,
+                                         label="value")
+        elif isinstance(parent, dict):
+            parent[data.draw(st.text(max_size=4), label="key")] = data.draw(_ODD_VALUES)
+        else:
+            parent.insert(path[-1], data.draw(_ODD_VALUES, label="value"))
+    try:
+        cfg = parse_run_config(doc)
+    except MultivitalError:
+        return
+    assert isinstance(cfg, RunConfig)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -133,4 +135,39 @@ def test_load_scg_csv_non_numeric(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time_s,A_ax,A_ay,A_az,ecg\n0,x,0,0,0\n")
     with pytest.raises(ProcessingError, match="non-numeric"):
+        load_scg_csv(str(path))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_scg_csv_non_finite_cell_names_its_line(tmp_path, cell):
+    # The blank line 3 still counts, so the bad row is line 4.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"time_s,A_ax,A_ay,A_az,ecg\n0,0,0,0,0\n\n0.01,0,{cell},0,0\n")
+    want = f"{path}, line 4: A_ay '{cell}' is not a finite number"
+    with pytest.raises(ProcessingError, match=re.escape(want)):
+        load_scg_csv(str(path))
+
+
+@pytest.mark.parametrize("times, line", [
+    (("0", "0", "0"), 3),  # constant
+    (("0.02", "0.01", "0"), 3),  # reversed
+    (("0", "0.01", "0.01", "0.03"), 4),  # one repeated stamp
+])
+def test_load_scg_csv_time_must_increase(tmp_path, times, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("time_s,A_ax,A_ay,A_az,ecg\n" + "".join(f"{t},0,0,0,0\n" for t in times))
+    with pytest.raises(ProcessingError,
+                       match=re.escape(f"{path}, line {line}: time_s '{times[line - 2]}'")):
+        load_scg_csv(str(path))
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"time_s,A_ax,A_ay,A_az,ecg\n0,\xff,0,0,0\n", "not UTF-8 text"),
+    (b"time_s,A_ax,A_ay,A_az,ecg\n0,\"" + b"0" * 200_000 + b"\",0,0,0\n",
+     "line 2: field larger than field limit"),
+], ids=["not-utf8", "huge-field"])
+def test_load_scg_csv_unreadable_text(tmp_path, raw, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ProcessingError, match=message):
         load_scg_csv(str(path))
