@@ -36,6 +36,7 @@ from .io import (
     export_angle_map,
     export_traces,
     load_cube,
+    load_scg_csv,
     read_trace_table,
     save_cube,
     write_report,
@@ -57,7 +58,7 @@ from .rangeproc import (
     range_fft,
 )
 from .runconfig import PipelineConfig, RunConfig, load_run_config
-from .scg import FilterSpec, ScgChannel, ScgTrace, load_scg_csv, scg_to_displacement
+from .scg import FilterSpec, ScgChannel, ScgTrace, scg_to_displacement
 from .simulate import (
     RawDataCube,
     SampledMotion,

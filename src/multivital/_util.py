@@ -1,10 +1,7 @@
-"""Small shared helpers: thread-count resolution, CSV cells and lines, atomic file writes."""
+"""Small shared helpers: thread-count resolution, atomic file writes."""
 
 from __future__ import annotations
 
-import csv
-import io
-import itertools
 import os
 import tempfile
 
@@ -34,25 +31,6 @@ def thread_count() -> int:
             usable = os.cpu_count() or 1
         return min(usable, 8)
     return n
-
-
-def csv_cells(*cells: str) -> str:
-    """cells as they appear inside a CSV row, quoted exactly as csv.writer quotes them.
-
-    Formatted between two empty cells so the one-field special case of
-    csv.writer never applies.
-    """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(["", *cells, ""])
-    return buf.getvalue()[1:-1]
-
-
-def csv_data_line(path: str, k: int) -> int:
-    """Line on which the k-th non-blank row after the header of a CSV file ends."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        ends = (reader.line_num for row in reader if row)
-        return next(itertools.islice(ends, k + 1, None))
 
 
 def atomic_write_bytes(path: str, *chunks) -> None:

@@ -14,13 +14,14 @@ import sys
 
 import numpy as np
 
-from ._util import atomic_write_bytes, csv_cells
 from .config import derive_waveform
 from .errors import MultivitalError, ProcessingError
 from .io import (
     export_angle_map,
+    export_scg_traces,
     export_traces,
     load_cube,
+    load_scg_csv,
     read_trace_table,
     save_cube,
     trace_rate_hz,
@@ -29,7 +30,7 @@ from .io import (
 from .metrics import compare_traces
 from .pipeline import make_angle_map, run_pipeline
 from .runconfig import load_run_config
-from .scg import FilterSpec, load_scg_csv, scg_to_displacement
+from .scg import FilterSpec, scg_to_displacement
 from .simulate import simulate
 from .vitals import DisplacementTrace, dominant_frequency
 
@@ -134,22 +135,8 @@ def _cmd_process(args) -> int:
 def _cmd_scg(args) -> int:
     channels, ecg, _ = load_scg_csv(args.infile)
     spec = FilterSpec() if args.cutoff is None else FilterSpec(cutoff=args.cutoff)
-    traces = []
-    for ch in channels:
-        traces.extend(scg_to_displacement(ch, spec))
-    ecg_cells = [repr(v) for v in ecg.tolist()]
-    # One encoded chunk per trace, so no more than one trace's rows are
-    # ever held as text.
-    chunks = [b"time_s,region,axis,displacement_mm,ecg\n"]
-    for tr in traces:
-        key = csv_cells(tr.region, tr.axis)
-        n = len(tr.displacement)
-        cells = ecg_cells[:n] + [""] * (n - len(ecg_cells))
-        chunks.append("".join([
-            f"{i / tr.fs!r},{key},{d!r},{e}\n"
-            for i, d, e in zip(range(n), tr.displacement.tolist(), cells)
-        ]).encode("utf-8"))
-    atomic_write_bytes(args.out, *chunks)
+    traces = [tr for ch in channels for tr in scg_to_displacement(ch, spec)]
+    export_scg_traces(traces, ecg, args.out)
     print(f"wrote {len(traces)} trace(s) to {args.out}")
     return 0
 

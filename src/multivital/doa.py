@@ -316,18 +316,13 @@ def select_region_signal(
     return out
 
 
-def angle_map(
-    bf: Beamformer,
-    y: np.ndarray,
-    frame: int = 0,
-    elevation_grid: np.ndarray | None = None,
-) -> AngleMap:
-    """Azimuth x elevation beamformed power of one frame of raw data y."""
+def angle_map(bf: Beamformer, y: np.ndarray, frame: int = 0) -> AngleMap:
+    """Azimuth x elevation beamformed power of one frame of raw data y,
+    elevation on a 1 degree grid from -45 to 45 degrees."""
     n_frames = y.shape[1]
     if not 0 <= frame < n_frames:
         raise ProcessingError(f"frame {frame} outside 0..{n_frames - 1}")
-    if elevation_grid is None:
-        elevation_grid = np.deg2rad(np.arange(-45.0, 46.0, 1.0))
+    elevation_grid = np.deg2rad(np.arange(-45.0, 46.0, 1.0))
 
     y = y[:, frame:frame + 1]
     l, az_grid = _shifted_grid(bf.n_fft)
@@ -335,5 +330,5 @@ def angle_map(
     return AngleMap(
         power=np.abs(combined) ** 2,
         azimuth_grid=az_grid,
-        elevation_grid=np.asarray(elevation_grid, dtype=np.float64),
+        elevation_grid=elevation_grid,
     )

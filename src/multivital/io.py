@@ -1,4 +1,5 @@
-"""File formats: MVDC raw-cube binary, trace CSV, angle-map CSV, report JSON.
+"""File formats: MVDC raw-cube binary, trace CSV, SCG input and output CSV,
+angle-map CSV, report JSON.
 
 MVDC layout (little-endian, 72-byte header):
 
@@ -26,15 +27,17 @@ import struct
 
 import numpy as np
 
-from ._util import atomic_write_bytes, atomic_write_text, csv_cells, csv_data_line
+from ._util import atomic_write_bytes, atomic_write_text
 from .config import ChirpConfig
 from .doa import AngleMap
 from .errors import ConfigError, CubeFormatError, ProcessingError
 from .geometry import ArrayGeometry
+from .scg import ScgChannel, ScgTrace
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace
 
-_CHUNK_ROWS = 8192  # trace CSV rows converted at a time
+_CHUNK_CELLS = 32768  # CSV cells converted at a time: 8192 rows of a 4-column trace CSV
+_SCG_AXES = ("x", "y", "z")  # <region>_a<axis> columns of an SCG recording
 
 MVDC_MAGIC = b"MVDC"
 MVDC_VERSION = 1
@@ -135,18 +138,37 @@ def export_traces(traces: list[DisplacementTrace], path: str) -> None:
     """Write displacement traces as CSV: time_s, region, phase_rad, displacement_mm.
 
     Rows are region-major in the given trace order; floats use repr
-    precision so a reload reproduces them exactly.
+    precision so a reload reproduces them exactly. Each trace's rows are
+    encoded as one chunk, so no more than one trace is held as text.
     """
     if not traces:
         raise ProcessingError("no traces to export")
-    lines = ["time_s,region,phase_rad,displacement_mm"]
+    chunks = [b"time_s,region,phase_rad,displacement_mm\n"]
     for tr in traces:
-        region = csv_cells(tr.region)
-        lines += [
-            f"{t!r},{region},{ph!r},{d!r}"
+        region = _csv_cells(tr.region)
+        chunks.append("".join([
+            f"{t!r},{region},{ph!r},{d!r}\n"
             for t, ph, d in zip(tr.times.tolist(), tr.phase.tolist(), tr.displacement.tolist())
-        ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        ]).encode("utf-8"))
+    atomic_write_bytes(path, *chunks)
+
+
+def export_scg_traces(traces: list[ScgTrace], ecg: np.ndarray, path: str) -> None:
+    """Write SCG displacement traces as CSV: time_s, region, axis, displacement_mm, ecg.
+
+    One block of rows per trace in the given order. Every trace spans the
+    recording, so its row i carries ecg[i]. Each trace's rows are encoded
+    as one chunk, so no more than one trace is held as text.
+    """
+    ecg_cells = [repr(v) for v in ecg.tolist()]
+    chunks = [b"time_s,region,axis,displacement_mm,ecg\n"]
+    for tr in traces:
+        key = _csv_cells(tr.region, tr.axis)
+        chunks.append("".join([
+            f"{i / tr.fs!r},{key},{d!r},{e}\n"
+            for i, (d, e) in enumerate(zip(tr.displacement.tolist(), ecg_cells, strict=True))
+        ]).encode("utf-8"))
+    atomic_write_bytes(path, *chunks)
 
 
 def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
@@ -172,9 +194,6 @@ def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
     with open(path, newline="", encoding="utf-8") as fh:
         chunks = _csv_chunks(path, fh)
         header = next(chunks)
-        if not header:
-            raise ProcessingError(f"{path}: empty file")
-        header = header[0]
         missing = {"time_s", "region", "displacement_mm"} - set(header)
         if missing:
             raise ProcessingError(f"{path}: missing columns {sorted(missing)}")
@@ -190,7 +209,7 @@ def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
             if min(map(len, chunk)) < width:
                 i = next(i for i, row in enumerate(chunk) if len(row) < width)
                 raise ProcessingError(
-                    f"{path}, line {csv_data_line(path, len(groups) + i)}: {len(chunk[i])} "
+                    f"{path}, line {_data_row(path, len(groups) + i)[0]}: {len(chunk[i])} "
                     f"fields, the columns read need {width}"
                 )
             if axis is None:
@@ -212,18 +231,97 @@ def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
     }
 
 
-def _csv_chunks(path: str, fh):
-    """Non-blank rows of an open CSV text file: a list holding the header
-    row (empty for an empty file), then lists of up to _CHUNK_ROWS data rows.
+def load_scg_csv(path: str) -> tuple[list[ScgChannel], np.ndarray, np.ndarray]:
+    """Read a multi-channel SCG recording.
 
-    Rows are converted a chunk at a time, so no more than one chunk of cell
-    strings is ever held.
+    Expected columns: time_s, then three acceleration columns per region
+    named <region>_ax, <region>_ay, <region>_az, then ecg. The ECG column
+    is returned untouched. Blank lines are ignored.
+
+    Returns
+    -------
+    (channels, ecg, time_s)
+
+    Raises
+    ------
+    ProcessingError
+        For an empty file, a wrong header, fewer than 2 rows or time steps
+        that imply no finite rate, and, naming the line, for text that is
+        not UTF-8 CSV, a row whose field count differs from the header's, a
+        cell that is not a finite number or a time_s that does not strictly
+        increase.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        chunks = _csv_chunks(path, fh)
+        header = [h.strip() for h in next(chunks)]
+        if header[0] != "time_s" or header[-1] != "ecg":
+            raise ProcessingError(
+                f"{path}: expected columns time_s, <region>_a[xyz]..., ecg; got {header}"
+            )
+        width = len(header)
+        parts: list[list[np.ndarray]] = [[] for _ in header]
+        n = 0  # data rows read
+        for chunk in chunks:
+            ragged = next((i for i, row in enumerate(chunk) if len(row) != width), None)
+            if ragged is not None:
+                raise ProcessingError(
+                    f"{path}, line {_data_row(path, n + ragged)[0]}: ragged rows, "
+                    f"{len(chunk[ragged])} fields under {width} columns"
+                )
+            for part, name, cells in zip(parts, header, zip(*chunk)):
+                part.append(_finite_column(path, cells, name, n))
+            n += len(chunk)
+    if n < 2:
+        raise ProcessingError(f"{path}: need at least 2 samples")
+    time_s, *accel, ecg = map(np.concatenate, parts)
+    increasing = time_s[1:] > time_s[:-1]
+    if not increasing.all():
+        k = int(np.argmin(increasing)) + 1
+        line, row = _data_row(path, k)
+        raise ProcessingError(
+            f"{path}, line {line}: time_s {row[0]!r} does not "
+            f"increase on the {_data_row(path, k - 1)[1][0]!r} before it"
+        )
+    with np.errstate(over="ignore"):  # a step past the float range reads as inf
+        fs = 1.0 / float(np.median(np.diff(time_s)))
+    if not 0 < fs < math.inf:
+        raise ProcessingError(f"{path}: time_s steps imply a sample rate of {fs} Hz")
+
+    regions: dict[str, dict[str, np.ndarray]] = {}
+    for name, values in zip(header[1:-1], accel):
+        if "_a" not in name or name[-1] not in _SCG_AXES:
+            raise ProcessingError(f"{path}: unrecognized column {name!r}")
+        region, axis = name.rsplit("_a", 1)
+        regions.setdefault(region, {})[axis] = values
+    channels = []
+    for region, cols in regions.items():
+        missing = [ax for ax in _SCG_AXES if ax not in cols]
+        if missing:
+            raise ProcessingError(f"{path}: region {region} lacks axes {missing}")
+        channels.append(
+            ScgChannel(
+                fs=fs, ax=cols["x"], ay=cols["y"], az=cols["z"], region=region
+            ).validate()
+        )
+    return channels, ecg, time_s
+
+
+def _csv_chunks(path: str, fh):
+    """Non-blank rows of an open CSV text file: the header row, then lists
+    of data rows, as many per list as fit _CHUNK_CELLS cells at the
+    header's width.
+
+    Rows are converted a chunk at a time, so the cell strings held at once
+    are bounded by the chunk size, not the file size, whatever the width.
     """
     reader = csv.reader(fh)
     rows = filter(None, reader)
     try:
-        yield list(itertools.islice(rows, 1))
-        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        if (header := next(rows, None)) is None:
+            raise ProcessingError(f"{path}: empty file")
+        yield header
+        size = max(1, _CHUNK_CELLS // len(header))
+        while chunk := list(itertools.islice(rows, size)):
             yield chunk
     except csv.Error as exc:
         raise ProcessingError(f"{path}, line {reader.line_num}: {exc}") from None
@@ -243,7 +341,26 @@ def _not_utf8(path: str) -> ProcessingError:
     return ProcessingError(f"{path}: not UTF-8 text")  # the file changed since
 
 
-def _finite_column(path: str, cells: list[str], name: str, first: int) -> np.ndarray:
+def _csv_cells(*cells: str) -> str:
+    """cells as they appear inside a CSV row, quoted exactly as csv.writer quotes them.
+
+    Formatted between two empty cells so the one-field special case of
+    csv.writer never applies.
+    """
+    buf = _io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(["", *cells, ""])
+    return buf.getvalue()[1:-1]
+
+
+def _data_row(path: str, k: int) -> tuple[int, list[str]]:
+    """The k-th non-blank row after the header of a CSV file: the line it ends on, and its cells."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = ((reader.line_num, row) for row in reader if row)
+        return next(itertools.islice(rows, k + 1, None))
+
+
+def _finite_column(path: str, cells: list[str] | tuple[str, ...], name: str, first: int) -> np.ndarray:
     """Cells of consecutive data rows, from data row first on, as float64.
 
     Raises ProcessingError naming the line of the first cell that is not a
@@ -257,7 +374,7 @@ def _finite_column(path: str, cells: list[str], name: str, first: int) -> np.nda
     if bad.size:
         k = int(bad[0])
         raise ProcessingError(
-            f"{path}, line {csv_data_line(path, first + k)}: {name} {cells[k]!r} "
+            f"{path}, line {_data_row(path, first + k)[0]}: {name} {cells[k]!r} "
             "is not a finite number"
         )
     return out

@@ -126,8 +126,7 @@ def make_angle_map(
     pcfg: PipelineConfig,
     layout: SensorLayout | None = None,
     near_field: bool | None = None,
-    frame: int = 0,
 ):
-    """Angle map of one frame at the located subject bin."""
+    """Angle map of frame 0 at the located subject bin."""
     _, _, bf, y = _steered_subject(cube, pcfg, layout, near_field)
-    return angle_map(bf, y, frame=frame)
+    return angle_map(bf, y)

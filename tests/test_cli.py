@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from multivital.cli import main
-from multivital.io import load_cube, read_trace_table, save_cube
+from multivital.io import load_cube, load_scg_csv, read_trace_table, save_cube
 from multivital.runconfig import load_run_config
-from multivital.scg import FilterSpec, load_scg_csv, scg_to_displacement
+from multivital.scg import FilterSpec, scg_to_displacement
 
 RATE = 250.0  # Hz, synthetic accelerometer rate
 

@@ -4,6 +4,8 @@ import json
 import math
 import re
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from multivital.io import (
     export_angle_map,
     export_traces,
     load_cube,
+    load_scg_csv,
     read_trace_table,
     save_cube,
     trace_rate_hz,
@@ -56,7 +59,7 @@ def test_cube_header_layout(tmp_path, table2, cascade):
     cube = _small_cube(table2, cascade)
     path = str(tmp_path / "cube.mvdc")
     save_cube(cube, path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw[:4] == b"MVDC"
     header = struct.unpack_from("<4s5I5dQ", raw)
     assert header[1] == 1  # version
@@ -68,7 +71,7 @@ def test_cube_bad_magic(tmp_path, table2, cascade):
     cube = _small_cube(table2, cascade)
     path = str(tmp_path / "cube.mvdc")
     save_cube(cube, path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[:4] = b"NOPE"
     (tmp_path / "bad.mvdc").write_bytes(bytes(raw))
     with pytest.raises(CubeFormatError, match="magic"):
@@ -79,7 +82,7 @@ def test_cube_bad_version(tmp_path, table2, cascade):
     cube = _small_cube(table2, cascade)
     path = str(tmp_path / "cube.mvdc")
     save_cube(cube, path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[4:8] = struct.pack("<I", 9)
     (tmp_path / "bad.mvdc").write_bytes(bytes(raw))
     with pytest.raises(CubeFormatError, match="version"):
@@ -90,7 +93,7 @@ def test_cube_truncation(tmp_path, table2, cascade):
     cube = _small_cube(table2, cascade)
     path = str(tmp_path / "cube.mvdc")
     save_cube(cube, path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     (tmp_path / "short.mvdc").write_bytes(raw[:40])
     with pytest.raises(CubeFormatError, match="header"):
         load_cube(str(tmp_path / "short.mvdc"))
@@ -192,7 +195,7 @@ def test_trace_export_round_trip(tmp_path):
     ]
     path = str(tmp_path / "traces.csv")
     export_traces(traces, path)
-    head = open(path).readline().strip()
+    head = Path(path).read_text().splitlines()[0].strip()
     assert head == "time_s,region,phase_rad,displacement_mm"
     table = read_trace_table(path)
     assert list(table) == ["A", "P"]
@@ -227,7 +230,7 @@ def test_trace_export_uses_lf_endings(tmp_path):
     export_traces(
         [DisplacementTrace.from_phase("A", np.sin(t), WL, 20.0)], path
     )
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert b"\r" not in raw
 
 
@@ -324,6 +327,109 @@ def test_fuzzed_trace_csv_reads_finite_or_fails_as_package_error(
         assert all(np.isfinite(v).all() for v in columns.values())
 
 
+_SCG_HEADER = ["time_s", "A_ax", "A_ay", "A_az", "P_ax", "P_ay", "P_az", "ecg"]
+_SCG_EDITS = st.sampled_from(
+    ["cell", "drop-field", "dup-field", "drop-row", "dup-row", "swap-time"]
+)
+_scg_cells = st.one_of(
+    _cells,
+    st.sampled_from(["1e308", "-1e308", "5e-324", "1_0", "\0"]),
+    st.sampled_from([20, 400, 200_000]).map(lambda n: "9" * n),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(
+    st.tuples(_SCG_EDITS, st.integers(0, 99), st.integers(0, 99), _scg_cells), max_size=4
+))
+def test_fuzzed_scg_csv_reads_finite_or_fails_as_package_error(tmp_path_factory, edits):
+    """A valid two-region SCG recording with cells replaced by non-numbers,
+    non-finite, huge or empty strings, fields and rows dropped or repeated
+    (the header's fields are its columns) and time_s cells swapped: finite
+    columns of one length with strictly increasing time, or a
+    MultivitalError."""
+    table = [list(_SCG_HEADER)] + [
+        [repr(k / 100)] + [repr(0.1 * math.sin(k + j)) for j in range(1, len(_SCG_HEADER))]
+        for k in range(6)
+    ]
+    for edit, i, j, cell in edits:
+        if not table:
+            break
+        row = table[i % len(table)]
+        if edit == "drop-row":
+            table.remove(row)
+        elif edit == "dup-row":
+            table.insert(i % len(table), list(row))
+        elif row and edit == "cell":
+            row[j % len(row)] = cell
+        elif row and edit == "drop-field":
+            del row[j % len(row)]
+        elif row and edit == "dup-field":
+            row.insert(j % len(row), row[j % len(row)])
+        elif row and edit == "swap-time":
+            other = table[j % len(table)]
+            if other:
+                row[0], other[0] = other[0], row[0]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(table)
+    path = tmp_path_factory.mktemp("fuzz") / "accel.csv"
+    path.write_text(buf.getvalue(), encoding="utf-8")
+    try:
+        channels, ecg, time_s = load_scg_csv(str(path))
+    except MultivitalError:
+        return
+    assert len(time_s) >= 2 and np.all(time_s[1:] > time_s[:-1])
+    columns = [ecg, time_s] + [a for ch in channels for a in (ch.ax, ch.ay, ch.az)]
+    assert all(len(a) == len(time_s) and np.isfinite(a).all() for a in columns)
+    assert all(math.isfinite(ch.fs) and ch.fs > 0 for ch in channels)
+
+
+@pytest.mark.parametrize("body, line, fields", [
+    ("0,0,0,0,0\n\n0.01,0,0,0\n", 4, 4),  # short, after a blank line
+    ("0,0,0,0,0\n0.01,0,0,0,0\n0.02,0,0,0,0,0\n", 4, 6),  # long
+], ids=["short", "long"])
+def test_load_scg_csv_ragged_row_names_its_line(tmp_path, body, line, fields):
+    path = tmp_path / "bad.csv"
+    path.write_text("time_s,A_ax,A_ay,A_az,ecg\n" + body)
+    want = f"{path}, line {line}: ragged rows, {fields} fields under 5 columns"
+    with pytest.raises(ProcessingError, match=re.escape(want)):
+        load_scg_csv(str(path))
+
+
+@pytest.mark.parametrize("times, rate", [
+    (("-1e308", "1e308"), "0.0"),  # the step overflows
+    (("0", "5e-324", "1e-323"), "inf"),  # subnormal steps
+], ids=["overflow", "subnormal"])
+def test_load_scg_csv_rate_must_be_finite(tmp_path, times, rate):
+    path = tmp_path / "bad.csv"
+    path.write_text("time_s,A_ax,A_ay,A_az,ecg\n" + "".join(f"{t},0,0,0,0\n" for t in times))
+    want = f"{path}: time_s steps imply a sample rate of {rate} Hz"
+    with pytest.raises(ProcessingError, match=re.escape(want)):
+        load_scg_csv(str(path))
+
+
+def test_load_scg_csv_peak_memory_is_bounded_by_its_arrays(tmp_path):
+    """Reading 3 x 8192 rows of 17 columns (five regions, as the phantom's
+    accelerometer file) peaks at under 4x the bytes of the arrays returned;
+    holding every cell as text took ~15x."""
+    n = 3 * 8192
+    rng = np.random.default_rng(5)
+    cols = [np.arange(n) / 200.0] + [rng.normal(0.0, 0.1, n) for _ in range(16)]
+    header = ["time_s"] + [f"{r}_a{ax}" for r in "APTEM" for ax in "xyz"] + ["ecg"]
+    path = tmp_path / "accel.csv"
+    np.savetxt(path, np.column_stack(cols), delimiter=",", header=",".join(header),
+               comments="", fmt="%.10g")
+    tracemalloc.start()
+    try:
+        channels, ecg, time_s = load_scg_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = ecg.nbytes + time_s.nbytes + sum(3 * ch.ax.nbytes for ch in channels)
+    assert nbytes == 17 * 8 * n
+    assert peak < 4 * nbytes
+
+
 def test_export_angle_map(tmp_path):
     am = AngleMap(
         power=np.arange(6, dtype=np.float64).reshape(3, 2),
@@ -332,7 +438,7 @@ def test_export_angle_map(tmp_path):
     )
     path = str(tmp_path / "map.csv")
     export_angle_map(am, path)
-    lines = open(path).read().strip().split("\n")
+    lines = Path(path).read_text().strip().split("\n")
     assert len(lines) == 4
     assert lines[0].split(",")[1] == repr(-5.0)
     row = lines[2].split(",")
@@ -343,5 +449,5 @@ def test_export_angle_map(tmp_path):
 def test_write_report(tmp_path):
     path = str(tmp_path / "report.json")
     write_report({"regions": {"A": {"rho": 1.0}}}, path)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     assert doc["regions"]["A"]["rho"] == 1.0

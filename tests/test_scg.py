@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from multivital.errors import ConfigError, ProcessingError
+from multivital.io import load_scg_csv
 from multivital.scg import (
     FilterSpec,
     ScgChannel,
     detrend,
-    load_scg_csv,
     scg_to_displacement,
 )
 
@@ -134,7 +134,8 @@ def test_load_scg_csv_missing_axis(tmp_path):
 def test_load_scg_csv_non_numeric(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time_s,A_ax,A_ay,A_az,ecg\n0,x,0,0,0\n")
-    with pytest.raises(ProcessingError, match="non-numeric"):
+    want = f"{path}, line 2: A_ax 'x' is not a finite number"
+    with pytest.raises(ProcessingError, match=re.escape(want)):
         load_scg_csv(str(path))
 
 
