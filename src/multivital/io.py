@@ -157,17 +157,22 @@ def export_scg_traces(traces: list[ScgTrace], ecg: np.ndarray, path: str) -> Non
     """Write SCG displacement traces as CSV: time_s, region, axis, displacement_mm, ecg.
 
     One block of rows per trace in the given order. Every trace spans the
-    recording, so its row i carries ecg[i]. Each trace's rows are encoded
-    as one chunk, so no more than one trace is held as text.
+    recording, so its row i carries ecg[i]. The time cells are formatted
+    once per (fs, length), as the traces of one recording share them. Each
+    trace's rows are encoded as one chunk, so no more than one trace is
+    held as text.
     """
     ecg_cells = [repr(v) for v in ecg.tolist()]
+    time_cells: dict[tuple[float, int], list[str]] = {}
     chunks = [b"time_s,region,axis,displacement_mm,ecg\n"]
     for tr in traces:
-        key = _csv_cells(tr.region, tr.axis)
-        chunks.append("".join([
-            f"{i / tr.fs!r},{key},{d!r},{e}\n"
-            for i, (d, e) in enumerate(zip(tr.displacement.tolist(), ecg_cells, strict=True))
-        ]).encode("utf-8"))
+        n = len(tr.displacement)
+        if (tr.fs, n) not in time_cells:
+            time_cells[tr.fs, n] = [f"{i / tr.fs!r}" for i in range(n)]
+        keys = [_csv_cells(tr.region, tr.axis)] * n
+        rows = zip(time_cells[tr.fs, n], keys, map(repr, tr.displacement.tolist()), ecg_cells,
+                   strict=True)
+        chunks.append(("\n".join(map(",".join, rows)) + "\n").encode("utf-8"))
     atomic_write_bytes(path, *chunks)
 
 
@@ -213,9 +218,9 @@ def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
                     f"fields, the columns read need {width}"
                 )
             if axis is None:
-                keys = [row[region] for row in chunk]
+                keys = (row[region] for row in chunk)
             else:
-                keys = [f"{row[region]}.{row[axis]}" for row in chunk]
+                keys = (f"{row[region]}.{row[axis]}" for row in chunk)
             for name, col in columns.items():
                 parts[name].append(
                     _finite_column(path, [row[col] for row in chunk], name, len(groups))
@@ -313,6 +318,9 @@ def _csv_chunks(path: str, fh):
 
     Rows are converted a chunk at a time, so the cell strings held at once
     are bounded by the chunk size, not the file size, whatever the width.
+    Each list is emptied before the next is read, so the rows of one chunk
+    are freed before the next chunk's are made: keep nothing of a chunk
+    but what is taken out of it.
     """
     reader = csv.reader(fh)
     rows = filter(None, reader)
@@ -323,6 +331,7 @@ def _csv_chunks(path: str, fh):
         size = max(1, _CHUNK_CELLS // len(header))
         while chunk := list(itertools.islice(rows, size)):
             yield chunk
+            chunk.clear()
     except csv.Error as exc:
         raise ProcessingError(f"{path}, line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
@@ -395,18 +404,16 @@ def trace_rate_hz(time_s: np.ndarray) -> float:
 
 
 def export_angle_map(am: AngleMap, path: str) -> None:
-    """Write an angle map as a CSV grid, angles in degrees on the margins."""
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["azimuth_deg\\elevation_deg"]
-        + [repr(float(np.degrees(e))) for e in am.elevation_grid]
-    )
-    for i, az in enumerate(am.azimuth_grid):
-        writer.writerow(
-            [repr(float(np.degrees(az)))] + [repr(float(v)) for v in am.power[i]]
-        )
-    atomic_write_text(path, buf.getvalue())
+    """Write an angle map as a CSV grid, angles in degrees on the margins.
+
+    Every cell is a float's repr, which never needs CSV quoting, so each
+    row is joined as it stands and the bytes are those csv.writer gives.
+    """
+    lines = [",".join(["azimuth_deg\\elevation_deg",
+                       *map(repr, np.degrees(am.elevation_grid).tolist())])]
+    for az, row in zip(np.degrees(am.azimuth_grid).tolist(), am.power.tolist(), strict=True):
+        lines.append(",".join([repr(az), *map(repr, row)]))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_report(report: dict, path: str) -> None:

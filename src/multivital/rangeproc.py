@@ -12,6 +12,8 @@ from .config import derive_waveform
 from .errors import ConfigError, ProcessingError
 from .simulate import RawDataCube
 
+_ABS_CELLS = 1 << 20  # range cells locate_subject takes |.| of at a time: a 4 MiB float32 buffer
+
 
 @dataclass(frozen=True)
 class RangeCube:
@@ -67,7 +69,10 @@ def range_fft(cube: RawDataCube, n_fft_range: int) -> RangeCube:
 def locate_subject(rc: RangeCube) -> SubjectLocation:
     """Find the range bin with the largest magnitude summed over channels and frames.
 
-    Ties resolve to the lowest bin (argmax returns the first maximum).
+    The cube is reduced a chunk of channel rows at a time: each chunk's
+    magnitudes go into one reused float32 buffer of _ABS_CELLS cells and
+    their column sums into a float64 profile, so no full-size |bins| is
+    made. Ties resolve to the lowest bin (argmax returns the first maximum).
 
     Raises
     ------
@@ -78,7 +83,14 @@ def locate_subject(rc: RangeCube) -> SubjectLocation:
     """
     if rc.bins.size == 0:
         raise ProcessingError("empty range cube")
-    profile = np.abs(rc.bins).sum(axis=(0, 1, 2))
+    n_bins = rc.bins.shape[-1]
+    rows = rc.bins.reshape(-1, n_bins)
+    step = max(1, _ABS_CELLS // n_bins)
+    buf = np.empty((min(step, len(rows)), n_bins), dtype=np.float32)
+    profile = np.zeros(n_bins)
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        profile += np.abs(part, out=buf[:len(part)]).sum(axis=0, dtype=np.float64)
     if not np.all(np.isfinite(profile)):
         raise ProcessingError("range profile is not finite: the cube holds NaN or inf samples")
     bin_idx = int(np.argmax(profile))

@@ -13,6 +13,7 @@ takes several seconds to die instead of staying inside the flagged span.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class ScgChannel:
     region: str
 
     def validate(self) -> "ScgChannel":
-        if not self.fs > 0:
-            raise ConfigError(f"scg fs must be > 0, got {self.fs}")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ConfigError(f"scg fs must be finite and > 0, got {self.fs}")
         n = len(self.ax)
         if len(self.ay) != n or len(self.az) != n:
             raise ConfigError("scg axis vectors must have equal lengths")

@@ -1,6 +1,7 @@
 """run_pipeline: one steering pass, non-finite cubes refused, known elevations found."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,22 @@ def test_non_finite_sample_fails_loudly(phantom, bad):
     with pytest.raises(ProcessingError, match="not finite"):
         pipeline.run_pipeline(dataclasses.replace(cube, samples=samples),
                               cfg.pipeline, layout=cfg.layout)
+
+
+def test_run_pipeline_peak_memory_is_about_the_range_cube():
+    """On bundled sim-single-target (50 frames), the traced peak stays
+    within 1.25x the cube: the range cube plus small buffers. Taking
+    |bins| of the whole range cube at once took 1.5x."""
+    cfg = load_run_config("sim-single-target")
+    cube = simulate(cfg.scene, cfg.chirp, cfg.geometry)
+    assert cube.samples.shape == (50, 12, 16, 512)
+    tracemalloc.start()
+    try:
+        pipeline.run_pipeline(cube, cfg.pipeline, layout=cfg.layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * cube.samples.nbytes
 
 
 def _elevated_cube(r, theta_deg):

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import multivital.rangeproc as rangeproc
 from multivital.errors import ConfigError, ProcessingError
 from multivital.rangeproc import (
     RangeCube,
@@ -98,3 +100,40 @@ def test_range_fft_peak_memory_is_its_output(cube5m, pad):
         tracemalloc.stop()
     assert rc.bins.nbytes == pad * cube5m.samples.nbytes
     assert peak <= rc.bins.nbytes + 0.5 * cube5m.samples.nbytes
+
+
+def _random_range_cube(shape, seed):
+    """Random complex64 bins with a seeded per-bin gain, so range bins differ."""
+    rng = np.random.default_rng(seed)
+    bins = rng.standard_normal(2 * math.prod(shape), dtype=np.float32).view(np.complex64)
+    bins = bins.reshape(shape)
+    bins *= rng.uniform(0.5, 1.5, shape[-1]).astype(np.float32)
+    return RangeCube(bins=bins, n_fft_range=shape[-1], bin_width_m=0.03)
+
+
+def test_locate_subject_peak_memory_is_one_chunk():
+    """Traced peak <= 0.1x the range cube; a full |bins| temporary took 0.5x."""
+    rc = _random_range_cube((64, 12, 16, 512), seed=2)
+    assert rc.bins.nbytes >= 32 * 2**20
+    tracemalloc.start()
+    try:
+        locate_subject(rc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * rc.bins.nbytes
+
+
+@pytest.mark.parametrize("cells", [None, 1000])
+@pytest.mark.parametrize("seed", range(4))
+def test_locate_subject_matches_double_precision_argmax(seed, cells, monkeypatch):
+    """Where the top two bins of the profile differ by more than 1e-4
+    relative, the chosen bin is that of a complex128 reference, whether
+    the cube takes one chunk or many with a partial last one."""
+    if cells is not None:
+        monkeypatch.setattr(rangeproc, "_ABS_CELLS", cells)
+    rc = _random_range_cube((9, 4, 7, 64), seed)
+    ref = np.abs(rc.bins.astype(np.complex128)).sum(axis=(0, 1, 2))
+    second, first = np.sort(ref)[-2:]
+    assert first - second > 1e-4 * first
+    assert locate_subject(rc).bin == int(np.argmax(ref))

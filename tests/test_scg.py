@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -79,6 +80,13 @@ def test_channel_validation():
                    region="A").validate()
     with pytest.raises(ConfigError):
         ScgChannel(fs=100.0, ax=np.zeros(4), ay=np.zeros(3), az=np.zeros(4),
+                   region="A").validate()
+
+
+@pytest.mark.parametrize("fs", [math.inf, math.nan])
+def test_channel_validation_rejects_non_finite_rate(fs):
+    with pytest.raises(ConfigError, match="finite"):
+        ScgChannel(fs=fs, ax=np.zeros(4), ay=np.zeros(4), az=np.zeros(4),
                    region="A").validate()
 
 
