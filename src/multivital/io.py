@@ -193,8 +193,8 @@ def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
     ProcessingError
         Naming the file, and the line where there is one, when the file is
         not UTF-8 CSV, lacks a required column or data rows, has a row too
-        short for the columns read, or holds a value that is not a finite
-        number.
+        short for the columns read, holds a value that is not a finite
+        number, or has a key whose time_s does not strictly increase.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         chunks = _csv_chunks(path, fh)
@@ -230,10 +230,21 @@ def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
         raise ProcessingError(f"{path}: no data rows")
     number = np.array(groups)
     values = {name: np.concatenate(p) for name, p in parts.items()}
-    return {
-        key: {name: v[number == g] for name, v in values.items()}
-        for key, g in group_of.items()
-    }
+    table = {}
+    for key, g in group_of.items():
+        rows = np.flatnonzero(number == g)
+        table[key] = entry = {name: v[rows] for name, v in values.items()}
+        increasing = entry["time_s"][1:] > entry["time_s"][:-1]
+        if not increasing.all():
+            k = int(np.argmin(increasing)) + 1
+            col = columns["time_s"]
+            line, row = _data_row(path, int(rows[k]))
+            before = _data_row(path, int(rows[k - 1]))[1][col]
+            raise ProcessingError(
+                f"{path}, line {line}: {key} time_s {row[col]!r} "
+                f"does not increase on the {before!r} before it"
+            )
+    return table
 
 
 def load_scg_csv(path: str) -> tuple[list[ScgChannel], np.ndarray, np.ndarray]:

@@ -8,7 +8,6 @@ from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from .errors import ConfigError, ProcessingError
 from .vitals import spectral_peak_frequency
@@ -133,6 +132,8 @@ def align_rates(
         x_aligned, r_aligned, rate = align_rates(x, rate_x, r, rate_r)
         return r_aligned, x_aligned, rate
     # r is the slower one; bring x down to rate_r.
+    from scipy.signal import resample_poly  # deferred: only compare resamples
+
     ratio = Fraction(rate_r / rate_x).limit_denominator(10_000)
     x_down = resample_poly(np.asarray(x, dtype=np.float64),
                            ratio.numerator, ratio.denominator)

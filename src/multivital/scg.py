@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError, ProcessingError
 
@@ -80,10 +78,14 @@ def detrend(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2:
         raise ProcessingError("detrend needs at least 2 samples")
+    from scipy import signal  # deferred: only the SCG chain pays its import
+
     return signal.detrend(x, type="linear")
 
 
 def _highpass(x: np.ndarray, fs: float, spec: FilterSpec) -> np.ndarray:
+    from scipy import signal  # deferred: only the SCG chain pays its import
+
     sos = signal.butter(spec.order, spec.cutoff, btype="highpass", fs=fs, output="sos")
     # the default pad is a few dozen samples; at sub-Hz cutoffs the filter
     # memory is seconds, so pad three cutoff periods
@@ -130,6 +132,10 @@ def scg_to_displacement(
     ProcessingError
         If the record is shorter than 10 filter time constants.
     """
+    # deferred: simulate and process never load scipy.signal or scipy.integrate
+    from scipy import signal
+    from scipy.integrate import cumulative_trapezoid
+
     ch.validate()
     fs = ch.fs
     axes = {"x": ch.ax, "y": ch.ay, "z": ch.az}

@@ -245,15 +245,28 @@ def _add_noise(frame: np.ndarray, power: float, seed: int, m: int) -> None:
     Since u < 1 on a 2^-24 grid, |n|^2 is capped at 24 ln2 power, that is
     |n| at 5.8 sigma of one component; a sample reaches the cap with
     probability 2^-24.
+
+    The uniforms are those of Generator.random((2, n), dtype=float32) bit
+    for bit, made in bulk from the raw stream instead of value by value:
+    each 64-bit word is two 32-bit words x, low half first, and each x
+    gives (x >> 8) 2^-24. u is the first n of them, v the next n. x with
+    its low 8 bits cleared converts to float32 exactly, so u is that times
+    2^-32 and 2 pi v is that times float32(2 pi) 2^-32, both exact
+    power-of-two scalings of the same products.
     """
+    n = frame.size
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, m], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    u, v = rng.random((2, frame.size), dtype=np.float32)
+    raw = np.random.Philox(key=key).random_raw(n)
+    words = raw.astype("<u8", copy=False).view("<u4")  # low half first on any host
+    words &= np.uint32(0xFFFFFF00)
+    uniform = words.view("<f4")  # each float overwrites the word it is made from
+    u = np.multiply(words[:n], np.float32(2.0**-32), out=uniform[:n], dtype=np.float32)
     np.subtract(1, u, out=u)
     np.log(u, out=u)
     u *= np.float32(-power)
     radius = np.sqrt(u, out=u)
-    angle = np.multiply(v, np.float32(2.0 * np.pi), out=v)
+    angle = np.multiply(words[n:], np.float32(2.0 * np.pi) * np.float32(2.0**-32),
+                        out=uniform[n:], dtype=np.float32)
     cos = np.cos(angle)
     cos *= radius
     frame.real += cos.reshape(frame.shape)
@@ -263,7 +276,11 @@ def _add_noise(frame: np.ndarray, power: float, seed: int, m: int) -> None:
 
 
 def synthesize_frame(
-    scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry, m: int
+    scene: Scene,
+    cfg: ChirpConfig,
+    geom: ArrayGeometry,
+    m: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Synthesize one frame of IF samples for every channel.
 
@@ -282,10 +299,14 @@ def synthesize_frame(
     geom : ArrayGeometry
     m : int
         Frame index, < cfg.n_frames.
+    out : ndarray, optional
+        complex64 array of shape (n_tx, n_rx, n_adc) to write the frame
+        into, such as one frame slot of a cube; a new one when omitted.
 
     Returns
     -------
     ndarray, complex64, shape (n_tx, n_rx, n_adc)
+        out, when it was given.
     """
     plan = _plan(scene, cfg, geom)
     if not 0 <= m < cfg.n_frames:
@@ -315,7 +336,9 @@ def synthesize_frame(
     # One product sums the points: sample q b + s of channel (t, r) is
     # sum_p coarse[t, r, q, p] fine[(t, r,) p, s]; keep the first n_adc.
     frame = (coarse @ fine).reshape(geom.n_tx, geom.n_rx, -1)[..., :cfg.n_adc]
-    out = frame.astype(np.complex64)
+    if out is None:
+        out = np.empty(frame.shape, dtype=np.complex64)
+    np.copyto(out, frame, casting="same_kind")
     if scene.snr_db is not None:
         # einsum, not vdot: a BLAS dot product wakes BLAS worker threads,
         # which then spin beside simulate's own workers.
@@ -343,13 +366,11 @@ def simulate(scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry) -> RawDataCube
     workers = min(thread_count(), cfg.n_frames)
     if workers <= 1:
         for m in range(cfg.n_frames):
-            out[m] = synthesize_frame(scene, cfg, geom, m)
+            synthesize_frame(scene, cfg, geom, m, out=out[m])
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for m, frame in enumerate(
-                pool.map(lambda i: synthesize_frame(scene, cfg, geom, i),
-                         range(cfg.n_frames))
-            ):
-                out[m] = frame
+            # list() drains the map so a worker's exception is raised here
+            list(pool.map(lambda i: synthesize_frame(scene, cfg, geom, i, out=out[i]),
+                          range(cfg.n_frames)))
     return RawDataCube(samples=out, chirp=cfg, geometry=geom, seed=scene.seed).validate()
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -185,6 +186,65 @@ def test_short_trace_row_reports_processing_error(workdir, tmp_path):
     assert err["error"] == "processing"
     assert f"{bad}, line 2:" in err["message"]
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("times", [(0.0, 0.0, 0.0), (0.3, 0.2, 0.1, 0.0)],
+                         ids=["constant", "decreasing"])
+def test_non_increasing_trace_time_reports_processing_error(tmp_path, times):
+    """A radar time_s that does not strictly increase fails compare as one
+    JSON error naming line 3, the first row that is wrong."""
+    radar = tmp_path / "radar.csv"
+    ref = tmp_path / "ref.csv"
+    radar.write_text("time_s,region,phase_rad,displacement_mm\n" + "".join(
+        f"{t!r},A,0.0,{math.sin(i)!r}\n" for i, t in enumerate(times)))
+    ref.write_text("time_s,region,phase_rad,displacement_mm\n" + "".join(
+        f"{i / 20.0!r},A,0.0,{math.sin(i)!r}\n" for i in range(40)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from multivital.cli import main; sys.exit(main())",
+         "compare", "--radar", str(radar), "--ref", str(ref),
+         "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)  # nothing else on stderr
+    assert err["error"] == "processing"
+    assert f"{radar}, line 3: A time_s" in err["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_only_scg_commands_import_scipy_signal(workdir, tmp_path):
+    """Importing the CLI, simulate and process (with an angle map) leave
+    scipy.signal and scipy.integrate unloaded; scg loads scipy.signal."""
+    accel = tmp_path / "accel.csv"
+    _write_accel_csv(accel)
+    script = "\n".join([
+        "import json, sys",
+        "import multivital, multivital.cli",
+        "def loaded():",
+        "    return sorted({'scipy.signal', 'scipy.integrate'} & set(sys.modules))",
+        "seen = {'import': loaded()}",
+        "from multivital.cli import main",
+        "cube, cfg, root = sys.argv[1:4]",
+        "assert main(['simulate', '--config', cfg, '--out', root + '/c.mvdc']) == 0",
+        "seen['simulate'] = loaded()",
+        "assert main(['process', '--cube', cube, '--config', cfg, '--out', root + '/t.csv',",
+        "             '--angle-map', root + '/am.csv']) == 0",
+        "seen['process'] = loaded()",
+        "assert main(['scg', '--in', sys.argv[4], '--out', root + '/d.csv']) == 0",
+        "seen['scg'] = loaded()",
+        "print(json.dumps(seen))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         str(workdir["cube"]), str(workdir["cfg"]), str(tmp_path), str(accel)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == seen["simulate"] == seen["process"] == []
+    assert "scipy.signal" in seen["scg"]
 
 
 def test_non_finite_cube_header_reports_cube_format_error(workdir, tmp_path):

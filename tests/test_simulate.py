@@ -229,6 +229,18 @@ def test_simulate_thread_count_invariant(table2, cascade, monkeypatch):
     assert np.array_equal(a.samples, b.samples)
 
 
+def test_synthesize_frame_overwrites_its_out_slot(table2, cascade):
+    # The noisy frame replaces whatever the slot held and leaves the
+    # neighbouring slot alone.
+    cfg = dataclasses.replace(table2, n_frames=2)
+    scene = _static_scene((0.0, 0.8, 0.0), snr_db=10.0, seed=4)
+    cube = np.full((2, cascade.n_tx, cascade.n_rx, cfg.n_adc), 7 + 7j, dtype=np.complex64)
+    slot = cube[1]
+    assert synthesize_frame(scene, cfg, cascade, 1, out=slot) is slot
+    assert np.array_equal(slot, synthesize_frame(scene, cfg, cascade, 1))
+    assert np.all(cube[0] == 7 + 7j)
+
+
 def test_noise_power_matches_snr(table2, cascade):
     cfg = dataclasses.replace(table2, n_frames=1)
     clean = synthesize_frame(_static_scene((0.0, 0.8, 0.0)), cfg, cascade, 0)
