@@ -29,6 +29,7 @@ from .io import (
 )
 from .metrics import compare_traces
 from .pipeline import make_angle_map, run_pipeline
+from .rangeproc import SubjectLocation
 from .runconfig import load_run_config
 from .scg import FilterSpec, scg_to_displacement
 from .simulate import simulate
@@ -123,8 +124,9 @@ def _cmd_process(args) -> int:
     result = run_pipeline(cube, cfg.pipeline, layout=cfg.layout, near_field=near)
     export_traces(result.traces, args.out)
     if args.angle_map:
+        loc = SubjectLocation(bin=result.range_bin, range_m=result.range_m)
         export_angle_map(
-            make_angle_map(cube, cfg.pipeline, cfg.layout, near), args.angle_map
+            make_angle_map(cube, cfg.pipeline, loc, cfg.layout, near), args.angle_map
         )
     print(f"subject at {result.range_m:.3f} m (bin {result.range_bin}), "
           f"azimuth peak {np.degrees(result.azimuth_peak_rad):.2f} deg; "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -10,7 +10,7 @@ from .config import derive_waveform
 from .doa import Beamformer, angle_map, build_phase_error_table, select_region_signal
 from .geometry import build_virtual_array, select_azimuth_ula
 from .metrics import SensorLayout, compute_alignment
-from .rangeproc import extract_range_bin, locate_subject, range_fft
+from .rangeproc import SubjectLocation, extract_range_bin, locate_subject, range_fft
 from .runconfig import PipelineConfig
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace, region_signal_to_trace
@@ -65,14 +65,17 @@ def estimate_angles(bf: Beamformer, y: np.ndarray) -> tuple[float, float]:
     return azimuth, elevation
 
 
-def _steered_subject(cube, pcfg, layout, near_field):
-    """Range pass, subject location and steer_subject for one cube."""
+def _steered_subject(cube, pcfg, layout, near_field, loc=None):
+    """Range pass, subject location (unless loc is given) and steer_subject
+    for one cube. The range cube is freed on return, before the caller's
+    own temporaries."""
     calibrate = pcfg.near_field if near_field is None else near_field
     wavelength = derive_waveform(cube.chirp).wavelength
     geom = cube.geometry
     sel = select_azimuth_ula(build_virtual_array(geom))
     rc = range_fft(cube, pcfg.n_fft_range)
-    loc = locate_subject(rc)
+    if loc is None:
+        loc = locate_subject(rc)
     range_z = layout.z_a if layout is not None else None
     bf, y = steer_subject(
         rc, loc, sel, geom, wavelength, pcfg.n_fft_azimuth, calibrate, range_z
@@ -124,9 +127,14 @@ def run_pipeline(
 def make_angle_map(
     cube: RawDataCube,
     pcfg: PipelineConfig,
+    loc: SubjectLocation,
     layout: SensorLayout | None = None,
     near_field: bool | None = None,
 ):
-    """Angle map of frame 0 at the located subject bin."""
-    _, _, bf, y = _steered_subject(cube, pcfg, layout, near_field)
+    """Angle map of frame 0 at the subject location loc, such as run_pipeline's.
+
+    Only frame 0 is range-transformed: a one-frame view of the cube.
+    """
+    first = replace(cube, samples=cube.samples[:1], chirp=replace(cube.chirp, n_frames=1))
+    _, _, bf, y = _steered_subject(first, pcfg, layout, near_field, loc)
     return angle_map(bf, y)

@@ -14,8 +14,8 @@ from importlib import resources
 
 from .config import W_BAND_HZ, ChirpConfig
 from .doa import REGION_IDS
-from .errors import ConfigError
-from .geometry import ArrayGeometry
+from .errors import ConfigError, ProcessingError
+from .geometry import ArrayGeometry, build_virtual_array, select_azimuth_ula
 from .metrics import SensorLayout
 from .simulate import MODES, SampledMotion, ScatterPoint, Scene, SinusoidMotion
 
@@ -212,6 +212,25 @@ def _parse_pipeline(obj: dict, path: str) -> PipelineConfig:
     )
 
 
+def _check_fft_sizes(pipeline: PipelineConfig, chirp: ChirpConfig,
+                     geometry: ArrayGeometry) -> None:
+    """Reject FFT lengths shorter than what they transform, before any work."""
+    if pipeline.n_fft_range < chirp.n_adc:
+        raise ConfigError(
+            f"config.pipeline.n_fft_range {pipeline.n_fft_range} is smaller than "
+            f"config.chirp.n_adc {chirp.n_adc}"
+        )
+    try:
+        n_ula = len(select_azimuth_ula(build_virtual_array(geometry)).chosen)
+    except ProcessingError:
+        return  # no azimuth ULA to size; processing reports the geometry itself
+    if pipeline.n_fft_azimuth < n_ula:
+        raise ConfigError(
+            f"config.pipeline.n_fft_azimuth {pipeline.n_fft_azimuth} is smaller than "
+            f"the azimuth ULA length {n_ula} of config.geometry"
+        )
+
+
 def _parse_layout(obj: dict, path: str) -> SensorLayout:
     _check_keys(obj, path, required=("z_a_m", "positions_m"))
     positions_doc = obj["positions_m"]
@@ -247,11 +266,14 @@ def parse_run_config(doc: dict) -> RunConfig:
             f"config.chirp.fc_hz = {chirp.fc:.3e} outside the cascade band "
             f"{W_BAND_HZ[0]:.0f}..{W_BAND_HZ[1]:.0f} Hz"
         )
+    scene = _parse_scene(doc["scene"], "config.scene")
+    pipeline = _parse_pipeline(doc["pipeline"], "config.pipeline")
+    _check_fft_sizes(pipeline, chirp, geometry)
     return RunConfig(
         chirp=chirp,
         geometry=geometry,
-        scene=_parse_scene(doc["scene"], "config.scene"),
-        pipeline=_parse_pipeline(doc["pipeline"], "config.pipeline"),
+        scene=scene,
+        pipeline=pipeline,
         layout=(_parse_layout(doc["layout"], "config.layout")
                 if "layout" in doc else None),
         outputs=(_parse_outputs(doc["outputs"], "config.outputs")

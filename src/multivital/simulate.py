@@ -281,6 +281,7 @@ def synthesize_frame(
     geom: ArrayGeometry,
     m: int,
     out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Synthesize one frame of IF samples for every channel.
 
@@ -302,6 +303,10 @@ def synthesize_frame(
     out : ndarray, optional
         complex64 array of shape (n_tx, n_rx, n_adc) to write the frame
         into, such as one frame slot of a cube; a new one when omitted.
+    work : ndarray, optional
+        complex128 array of shape (n_tx, n_rx, b, b) that receives the
+        coarse @ fine product, so a caller making many frames reuses one
+        buffer; a new one when omitted.
 
     Returns
     -------
@@ -335,7 +340,8 @@ def synthesize_frame(
         fine = ph_tx[:, :, 1].transpose(1, 0, 2)[:, None] * ph_rx[:, :, 1].transpose(1, 0, 2)
     # One product sums the points: sample q b + s of channel (t, r) is
     # sum_p coarse[t, r, q, p] fine[(t, r,) p, s]; keep the first n_adc.
-    frame = (coarse @ fine).reshape(geom.n_tx, geom.n_rx, -1)[..., :cfg.n_adc]
+    product = np.matmul(coarse, fine, out=work)
+    frame = product.reshape(geom.n_tx, geom.n_rx, -1)[..., :cfg.n_adc]
     if out is None:
         out = np.empty(frame.shape, dtype=np.complex64)
     np.copyto(out, frame, casting="same_kind")
@@ -359,18 +365,25 @@ def simulate(scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry) -> RawDataCube
     -------
     RawDataCube
     """
-    _plan(scene, cfg, geom)  # validates, and builds the plan every frame reuses
+    plan = _plan(scene, cfg, geom)  # validates, and builds the plan every frame reuses
     out = np.empty(
         (cfg.n_frames, geom.n_tx, geom.n_rx, cfg.n_adc), dtype=np.complex64
     )
+    b = plan.omega.shape[1]
+
+    def run(frames) -> None:
+        # One product buffer per worker, reused by its frames and freed
+        # with it, so frames do not allocate and fault in their own.
+        work = np.empty((geom.n_tx, geom.n_rx, b, b), dtype=np.complex128)
+        for m in frames:
+            synthesize_frame(scene, cfg, geom, m, out=out[m], work=work)
+
     workers = min(thread_count(), cfg.n_frames)
     if workers <= 1:
-        for m in range(cfg.n_frames):
-            synthesize_frame(scene, cfg, geom, m, out=out[m])
+        run(range(cfg.n_frames))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # list() drains the map so a worker's exception is raised here
-            list(pool.map(lambda i: synthesize_frame(scene, cfg, geom, i, out=out[i]),
-                          range(cfg.n_frames)))
+            list(pool.map(run, (range(k, cfg.n_frames, workers) for k in range(workers))))
     return RawDataCube(samples=out, chirp=cfg, geometry=geom, seed=scene.seed).validate()
 

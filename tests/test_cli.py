@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import multivital.pipeline as pipeline
 from multivital.cli import main
 from multivital.io import load_cube, load_scg_csv, read_trace_table, save_cube
 from multivital.runconfig import load_run_config
@@ -282,6 +283,48 @@ def test_process_near_field_flag_and_angle_map(workdir, tmp_path, capsys):
     float(first_row[0])  # azimuth in degrees
     assert all(float(v) >= 0.0 for v in first_row[1:])  # power
     capsys.readouterr()
+
+
+def test_angle_map_range_transforms_frame_zero_only(workdir, tmp_path, monkeypatch, capsys):
+    """process --angle-map transforms all frames once for the run, then a
+    one-frame view of the same loaded cube for the map."""
+    cubes = []
+    range_fft = pipeline.range_fft
+
+    def recording(cube, n_fft_range):
+        cubes.append(cube)
+        return range_fft(cube, n_fft_range)
+
+    monkeypatch.setattr(pipeline, "range_fft", recording)
+    assert main([
+        "process", "--cube", str(workdir["cube"]), "--config", str(workdir["cfg"]),
+        "--out", str(tmp_path / "traces.csv"), "--angle-map", str(tmp_path / "map.csv"),
+    ]) == 0
+    assert [c.samples.shape[0] for c in cubes] == [16, 1]
+    assert cubes[1].chirp.n_frames == 1
+    assert np.shares_memory(cubes[0].samples, cubes[1].samples)  # a view, not a copy
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key,value", [("n_fft_range", 128), ("n_fft_azimuth", 64)])
+def test_short_fft_is_rejected_before_simulating(workdir, tmp_path, key, value):
+    """An FFT shorter than n_adc (256) or than the cascade's 86-element
+    azimuth ULA fails e2e at config load, before a cube is written."""
+    doc = json.loads(workdir["cfg"].read_text())
+    doc["pipeline"][key] = value
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "multivital",
+         "e2e", "--config", str(cfg), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)  # nothing else on stderr
+    assert err["error"] == "config"
+    assert f"config.pipeline.{key}" in err["message"]
+    assert not (tmp_path / "run" / "cube.mvdc").exists()
 
 
 def test_scg_subcommand(workdir, tmp_path, capsys):

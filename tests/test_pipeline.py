@@ -1,4 +1,5 @@
-"""run_pipeline: one steering pass, non-finite cubes refused, known elevations found."""
+"""run_pipeline: one steering pass, non-finite cubes refused, known elevations found;
+make_angle_map: frame 0 only, at the run's subject location."""
 
 import dataclasses
 import tracemalloc
@@ -8,7 +9,10 @@ import pytest
 
 import multivital.doa as doa
 import multivital.pipeline as pipeline
+from multivital.config import derive_waveform
 from multivital.errors import ProcessingError
+from multivital.geometry import build_virtual_array, select_azimuth_ula
+from multivital.rangeproc import SubjectLocation, locate_subject, range_fft
 from multivital.runconfig import load_run_config
 from multivital.simulate import simulate
 
@@ -90,3 +94,66 @@ def test_elevation_of_target_at_known_elevation(r, theta_deg, near_field):
     cfg, cube = _elevated_cube(r, theta_deg)
     result = pipeline.run_pipeline(cube, cfg.pipeline, near_field=near_field)
     assert abs(np.degrees(result.elevation_peak_rad) - theta_deg) <= 1.0
+
+
+@pytest.fixture(scope="module")
+def single_target():
+    """Twelve frames of sim-single-target, which has no layout."""
+    cfg = load_run_config("sim-single-target")
+    assert cfg.layout is None
+    chirp = dataclasses.replace(cfg.chirp, n_frames=12)
+    return cfg, simulate(cfg.scene, chirp, cfg.geometry)
+
+
+def _run_location(cube, cfg, layout, near_field):
+    result = pipeline.run_pipeline(cube, cfg.pipeline, layout=layout, near_field=near_field)
+    return SubjectLocation(bin=result.range_bin, range_m=result.range_m)
+
+
+def test_angle_map_never_locates_the_subject(phantom, monkeypatch):
+    cfg, cube = phantom
+    loc = _run_location(cube, cfg, cfg.layout, None)
+
+    def refuse(rc):
+        raise AssertionError("make_angle_map located the subject again")
+
+    monkeypatch.setattr(pipeline, "locate_subject", refuse)
+    amap = pipeline.make_angle_map(cube, cfg.pipeline, loc, cfg.layout)
+    assert amap.power.shape == (len(amap.azimuth_grid), len(amap.elevation_grid))
+
+
+@pytest.mark.parametrize("near_field", [False, True])
+@pytest.mark.parametrize("scene,with_layout", [
+    ("phantom", True), ("phantom", False), ("single_target", False),
+])
+def test_angle_map_equals_the_full_cube_map(request, scene, with_layout, near_field):
+    """The one-frame map is bit for bit the frame-0 map steered from the
+    whole cube's range transform at the same location and phase-table range."""
+    cfg, cube = request.getfixturevalue(scene)
+    layout = cfg.layout if with_layout else None
+    loc = _run_location(cube, cfg, layout, near_field)
+
+    rc = range_fft(cube, cfg.pipeline.n_fft_range)
+    assert locate_subject(rc) == loc
+    sel = select_azimuth_ula(build_virtual_array(cube.geometry))
+    wavelength = derive_waveform(cube.chirp).wavelength
+    range_z = layout.z_a if layout is not None else None
+    bf, y = pipeline.steer_subject(rc, loc, sel, cube.geometry, wavelength,
+                                   cfg.pipeline.n_fft_azimuth, near_field, range_z)
+    expected = doa.angle_map(bf, y)
+
+    amap = pipeline.make_angle_map(cube, cfg.pipeline, loc, layout, near_field)
+    assert np.array_equal(amap.power, expected.power)
+    assert np.array_equal(amap.azimuth_grid, expected.azimuth_grid)
+    assert np.array_equal(amap.elevation_grid, expected.elevation_grid)
+
+
+def test_angle_map_reads_frame_zero_only(phantom):
+    cfg, cube = phantom
+    loc = _run_location(cube, cfg, cfg.layout, None)
+    samples = cube.samples.copy()
+    samples[1:] = 0
+    zeroed = dataclasses.replace(cube, samples=samples)
+    a = pipeline.make_angle_map(cube, cfg.pipeline, loc, cfg.layout)
+    b = pipeline.make_angle_map(zeroed, cfg.pipeline, loc, cfg.layout)
+    assert np.array_equal(a.power, b.power)

@@ -176,6 +176,33 @@ def test_custom_geometry_object():
     assert cfg.geometry.rx_elements == ((0, 0), (1, 0))
 
 
+@pytest.mark.parametrize("key,short,enough", [
+    ("n_fft_range", 128, 256),  # n_adc is 256
+    ("n_fft_azimuth", 64, 128),  # the cascade's azimuth ULA has 86 elements
+])
+def test_fft_shorter_than_its_input_is_rejected(key, short, enough):
+    doc = minimal_doc()
+    doc["pipeline"][key] = short
+    with pytest.raises(ConfigError, match=rf"config\.pipeline\.{key} {short} is smaller"):
+        parse_run_config(doc)
+    doc["pipeline"][key] = enough
+    assert getattr(parse_run_config(doc).pipeline, key) == enough
+
+
+def test_azimuth_fft_is_sized_against_the_geometry_ula():
+    doc = minimal_doc()
+    doc["geometry"] = {
+        "tx_elements": [[0, 0], [2, 0]],
+        "rx_elements": [[0, 0], [1, 0]],  # virtual positions 0..3: a 4-element ULA
+    }
+    doc["chirp"]["fc_hz"] = 60.0e9
+    doc["pipeline"]["n_fft_azimuth"] = 4
+    assert parse_run_config(doc).pipeline.n_fft_azimuth == 4
+    doc["pipeline"]["n_fft_azimuth"] = 2
+    with pytest.raises(ConfigError, match=r"azimuth ULA length 4"):
+        parse_run_config(doc)
+
+
 def test_custom_geometry_requires_integer_grid():
     doc = minimal_doc()
     doc["geometry"] = {"tx_elements": [[0.5, 0]], "rx_elements": [[0, 0]]}

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -239,6 +240,40 @@ def test_synthesize_frame_overwrites_its_out_slot(table2, cascade):
     assert synthesize_frame(scene, cfg, cascade, 1, out=slot) is slot
     assert np.array_equal(slot, synthesize_frame(scene, cfg, cascade, 1))
     assert np.all(cube[0] == 7 + 7j)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_reuses_one_product_buffer_per_worker(table2, cascade, monkeypatch, threads):
+    """Each worker hands its frames one coarse @ fine buffer; the frames
+    equal those made alone, whose product is freshly allocated."""
+    sim = importlib.import_module("multivital.simulate")  # the package's .simulate is the function
+    cfg = dataclasses.replace(table2, n_frames=6)
+    scene = _static_scene((0.0, 0.8, 0.0), mode="exact-path", snr_db=10.0, seed=5)
+    buffers = {}
+    original = sim.synthesize_frame
+
+    def recording(*args, work=None, **kwargs):
+        buffers[args[3]] = work
+        return original(*args, work=work, **kwargs)
+
+    monkeypatch.setattr(sim, "synthesize_frame", recording)
+    monkeypatch.setenv("MULTIVITAL_THREADS", threads)
+    cube = simulate(scene, cfg, cascade)
+    assert sorted(buffers) == list(range(6))
+    b = math.isqrt(cfg.n_adc - 1) + 1
+    assert all(w.shape == (cascade.n_tx, cascade.n_rx, b, b) for w in buffers.values())
+    assert len({id(w) for w in buffers.values()}) == int(threads)
+    for m in range(6):
+        assert np.array_equal(cube.samples[m], original(scene, cfg, cascade, m))
+
+
+def test_synthesize_frame_overwrites_its_work_buffer(table1, cascade):
+    # n_adc 250 leaves 6 of the 16 x 16 product cells unused per channel
+    cfg = dataclasses.replace(table1, n_adc=250, n_frames=1)
+    scene = _static_scene((0.3, 2.0, 0.1), mode="plane-wave", snr_db=None)
+    work = np.full((cascade.n_tx, cascade.n_rx, 16, 16), np.nan, dtype=np.complex128)
+    frame = synthesize_frame(scene, cfg, cascade, 0, work=work)
+    assert np.array_equal(frame, synthesize_frame(scene, cfg, cascade, 0))
 
 
 def test_noise_power_matches_snr(table2, cascade):
