@@ -15,7 +15,6 @@ from .config import (
 )
 from .doa import (
     AngleMap,
-    PhaseErrorTable,
     REGION_IDS,
     RegionSignal,
     angle_map,
@@ -58,7 +57,7 @@ from .rangeproc import (
     range_fft,
 )
 from .runconfig import PipelineConfig, RunConfig, load_run_config
-from .scg import FilterSpec, ScgChannel, ScgTrace, scg_to_displacement
+from .scg import ScgChannel, ScgTrace, scg_to_displacement
 from .simulate import (
     RawDataCube,
     SampledMotion,
@@ -76,7 +75,6 @@ from .vitals import (
     phase_to_displacement,
     region_signal_to_trace,
     spectral_peak_frequency,
-    unwrap,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +85,6 @@ __all__ = [
     "DerivedWaveform",
     "derive_waveform",
     "AngleMap",
-    "PhaseErrorTable",
     "REGION_IDS",
     "RegionSignal",
     "angle_map",
@@ -126,7 +123,6 @@ __all__ = [
     "PipelineConfig",
     "RunConfig",
     "load_run_config",
-    "FilterSpec",
     "ScgChannel",
     "ScgTrace",
     "load_scg_csv",
@@ -145,6 +141,5 @@ __all__ = [
     "phase_to_displacement",
     "region_signal_to_trace",
     "spectral_peak_frequency",
-    "unwrap",
     "__version__",
 ]

@@ -31,7 +31,7 @@ from .metrics import compare_traces
 from .pipeline import make_angle_map, run_pipeline
 from .rangeproc import SubjectLocation
 from .runconfig import load_run_config
-from .scg import FilterSpec, scg_to_displacement
+from .scg import scg_to_displacement
 from .simulate import simulate
 from .vitals import DisplacementTrace, dominant_frequency
 
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scg", help="integrate accelerometer channels to displacement")
     p.add_argument("--in", dest="infile", required=True, help="accelerometer CSV")
     p.add_argument("--out", required=True, help="output displacement CSV path")
-    p.add_argument("--cutoff", type=float, default=None,
+    p.add_argument("--cutoff", type=float, default=0.5,
                    help="high-pass cutoff in Hz (default 0.5)")
     p.set_defaults(func=_cmd_scg)
 
@@ -136,8 +136,7 @@ def _cmd_process(args) -> int:
 
 def _cmd_scg(args) -> int:
     channels, ecg, _ = load_scg_csv(args.infile)
-    spec = FilterSpec() if args.cutoff is None else FilterSpec(cutoff=args.cutoff)
-    traces = [tr for ch in channels for tr in scg_to_displacement(ch, spec)]
+    traces = [tr for ch in channels for tr in scg_to_displacement(ch, args.cutoff)]
     export_scg_traces(traces, ecg, args.out)
     print(f"wrote {len(traces)} trace(s) to {args.out}")
     return 0
@@ -186,7 +185,6 @@ def _truth_traces(cfg, region_ids) -> list[DisplacementTrace]:
         d = point.radial_displacement(times)  # m
         traces.append(DisplacementTrace(
             region=rid,
-            t0=0.0,
             frame_rate=frame_rate,
             displacement=d * 1000.0,
             phase=4.0 * np.pi * d / wl,

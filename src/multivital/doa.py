@@ -36,14 +36,6 @@ REGION_IDS = ("A", "P", "T", "E", "M")
 
 
 @dataclass(frozen=True)
-class PhaseErrorTable:
-    """Per-junction phase steps on the angular grid, for one subject range."""
-
-    dphi: np.ndarray  # rad, shape (n_junctions, n_fft)
-    range_z: float  # m
-
-
-@dataclass(frozen=True)
 class AngleMap:
     """Beamformed power over azimuth x elevation for one frame at one bin."""
 
@@ -58,11 +50,6 @@ class RegionSignal:
 
     region: str
     slowtime: np.ndarray  # complex, length n_frames
-
-    def validate(self) -> "RegionSignal":
-        if self.region not in REGION_IDS:
-            raise ConfigError(f"region must be one of {REGION_IDS}, got {self.region!r}")
-        return self
 
 
 def _shifted_grid(n_fft: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,27 +81,28 @@ class Beamformer:
         sel: AzimuthUlaSelection,
         geom: ArrayGeometry,
         n_fft: int,
-        table: PhaseErrorTable | None = None,
+        dphi: np.ndarray | None = None,
     ) -> "Beamformer":
         """Beamformer for a ULA selection of geom.
 
         The weight of ULA position p at grid index l is
-        exp(+2 pi j l p / n_fft). A phase table from build_phase_error_table
-        turns on near-field junction compensation: the weights of block b
-        are rotated by exp(-j sum of the first b table rows).
+        exp(+2 pi j l p / n_fft). A phase table dphi from
+        build_phase_error_table turns on near-field junction compensation:
+        the weights of block b are rotated by exp(-j sum of the first b
+        table rows).
         """
         n_ula = len(sel.chosen)
         if n_fft < n_ula:
             raise ConfigError(f"n_fft {n_fft} is smaller than the array length {n_ula}")
         l, _ = _shifted_grid(n_fft)
         weights = np.exp(2j * np.pi * np.outer(l, np.arange(n_ula)) / n_fft)
-        if table is not None:
-            if table.dphi.shape != (len(sel.junctions), n_fft):
+        if dphi is not None:
+            if dphi.shape != (len(sel.junctions), n_fft):
                 raise ProcessingError(
-                    f"phase table shape {table.dphi.shape} does not match "
+                    f"phase table shape {dphi.shape} does not match "
                     f"{len(sel.junctions)} junctions x n_fft {n_fft}"
                 )
-            rot = np.exp(-1j * np.cumsum(table.dphi, axis=0))
+            rot = np.exp(-1j * np.cumsum(dphi, axis=0))
             for (start, stop), r in zip(sel.blocks[1:], rot):
                 weights[:, start:stop + 1] *= r[:, None]
         grouped: dict[int, list[tuple[int, int]]] = {}
@@ -254,11 +242,12 @@ def build_phase_error_table(
     wavelength: float,
     z: float,
     n_fft: int,
-) -> PhaseErrorTable:
+) -> np.ndarray:
     """Tabulate junction phase errors over the full angular grid.
 
-    Grid indices with |2l / n_fft| >= 1 have no real steering angle and get
-    zero entries (no compensation there).
+    Returns dphi, rad, shape (n_junctions, n_fft). Grid indices with
+    |2l / n_fft| >= 1 have no real steering angle and get zero entries (no
+    compensation there).
     """
     l, _ = _shifted_grid(n_fft)
     frac = 2.0 * l / n_fft
@@ -267,7 +256,7 @@ def build_phase_error_table(
     dphi[:, valid] = junction_phase_error(
         sel, geom, wavelength, z, np.arcsin(frac[valid])
     )
-    return PhaseErrorTable(dphi=dphi, range_z=z)
+    return dphi
 
 
 def select_region_signal(
@@ -312,21 +301,16 @@ def select_region_signal(
                 f"region {rid} azimuth {phi:.3f} rad falls off the angular grid"
             )
         combined = bf.steer(y, [l_star], [np.sin(theta)])[0, 0]
-        out.append(RegionSignal(region=rid, slowtime=combined).validate())
+        out.append(RegionSignal(region=rid, slowtime=combined))
     return out
 
 
-def angle_map(bf: Beamformer, y: np.ndarray, frame: int = 0) -> AngleMap:
-    """Azimuth x elevation beamformed power of one frame of raw data y,
+def angle_map(bf: Beamformer, y: np.ndarray) -> AngleMap:
+    """Azimuth x elevation beamformed power of frame 0 of raw data y,
     elevation on a 1 degree grid from -45 to 45 degrees."""
-    n_frames = y.shape[1]
-    if not 0 <= frame < n_frames:
-        raise ProcessingError(f"frame {frame} outside 0..{n_frames - 1}")
     elevation_grid = np.deg2rad(np.arange(-45.0, 46.0, 1.0))
-
-    y = y[:, frame:frame + 1]
     l, az_grid = _shifted_grid(bf.n_fft)
-    combined = bf.steer(y, l, np.sin(elevation_grid))[:, :, 0]
+    combined = bf.steer(y[:, :1], l, np.sin(elevation_grid))[:, :, 0]
     return AngleMap(
         power=np.abs(combined) ** 2,
         azimuth_grid=az_grid,

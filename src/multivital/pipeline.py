@@ -38,11 +38,11 @@ def steer_subject(
     phase table at range_z (the subject's range when None), then the
     Beamformer and the complex128 subject-bin slab (channels, frames).
     """
-    table = None
+    dphi = None
     if calibrate:
         z = loc.range_m if range_z is None else range_z
-        table = build_phase_error_table(sel, geom, wavelength, z, n_fft)
-    bf = Beamformer.build(sel, geom, n_fft, table)
+        dphi = build_phase_error_table(sel, geom, wavelength, z, n_fft)
+    bf = Beamformer.build(sel, geom, n_fft, dphi)
     return bf, extract_range_bin(rc, loc.bin).astype(np.complex128)
 
 

@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import ConfigError, ProcessingError
 
+FILTER_ORDER = 4  # Butterworth (maximally flat) high-pass used throughout the chain
+TRANSIENT_S = 2.0  # s flagged as filter transient, and tapered, at each record end
+
 
 @dataclass(frozen=True)
 class ScgChannel:
@@ -37,23 +40,9 @@ class ScgChannel:
         n = len(self.ax)
         if len(self.ay) != n or len(self.az) != n:
             raise ConfigError("scg axis vectors must have equal lengths")
-        return self
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Butterworth (maximally flat) high-pass filter used throughout the chain."""
-
-    cutoff: float = 0.5  # Hz
-    order: int = 4
-
-    def validate(self, fs: float) -> "FilterSpec":
-        if not 0 < self.cutoff < fs / 2:
-            raise ConfigError(
-                f"cutoff {self.cutoff} Hz must lie in (0, fs/2) = (0, {fs / 2}) Hz"
-            )
-        if self.order < 1:
-            raise ConfigError("filter order must be >= 1")
+        for axis, acc in (("ax", self.ax), ("ay", self.ay), ("az", self.az)):
+            if not np.all(np.isfinite(acc)):
+                raise ConfigError(f"scg region {self.region} {axis} has non-finite samples")
         return self
 
 
@@ -83,13 +72,13 @@ def detrend(x: np.ndarray) -> np.ndarray:
     return signal.detrend(x, type="linear")
 
 
-def _highpass(x: np.ndarray, fs: float, spec: FilterSpec) -> np.ndarray:
+def _highpass(x: np.ndarray, fs: float, cutoff: float) -> np.ndarray:
     from scipy import signal  # deferred: only the SCG chain pays its import
 
-    sos = signal.butter(spec.order, spec.cutoff, btype="highpass", fs=fs, output="sos")
+    sos = signal.butter(FILTER_ORDER, cutoff, btype="highpass", fs=fs, output="sos")
     # the default pad is a few dozen samples; at sub-Hz cutoffs the filter
     # memory is seconds, so pad three cutoff periods
-    padlen = min(len(x) - 1, int(round(3.0 * fs / spec.cutoff)))
+    padlen = min(len(x) - 1, int(round(3.0 * fs / cutoff)))
     return signal.sosfiltfilt(sos, x, padlen=padlen)
 
 
@@ -103,25 +92,18 @@ def _end_taper(n: int, transient: int) -> np.ndarray:
     return wnd
 
 
-def scg_to_displacement(
-    ch: ScgChannel,
-    spec: FilterSpec = FilterSpec(),
-    transient_s: float = 2.0,
-    decimate_to: float | None = None,
-) -> list[ScgTrace]:
+def scg_to_displacement(ch: ScgChannel, cutoff: float = 0.5) -> list[ScgTrace]:
     """Calibrate a triaxial acceleration record into displacement, mm.
+
+    The first and last TRANSIENT_S seconds are flagged as filter transient;
+    the same span is cosine-tapered before filtering so edge effects stay
+    inside it.
 
     Parameters
     ----------
     ch : ScgChannel
-    spec : FilterSpec
-        High-pass applied three times along the chain.
-    transient_s : float
-        Seconds flagged as filter transient at each end. The same span is
-        cosine-tapered before filtering so edge effects stay inside it.
-    decimate_to : float, optional
-        Target rate for polyphase decimation before the chain; content above
-        the cutoff is preserved. Useful for 20 kHz recordings.
+    cutoff : float
+        Hz, of the high-pass applied three times along the chain.
 
     Returns
     -------
@@ -129,42 +111,38 @@ def scg_to_displacement(
 
     Raises
     ------
+    ConfigError
+        If the cutoff does not lie in (0, fs/2).
     ProcessingError
         If the record is shorter than 10 filter time constants.
     """
-    # deferred: simulate and process never load scipy.signal or scipy.integrate
-    from scipy import signal
+    # deferred: simulate and process never load scipy.integrate
     from scipy.integrate import cumulative_trapezoid
 
     ch.validate()
     fs = ch.fs
-    axes = {"x": ch.ax, "y": ch.ay, "z": ch.az}
-    if decimate_to is not None and fs > decimate_to:
-        q = int(round(fs / decimate_to))
-        axes = {k: signal.resample_poly(np.asarray(v, dtype=np.float64), 1, q)
-                for k, v in axes.items()}
-        fs = fs / q
-    spec.validate(fs)
-    n = len(axes["x"])
+    if not 0 < cutoff < fs / 2:
+        raise ConfigError(f"cutoff {cutoff} Hz must lie in (0, fs/2) = (0, {fs / 2}) Hz")
+    n = len(ch.ax)
     duration = n / fs  # s
-    min_duration = 10.0 / (2.0 * np.pi * spec.cutoff)  # 10 time constants
+    min_duration = 10.0 / (2.0 * np.pi * cutoff)  # 10 time constants
     if duration < min_duration:
         raise ProcessingError(
             f"record of {duration:.2f} s is shorter than 10 filter time "
-            f"constants ({min_duration:.2f} s at {spec.cutoff} Hz cutoff)"
+            f"constants ({min_duration:.2f} s at {cutoff} Hz cutoff)"
         )
     dt = 1.0 / fs
-    transient = int(round(transient_s * fs))
+    transient = int(round(TRANSIENT_S * fs))
     wnd = _end_taper(n, transient)
     out = []
-    for axis, acc in axes.items():
+    for axis, acc in (("x", ch.ax), ("y", ch.ay), ("z", ch.az)):
         a = detrend(np.asarray(acc, dtype=np.float64))
-        a = _highpass((a - a.mean()) * wnd, fs, spec)
+        a = _highpass((a - a.mean()) * wnd, fs, cutoff)
         v = cumulative_trapezoid(a, dx=dt, initial=0.0)
         v = detrend(v)
-        v = _highpass(v - v.mean(), fs, spec)
+        v = _highpass(v - v.mean(), fs, cutoff)
         d = cumulative_trapezoid(v, dx=dt, initial=0.0)
-        d = _highpass(d, fs, spec)
+        d = _highpass(d, fs, cutoff)
         out.append(
             ScgTrace(
                 region=ch.region,

@@ -20,7 +20,6 @@ class DisplacementTrace:
     """
 
     region: str
-    t0: float  # s
     frame_rate: float  # Hz
     displacement: np.ndarray  # mm
     phase: np.ndarray  # rad, unwrapped, phase[0] == 0
@@ -32,21 +31,19 @@ class DisplacementTrace:
         phase_unwrapped: np.ndarray,
         wavelength: float,
         frame_rate: float,
-        t0: float = 0.0,
     ) -> "DisplacementTrace":
-        rel = np.asarray(phase_unwrapped, dtype=np.float64)
-        rel = rel - rel[0]
+        phase = np.asarray(phase_unwrapped, dtype=np.float64)
+        displacement = phase_to_displacement(phase, wavelength)
         return cls(
             region=region,
-            t0=t0,
             frame_rate=frame_rate,
-            displacement=phase_to_displacement(rel, wavelength),
-            phase=rel,
+            displacement=displacement,
+            phase=phase - phase[0],
         )
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(len(self.phase)) / self.frame_rate  # s
+        return np.arange(len(self.phase)) / self.frame_rate  # s
 
 
 def extract_phase(s: RegionSignal) -> tuple[np.ndarray, list[int]]:
@@ -70,11 +67,6 @@ def extract_phase(s: RegionSignal) -> tuple[np.ndarray, list[int]]:
     return phase, [int(i) for i in flagged]
 
 
-def unwrap(phase: np.ndarray) -> np.ndarray:
-    """Remove 2 pi jumps so successive differences stay within (-pi, pi]."""
-    return np.unwrap(np.asarray(phase, dtype=np.float64))
-
-
 def phase_to_displacement(phase: np.ndarray, wavelength: float) -> np.ndarray:
     """Radial displacement in mm from unwrapped phase, relative to frame 0.
 
@@ -82,16 +74,18 @@ def phase_to_displacement(phase: np.ndarray, wavelength: float) -> np.ndarray:
     displacement = wavelength * (phase - phase[0]) / (4 pi).
     """
     p = np.asarray(phase, dtype=np.float64)
+    if p.size == 0:
+        raise ProcessingError("empty phase input: displacement is relative to frame 0")
     return 1000.0 * wavelength * (p - p[0]) / (4.0 * np.pi)
 
 
 def region_signal_to_trace(
-    s: RegionSignal, wavelength: float, frame_rate: float, t0: float = 0.0
+    s: RegionSignal, wavelength: float, frame_rate: float
 ) -> DisplacementTrace:
     """Full chain: wrapped phase -> unwrap -> relative displacement trace."""
     wrapped, _ = extract_phase(s)
     return DisplacementTrace.from_phase(
-        s.region, unwrap(wrapped), wavelength, frame_rate, t0
+        s.region, np.unwrap(wrapped), wavelength, frame_rate
     )
 
 

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from multivital import (
-    PhaseErrorTable,
     RegionSignal,
     ScatterPoint,
     Scene,
@@ -29,7 +28,7 @@ from multivital.metrics import max_freq_difference
 from multivital.pipeline import estimate_angles, steer_subject
 from multivital.rangeproc import locate_subject, range_fft
 from multivital.runconfig import load_run_config
-from multivital.scg import FilterSpec, ScgChannel, scg_to_displacement
+from multivital.scg import ScgChannel, scg_to_displacement
 
 
 def _report(capsys, name: str, ok: bool, detail: str) -> None:
@@ -135,9 +134,7 @@ def test_a4_block_recombination_matches_direct_dft(cascade, ula, capsys):
     rng = np.random.default_rng(2024)
     n_ula = len(ula.chosen)
     beamformers = {
-        n: Beamformer.build(ula, cascade, n, PhaseErrorTable(
-            dphi=np.zeros((len(ula.junctions), n)), range_z=1.0
-        ))
+        n: Beamformer.build(ula, cascade, n, np.zeros((len(ula.junctions), n)))
         for n in (128, 256, 512)
     }
     y = np.zeros((cascade.n_tx * cascade.n_rx, 1), dtype=np.complex128)
@@ -233,7 +230,7 @@ def test_a7_scg_double_integration(capsys):
 
     def amplitude(bias):
         ch = ScgChannel(fs=fs, ax=tone + bias, ay=quiet, az=quiet, region="A")
-        tr = next(t for t in scg_to_displacement(ch, FilterSpec()) if t.axis == "x")
+        tr = next(t for t in scg_to_displacement(ch) if t.axis == "x")
         d = tr.trimmed
         return float(d.max() - d.min()) / 2.0
 

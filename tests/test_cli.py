@@ -18,7 +18,7 @@ import multivital.pipeline as pipeline
 from multivital.cli import main
 from multivital.io import load_cube, load_scg_csv, read_trace_table, save_cube
 from multivital.runconfig import load_run_config
-from multivital.scg import FilterSpec, scg_to_displacement
+from multivital.scg import scg_to_displacement
 
 RATE = 250.0  # Hz, synthetic accelerometer rate
 
@@ -353,7 +353,7 @@ def test_scg_output_matches_csv_writer(tmp_path, capsys):
     _write_accel_csv(accel, region='R,"1')
     assert main(["scg", "--in", str(accel), "--out", str(out)]) == 0
     channels, ecg, _ = load_scg_csv(str(accel))
-    traces = [tr for ch in channels for tr in scg_to_displacement(ch, FilterSpec())]
+    traces = [tr for ch in channels for tr in scg_to_displacement(ch)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["time_s", "region", "axis", "displacement_mm", "ecg"])
@@ -432,6 +432,23 @@ def test_scg_cutoff_override(tmp_path, capsys):
                  "--cutoff", "0.8"]) == 0
     assert out.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cutoff", ["0", "nan", "inf", str(RATE / 2)])
+def test_scg_bad_cutoff_reports_config_error(tmp_path, capsys, cutoff):
+    """A cutoff outside (0, fs/2) fails scg as one JSON config error, and
+    no output is written."""
+    accel = tmp_path / "accel.csv"
+    out = tmp_path / "disp.csv"
+    _write_accel_csv(accel)
+    capsys.readouterr()
+    assert main(["scg", "--in", str(accel), "--out", str(out), "--cutoff", cutoff]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one object, nothing else
+    assert err["error"] == "config"
+    assert "cutoff" in err["message"]
+    assert not out.exists()
 
 
 def test_compare_self_is_perfect(workdir, tmp_path, capsys):

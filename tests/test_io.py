@@ -210,7 +210,7 @@ def test_trace_export_matches_csv_writer(tmp_path):
     t = np.arange(30) / 20.0
     traces = [
         DisplacementTrace.from_phase("A", 0.5 * np.sin(2 * np.pi * t), WL, 20.0),
-        DisplacementTrace.from_phase('P,"q', 1e-9 * np.cos(t), WL, 20.0, t0=3.7),
+        DisplacementTrace.from_phase('P,"q', 1e-9 * np.cos(t), WL, 20.0),
     ]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -96,6 +96,21 @@ def test_elevation_of_target_at_known_elevation(r, theta_deg, near_field):
     assert abs(np.degrees(result.elevation_peak_rad) - theta_deg) <= 1.0
 
 
+@pytest.mark.parametrize("near_field", [
+    False,
+    pytest.param(True, marks=pytest.mark.xfail(
+        strict=True, reason="near-field map steers a compensated row 0 with "
+                            "uncompensated elevation rows: 10 deg reads 7 deg")),
+])
+def test_angle_map_peak_at_known_elevation(near_field):
+    """At 1.0 m and 10 deg, the map's peak lies within one 1 deg cell of the truth."""
+    cfg, cube = _elevated_cube(1.0, 10)
+    loc = _run_location(cube, cfg, None, near_field)
+    amap = pipeline.make_angle_map(cube, cfg.pipeline, loc, None, near_field)
+    _, k = np.unravel_index(np.argmax(amap.power), amap.power.shape)
+    assert abs(k - int(np.argmin(np.abs(amap.elevation_grid - np.radians(10))))) <= 1
+
+
 @pytest.fixture(scope="module")
 def single_target():
     """Twelve frames of sim-single-target, which has no layout."""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,7 +8,6 @@ import pytest
 from multivital.errors import ConfigError, ProcessingError
 from multivital.io import load_scg_csv
 from multivital.scg import (
-    FilterSpec,
     ScgChannel,
     detrend,
     scg_to_displacement,
@@ -49,17 +49,9 @@ def test_silent_axis_stays_silent():
 
 
 def test_transient_trim():
-    tr = scg_to_displacement(_tone_channel(fs=200.0), transient_s=2.0)[0]
+    tr = scg_to_displacement(_tone_channel(fs=200.0))[0]
     assert tr.transient_samples == 400
     assert len(tr.trimmed) == len(tr.displacement) - 800
-
-
-def test_decimation():
-    tr = scg_to_displacement(_tone_channel(fs=2000.0, seconds=20.0),
-                             decimate_to=200.0)[0]
-    assert tr.fs == pytest.approx(200.0)
-    assert len(tr.displacement) == 4000
-    assert _amplitude(tr) == pytest.approx(0.10132, rel=0.02)
 
 
 def test_short_record_raises():
@@ -68,10 +60,9 @@ def test_short_record_raises():
         scg_to_displacement(_tone_channel(seconds=2.0))
 
 
-def test_filter_spec_validation():
-    with pytest.raises(ConfigError):
-        FilterSpec(cutoff=300.0).validate(fs=500.0)
-    assert FilterSpec().validate(fs=500.0)
+def test_cutoff_validation():
+    with pytest.raises(ConfigError, match=re.escape("cutoff 300.0 Hz must lie in (0, fs/2)")):
+        scg_to_displacement(_tone_channel(fs=500.0), cutoff=300.0)
 
 
 def test_channel_validation():
@@ -88,6 +79,17 @@ def test_channel_validation_rejects_non_finite_rate(fs):
     with pytest.raises(ConfigError, match="finite"):
         ScgChannel(fs=fs, ax=np.zeros(4), ay=np.zeros(4), az=np.zeros(4),
                    region="A").validate()
+
+
+@pytest.mark.parametrize("axis", ["ax", "ay", "az"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_channel_validation_rejects_non_finite_samples(axis, bad):
+    ch = _tone_channel(region="T")
+    acc = getattr(ch, axis).copy()
+    acc[100] = bad
+    ch = dataclasses.replace(ch, **{axis: acc})
+    with pytest.raises(ConfigError, match=f"region T {axis} has non-finite samples"):
+        scg_to_displacement(ch)
 
 
 def test_detrend_removes_line():

@@ -11,7 +11,6 @@ from multivital.vitals import (
     phase_to_displacement,
     region_signal_to_trace,
     spectral_peak_frequency,
-    unwrap,
 )
 
 WL = 3.893409e-3  # m
@@ -40,13 +39,12 @@ def test_extract_phase_zero_samples():
 @settings(max_examples=100, deadline=None)
 def test_unwrap_recovers_bounded_step_ramps(steps):
     # Any phase path whose per-sample step stays below pi survives the
-    # wrap/unwrap round trip up to a 2 pi k offset of the whole trace.
+    # wrap/unwrap round trip of region_signal_to_trace, relative to frame 0.
     phase = np.cumsum(np.asarray(steps))
-    wrapped = np.angle(np.exp(1j * phase))
-    rebuilt = unwrap(wrapped)
-    rel = rebuilt - rebuilt[0]
+    s = RegionSignal(region="A", slowtime=np.exp(1j * phase))
+    tr = region_signal_to_trace(s, WL, 20.0)
     want = phase - phase[0]
-    assert np.max(np.abs(rel - want)) < 1e-9
+    assert np.max(np.abs(tr.phase - want)) < 1e-9
 
 
 def test_phase_to_displacement_one_wavelength():
@@ -67,6 +65,13 @@ def test_from_phase_invariant():
     assert tr.phase[0] == 0.0
     assert np.allclose(tr.displacement, 1000.0 * WL * tr.phase / (4 * np.pi))
     assert np.allclose(tr.times, [0.0, 0.05, 0.10])
+
+
+def test_empty_phase_input_is_a_processing_error():
+    with pytest.raises(ProcessingError, match="empty phase"):
+        phase_to_displacement(np.array([]), WL)
+    with pytest.raises(ProcessingError, match="empty phase"):
+        DisplacementTrace.from_phase("A", np.array([]), WL, 20.0)
 
 
 def test_region_signal_to_trace_round_trip():
