@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import derive_waveform
-from .errors import MultivitalError, ProcessingError
+from .errors import MultivitalError
 from .io import (
     export_angle_map,
     export_scg_traces,
@@ -29,7 +29,6 @@ from .io import (
 )
 from .metrics import compare_traces
 from .pipeline import make_angle_map, run_pipeline
-from .rangeproc import SubjectLocation
 from .runconfig import load_run_config
 from .scg import scg_to_displacement
 from .simulate import simulate
@@ -120,14 +119,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_process(args) -> int:
     cfg = load_run_config(args.config)
     cube = load_cube(args.cube, geometry=cfg.geometry)
-    near = None if args.near_field is None else args.near_field == "on"
-    result = run_pipeline(cube, cfg.pipeline, layout=cfg.layout, near_field=near)
+    pcfg = cfg.pipeline
+    if args.near_field is not None:
+        pcfg = dataclasses.replace(pcfg, near_field=args.near_field == "on")
+    result = run_pipeline(cube, pcfg, layout=cfg.layout)
     export_traces(result.traces, args.out)
     if args.angle_map:
-        loc = SubjectLocation(bin=result.range_bin, range_m=result.range_m)
-        export_angle_map(
-            make_angle_map(cube, cfg.pipeline, loc, cfg.layout, near), args.angle_map
-        )
+        export_angle_map(make_angle_map(cube, pcfg, result), args.angle_map)
     print(f"subject at {result.range_m:.3f} m (bin {result.range_bin}), "
           f"azimuth peak {np.degrees(result.azimuth_peak_rad):.2f} deg; "
           f"wrote {len(result.traces)} trace(s) to {args.out}")
@@ -146,7 +144,8 @@ def _paired_tables(radar_tbl: dict, ref_tbl: dict) -> tuple[dict, dict]:
     """Match radar regions to reference keys, including per-axis SCG keys.
 
     A radar region "A" pairs with a reference "A" or with "A.x"/"A.y"/"A.z";
-    per-axis pairs keep the axis suffix in the output key.
+    per-axis pairs keep the axis suffix in the output key. No pair at all
+    is left for compare_traces to refuse.
     """
     radar_m: dict[str, tuple[np.ndarray, float]] = {}
     ref_m: dict[str, tuple[np.ndarray, float]] = {}
@@ -158,8 +157,6 @@ def _paired_tables(radar_tbl: dict, ref_tbl: dict) -> tuple[dict, dict]:
             ref_entry = ref_tbl[key]
             radar_m[key] = (entry["displacement_mm"], rate)
             ref_m[key] = (ref_entry["displacement_mm"], trace_rate_hz(ref_entry["time_s"]))
-    if not radar_m:
-        raise ProcessingError("no overlapping regions between the two trace tables")
     return radar_m, ref_m
 
 

@@ -261,8 +261,9 @@ def load_scg_csv(path: str) -> tuple[list[ScgChannel], np.ndarray, np.ndarray]:
     Raises
     ------
     ProcessingError
-        For an empty file, a wrong header, fewer than 2 rows or time steps
-        that imply no finite rate, and, naming the line, for text that is
+        For an empty file, a wrong header or one with no acceleration
+        columns, fewer than 2 rows or time steps that imply no finite
+        rate, and, naming the line, for text that is
         not UTF-8 CSV, a row whose field count differs from the header's, a
         cell that is not a finite number or a time_s that does not strictly
         increase.
@@ -270,7 +271,7 @@ def load_scg_csv(path: str) -> tuple[list[ScgChannel], np.ndarray, np.ndarray]:
     with open(path, newline="", encoding="utf-8") as fh:
         chunks = _csv_chunks(path, fh)
         header = [h.strip() for h in next(chunks)]
-        if header[0] != "time_s" or header[-1] != "ecg":
+        if header[0] != "time_s" or header[-1] != "ecg" or len(header) < 3:
             raise ProcessingError(
                 f"{path}: expected columns time_s, <region>_a[xyz]..., ecg; got {header}"
             )
@@ -298,10 +299,10 @@ def load_scg_csv(path: str) -> tuple[list[ScgChannel], np.ndarray, np.ndarray]:
             f"{path}, line {line}: time_s {row[0]!r} does not "
             f"increase on the {_data_row(path, k - 1)[1][0]!r} before it"
         )
-    with np.errstate(over="ignore"):  # a step past the float range reads as inf
-        fs = 1.0 / float(np.median(np.diff(time_s)))
-    if not 0 < fs < math.inf:
-        raise ProcessingError(f"{path}: time_s steps imply a sample rate of {fs} Hz")
+    try:
+        fs = trace_rate_hz(time_s)
+    except ProcessingError as exc:
+        raise ProcessingError(f"{path}: {exc}") from None
 
     regions: dict[str, dict[str, np.ndarray]] = {}
     for name, values in zip(header[1:-1], accel):
@@ -408,10 +409,14 @@ def _float_or_nan(cell: str) -> float:
 
 
 def trace_rate_hz(time_s: np.ndarray) -> float:
-    """Sample rate implied by a time column."""
+    """Sample rate implied by a time column; it must be finite and positive."""
     if len(time_s) < 2:
         raise ProcessingError("need at least 2 samples to infer a rate")
-    return 1.0 / float(np.median(np.diff(time_s)))
+    with np.errstate(over="ignore", divide="ignore"):  # past the float range reads as inf
+        fs = float(1.0 / np.median(np.diff(time_s)))
+    if not 0 < fs < math.inf:
+        raise ProcessingError(f"time_s steps imply a sample rate of {fs} Hz")
+    return fs
 
 
 def export_angle_map(am: AngleMap, path: str) -> None:

@@ -125,16 +125,25 @@ def max_freq_difference(
 def align_rates(
     r: np.ndarray, rate_r: float, x: np.ndarray, rate_x: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Resample the faster trace to the slower rate with a polyphase filter."""
+    """Resample the faster trace to the slower rate with a polyphase filter.
+
+    Raises ProcessingError when the rates are so far apart that their
+    ratio rounds to 0.
+    """
     if rate_r == rate_x:
         return np.asarray(r, dtype=np.float64), np.asarray(x, dtype=np.float64), rate_r
     if rate_r > rate_x:
         x_aligned, r_aligned, rate = align_rates(x, rate_x, r, rate_r)
         return r_aligned, x_aligned, rate
     # r is the slower one; bring x down to rate_r.
+    ratio = Fraction(rate_r / rate_x).limit_denominator(10_000)
+    if ratio == 0:
+        raise ProcessingError(
+            f"cannot resample {rate_x} Hz to {rate_r} Hz: the rate ratio "
+            "rounds to 0 at denominators up to 10000"
+        )
     from scipy.signal import resample_poly  # deferred: only compare resamples
 
-    ratio = Fraction(rate_r / rate_x).limit_denominator(10_000)
     x_down = resample_poly(np.asarray(x, dtype=np.float64),
                            ratio.numerator, ratio.denominator)
     return np.asarray(r, dtype=np.float64), x_down, rate_r

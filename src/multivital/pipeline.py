@@ -10,7 +10,7 @@ from .config import derive_waveform
 from .doa import Beamformer, angle_map, build_phase_error_table, select_region_signal
 from .geometry import build_virtual_array, select_azimuth_ula
 from .metrics import SensorLayout, compute_alignment
-from .rangeproc import SubjectLocation, extract_range_bin, locate_subject, range_fft
+from .rangeproc import extract_range_bin, locate_subject, range_fft
 from .runconfig import PipelineConfig
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace, region_signal_to_trace
@@ -26,22 +26,21 @@ class PipelineResult:
     elevation_peak_rad: float
     region_angles: dict[str, tuple[float, float]]
     traces: list[DisplacementTrace]
+    beamformer: Beamformer
 
 
 def steer_subject(
-    rc, loc, sel, geom, wavelength: float, n_fft: int,
-    calibrate: bool, range_z: float | None = None,
+    rc, loc, sel, geom, wavelength: float, n_fft: int, range_z: float | None = None,
 ) -> tuple[Beamformer, np.ndarray]:
     """Beamformer for the subject bin and its raw slow-time data.
 
-    The one place a run builds its steering: with calibrate, the near-field
-    phase table at range_z (the subject's range when None), then the
+    The one place a run builds its steering: with range_z, the near-field
+    phase table at that range (no compensation when None), then the
     Beamformer and the complex128 subject-bin slab (channels, frames).
     """
     dphi = None
-    if calibrate:
-        z = loc.range_m if range_z is None else range_z
-        dphi = build_phase_error_table(sel, geom, wavelength, z, n_fft)
+    if range_z is not None:
+        dphi = build_phase_error_table(sel, geom, wavelength, range_z, n_fft)
     bf = Beamformer.build(sel, geom, n_fft, dphi)
     return bf, extract_range_bin(rc, loc.bin).astype(np.complex128)
 
@@ -65,21 +64,20 @@ def estimate_angles(bf: Beamformer, y: np.ndarray) -> tuple[float, float]:
     return azimuth, elevation
 
 
-def _steered_subject(cube, pcfg, layout, near_field, loc=None):
-    """Range pass, subject location (unless loc is given) and steer_subject
-    for one cube. The range cube is freed on return, before the caller's
+def _steered_subject(cube, pcfg, layout):
+    """Range pass, subject location and steer_subject for one cube, with the
+    phase table at the layout's boresight range (else the subject's) when
+    pcfg.near_field. The range cube is freed on return, before the caller's
     own temporaries."""
-    calibrate = pcfg.near_field if near_field is None else near_field
     wavelength = derive_waveform(cube.chirp).wavelength
     geom = cube.geometry
     sel = select_azimuth_ula(build_virtual_array(geom))
     rc = range_fft(cube, pcfg.n_fft_range)
-    if loc is None:
-        loc = locate_subject(rc)
-    range_z = layout.z_a if layout is not None else None
-    bf, y = steer_subject(
-        rc, loc, sel, geom, wavelength, pcfg.n_fft_azimuth, calibrate, range_z
-    )
+    loc = locate_subject(rc)
+    range_z = None
+    if pcfg.near_field:
+        range_z = layout.z_a if layout is not None else loc.range_m
+    bf, y = steer_subject(rc, loc, sel, geom, wavelength, pcfg.n_fft_azimuth, range_z)
     return loc, wavelength, bf, y
 
 
@@ -87,7 +85,6 @@ def run_pipeline(
     cube: RawDataCube,
     pcfg: PipelineConfig,
     layout: SensorLayout | None = None,
-    near_field: bool | None = None,
 ) -> PipelineResult:
     """Process a raw cube into per-region displacement traces.
 
@@ -95,16 +92,8 @@ def run_pipeline(
     scheme and the phase table is built at the layout's boresight range.
     Without one, a single region "A" is placed at the estimated azimuth
     and elevation peak.
-
-    Parameters
-    ----------
-    cube : RawDataCube
-    pcfg : PipelineConfig
-    layout : SensorLayout, optional
-    near_field : bool, optional
-        Override pcfg.near_field when given.
     """
-    loc, wavelength, bf, y = _steered_subject(cube, pcfg, layout, near_field)
+    loc, wavelength, bf, y = _steered_subject(cube, pcfg, layout)
     az_peak, el_peak = estimate_angles(bf, y)
     if layout is not None:
         regions = compute_alignment(layout)
@@ -121,20 +110,17 @@ def run_pipeline(
         elevation_peak_rad=el_peak,
         region_angles=regions,
         traces=traces,
+        beamformer=bf,
     )
 
 
-def make_angle_map(
-    cube: RawDataCube,
-    pcfg: PipelineConfig,
-    loc: SubjectLocation,
-    layout: SensorLayout | None = None,
-    near_field: bool | None = None,
-):
-    """Angle map of frame 0 at the subject location loc, such as run_pipeline's.
+def make_angle_map(cube: RawDataCube, pcfg: PipelineConfig, result: PipelineResult):
+    """Angle map of frame 0 at result's subject bin, steered by result's
+    Beamformer.
 
     Only frame 0 is range-transformed: a one-frame view of the cube.
     """
     first = replace(cube, samples=cube.samples[:1], chirp=replace(cube.chirp, n_frames=1))
-    _, _, bf, y = _steered_subject(first, pcfg, layout, near_field, loc)
-    return angle_map(bf, y)
+    rc = range_fft(first, pcfg.n_fft_range)
+    y = extract_range_bin(rc, result.range_bin).astype(np.complex128)
+    return angle_map(result.beamformer, y)

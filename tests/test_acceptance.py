@@ -109,9 +109,9 @@ def test_a3_junction_calibration_sweep(table2, cascade, ula, capsys):
         cube = simulate(scene, chirp, cascade)
         rc = range_fft(cube, 256)
         loc = locate_subject(rc)
-        bf, y = steer_subject(rc, loc, ula, cascade, wl, n_fft, calibrate=True, range_z=z)
+        bf, y = steer_subject(rc, loc, ula, cascade, wl, n_fft, range_z=z)
         az_cal, _ = estimate_angles(bf, y)
-        bf, y = steer_subject(rc, loc, ula, cascade, wl, n_fft, calibrate=False)
+        bf, y = steer_subject(rc, loc, ula, cascade, wl, n_fft)
         az_unc, _ = estimate_angles(bf, y)
         err_cal = abs(math.sin(az_cal) - math.sin(phi)) / cell  # grid cells
         err_unc = abs(math.sin(az_unc) - math.sin(phi)) / cell
@@ -171,7 +171,7 @@ def test_a5_two_scatterers_same_bin(table2, cascade, ula, capsys):
     rc = range_fft(cube, 256)
     loc = locate_subject(rc)
     regions = {"A": (phi, 0.0), "P": (-phi, 0.0)}
-    bf, y = steer_subject(rc, loc, ula, cascade, wl, 512, calibrate=True, range_z=z)
+    bf, y = steer_subject(rc, loc, ula, cascade, wl, 512, range_z=z)
     signals = select_region_signal(bf, y, regions)
     frame_rate = table2.frame_rate
     times = np.arange(table2.n_frames) / frame_rate

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import multivital.doa as doa
 import multivital.pipeline as pipeline
 from multivital.cli import main
 from multivital.io import load_cube, load_scg_csv, read_trace_table, save_cube
@@ -306,6 +307,32 @@ def test_angle_map_range_transforms_frame_zero_only(workdir, tmp_path, monkeypat
     capsys.readouterr()
 
 
+def test_process_builds_the_steering_once(workdir, tmp_path, monkeypatch, capsys):
+    """process --angle-map --near-field on makes one ULA selection, one phase
+    table and one Beamformer: the map steers with the run's."""
+    calls = {"table": 0, "build": 0, "ula": 0}
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (pipeline, doa):
+        monkeypatch.setattr(module, "build_phase_error_table",
+                            counting(module.build_phase_error_table, "table"))
+    monkeypatch.setattr(doa.Beamformer, "build", counting(doa.Beamformer.build, "build"))
+    monkeypatch.setattr(pipeline, "select_azimuth_ula",
+                        counting(pipeline.select_azimuth_ula, "ula"))
+    assert main([
+        "process", "--cube", str(workdir["cube"]), "--config", str(workdir["cfg"]),
+        "--out", str(tmp_path / "traces.csv"), "--near-field", "on",
+        "--angle-map", str(tmp_path / "map.csv"),
+    ]) == 0
+    assert calls == {"table": 1, "build": 1, "ula": 1}
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("key,value", [("n_fft_range", 128), ("n_fft_azimuth", 64)])
 def test_short_fft_is_rejected_before_simulating(workdir, tmp_path, key, value):
     """An FFT shorter than n_adc (256) or than the cascade's 86-element
@@ -424,6 +451,22 @@ def test_bad_scg_input_reports_processing_error(tmp_path, bad):
     assert not (tmp_path / "disp.csv").exists()
 
 
+def test_scg_without_acceleration_columns_reports_processing_error(tmp_path, capsys):
+    """A time_s,ecg recording has no channel to integrate: scg fails as one
+    JSON error naming the file, and no output is written."""
+    accel = tmp_path / "ecg-only.csv"
+    out = tmp_path / "disp.csv"
+    accel.write_text("time_s,ecg\n" + "".join(f"{i / RATE!r},0.0\n" for i in range(8)))
+    capsys.readouterr()
+    assert main(["scg", "--in", str(accel), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one object, nothing else
+    assert err["error"] == "processing"
+    assert str(accel) in err["message"]
+    assert not out.exists()
+
+
 def test_scg_cutoff_override(tmp_path, capsys):
     accel = tmp_path / "accel.csv"
     out = tmp_path / "disp.csv"
@@ -500,6 +543,26 @@ def test_compare_without_overlap_fails(workdir, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "processing"
     assert "overlap" in err["message"]
+
+
+@pytest.mark.parametrize("radar_step,ref_step", [(1 / 20.0, 1e-6), (1e-320, 1 / 20.0)],
+                         ids=["20Hz-against-1MHz", "subnormal-steps"])
+def test_compare_rate_extremes_report_processing_error(tmp_path, capsys, radar_step, ref_step):
+    """A rate ratio that rounds to 0 at the resampler's denominators, or
+    time_s steps that imply an infinite rate, fail compare as one JSON error."""
+    radar = tmp_path / "radar.csv"
+    ref = tmp_path / "ref.csv"
+    report = tmp_path / "report.json"
+    for path, step in ((radar, radar_step), (ref, ref_step)):
+        path.write_text("time_s,region,phase_rad,displacement_mm\n" + "".join(
+            f"{i * step!r},A,0.0,{math.sin(i)!r}\n" for i in range(40)))
+    capsys.readouterr()
+    assert main(["compare", "--radar", str(radar), "--ref", str(ref),
+                 "--out", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "processing"  # one object, nothing else
+    assert not report.exists()
 
 
 def test_e2e_writes_expected_files(workdir, tmp_path, capsys):

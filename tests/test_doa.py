@@ -247,7 +247,9 @@ def _steered(cube, cascade, ula, calibrate=True):
     """Beamformer and raw subject-bin data of cube at n_fft 512."""
     rc = range_fft(cube, 512)
     wl = derive_waveform(cube.chirp).wavelength
-    return steer_subject(rc, locate_subject(rc), ula, cascade, wl, 512, calibrate)
+    loc = locate_subject(rc)
+    range_z = loc.range_m if calibrate else None
+    return steer_subject(rc, loc, ula, cascade, wl, 512, range_z)
 
 
 def test_select_region_signal_recovers_motion(table1, cascade, ula, offset_cube):

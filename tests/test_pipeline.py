@@ -1,5 +1,5 @@
 """run_pipeline: one steering pass, non-finite cubes refused, known elevations found;
-make_angle_map: frame 0 only, at the run's subject location."""
+make_angle_map: frame 0 only, steered by the run's subject bin and Beamformer."""
 
 import dataclasses
 import tracemalloc
@@ -12,7 +12,7 @@ import multivital.pipeline as pipeline
 from multivital.config import derive_waveform
 from multivital.errors import ProcessingError
 from multivital.geometry import build_virtual_array, select_azimuth_ula
-from multivital.rangeproc import SubjectLocation, locate_subject, range_fft
+from multivital.rangeproc import locate_subject, range_fft
 from multivital.runconfig import load_run_config
 from multivital.simulate import simulate
 
@@ -73,6 +73,11 @@ def test_run_pipeline_peak_memory_is_about_the_range_cube():
     assert peak <= 1.25 * cube.samples.nbytes
 
 
+def _near(cfg, near_field):
+    """cfg's pipeline config with near-field compensation set to near_field."""
+    return dataclasses.replace(cfg.pipeline, near_field=near_field)
+
+
 def _elevated_cube(r, theta_deg):
     """sim-single-target's point moved to range r, azimuth 0 and elevation theta."""
     cfg = load_run_config("sim-single-target")
@@ -92,7 +97,7 @@ def _elevated_cube(r, theta_deg):
 ])
 def test_elevation_of_target_at_known_elevation(r, theta_deg, near_field):
     cfg, cube = _elevated_cube(r, theta_deg)
-    result = pipeline.run_pipeline(cube, cfg.pipeline, near_field=near_field)
+    result = pipeline.run_pipeline(cube, _near(cfg, near_field))
     assert abs(np.degrees(result.elevation_peak_rad) - theta_deg) <= 1.0
 
 
@@ -105,8 +110,8 @@ def test_elevation_of_target_at_known_elevation(r, theta_deg, near_field):
 def test_angle_map_peak_at_known_elevation(near_field):
     """At 1.0 m and 10 deg, the map's peak lies within one 1 deg cell of the truth."""
     cfg, cube = _elevated_cube(1.0, 10)
-    loc = _run_location(cube, cfg, None, near_field)
-    amap = pipeline.make_angle_map(cube, cfg.pipeline, loc, None, near_field)
+    pcfg = _near(cfg, near_field)
+    amap = pipeline.make_angle_map(cube, pcfg, pipeline.run_pipeline(cube, pcfg))
     _, k = np.unravel_index(np.argmax(amap.power), amap.power.shape)
     assert abs(k - int(np.argmin(np.abs(amap.elevation_grid - np.radians(10))))) <= 1
 
@@ -120,20 +125,15 @@ def single_target():
     return cfg, simulate(cfg.scene, chirp, cfg.geometry)
 
 
-def _run_location(cube, cfg, layout, near_field):
-    result = pipeline.run_pipeline(cube, cfg.pipeline, layout=layout, near_field=near_field)
-    return SubjectLocation(bin=result.range_bin, range_m=result.range_m)
-
-
 def test_angle_map_never_locates_the_subject(phantom, monkeypatch):
     cfg, cube = phantom
-    loc = _run_location(cube, cfg, cfg.layout, None)
+    result = pipeline.run_pipeline(cube, cfg.pipeline, layout=cfg.layout)
 
     def refuse(rc):
         raise AssertionError("make_angle_map located the subject again")
 
     monkeypatch.setattr(pipeline, "locate_subject", refuse)
-    amap = pipeline.make_angle_map(cube, cfg.pipeline, loc, cfg.layout)
+    amap = pipeline.make_angle_map(cube, cfg.pipeline, result)
     assert amap.power.shape == (len(amap.azimuth_grid), len(amap.elevation_grid))
 
 
@@ -146,18 +146,22 @@ def test_angle_map_equals_the_full_cube_map(request, scene, with_layout, near_fi
     whole cube's range transform at the same location and phase-table range."""
     cfg, cube = request.getfixturevalue(scene)
     layout = cfg.layout if with_layout else None
-    loc = _run_location(cube, cfg, layout, near_field)
+    pcfg = _near(cfg, near_field)
+    result = pipeline.run_pipeline(cube, pcfg, layout=layout)
 
     rc = range_fft(cube, cfg.pipeline.n_fft_range)
-    assert locate_subject(rc) == loc
+    loc = locate_subject(rc)
+    assert (loc.bin, loc.range_m) == (result.range_bin, result.range_m)
     sel = select_azimuth_ula(build_virtual_array(cube.geometry))
     wavelength = derive_waveform(cube.chirp).wavelength
-    range_z = layout.z_a if layout is not None else None
+    range_z = None
+    if near_field:
+        range_z = layout.z_a if layout is not None else loc.range_m
     bf, y = pipeline.steer_subject(rc, loc, sel, cube.geometry, wavelength,
-                                   cfg.pipeline.n_fft_azimuth, near_field, range_z)
+                                   cfg.pipeline.n_fft_azimuth, range_z)
     expected = doa.angle_map(bf, y)
 
-    amap = pipeline.make_angle_map(cube, cfg.pipeline, loc, layout, near_field)
+    amap = pipeline.make_angle_map(cube, pcfg, result)
     assert np.array_equal(amap.power, expected.power)
     assert np.array_equal(amap.azimuth_grid, expected.azimuth_grid)
     assert np.array_equal(amap.elevation_grid, expected.elevation_grid)
@@ -165,10 +169,10 @@ def test_angle_map_equals_the_full_cube_map(request, scene, with_layout, near_fi
 
 def test_angle_map_reads_frame_zero_only(phantom):
     cfg, cube = phantom
-    loc = _run_location(cube, cfg, cfg.layout, None)
+    result = pipeline.run_pipeline(cube, cfg.pipeline, layout=cfg.layout)
     samples = cube.samples.copy()
     samples[1:] = 0
     zeroed = dataclasses.replace(cube, samples=samples)
-    a = pipeline.make_angle_map(cube, cfg.pipeline, loc, cfg.layout)
-    b = pipeline.make_angle_map(zeroed, cfg.pipeline, loc, cfg.layout)
+    a = pipeline.make_angle_map(cube, cfg.pipeline, result)
+    b = pipeline.make_angle_map(zeroed, cfg.pipeline, result)
     assert np.array_equal(a.power, b.power)
