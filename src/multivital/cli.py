@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import derive_waveform
-from .errors import MultivitalError
+from .errors import ConfigError, MultivitalError
 from .io import (
     export_angle_map,
     export_scg_traces,
@@ -191,11 +191,19 @@ def _truth_traces(cfg, region_ids) -> list[DisplacementTrace]:
 
 def _cmd_e2e(args) -> int:
     cfg = load_run_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
     names = {"cube": "cube.mvdc", "traces": "traces.csv",
              "truth": "truth.csv", "report": "report.json"}
     names.update(cfg.outputs)
     paths = {k: os.path.join(args.out, v) for k, v in names.items()}
+    owner: dict = {}
+    for key, path in paths.items():
+        other = owner.setdefault(os.path.normpath(path), key)
+        if other != key:
+            raise ConfigError(
+                f"config.outputs.{other} and config.outputs.{key} both name "
+                f"{names[key]!r}"
+            )
+    os.makedirs(args.out, exist_ok=True)
 
     cube = simulate(cfg.scene, cfg.chirp, cfg.geometry)
     save_cube(cube, paths["cube"])

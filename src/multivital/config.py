@@ -26,7 +26,7 @@ class ChirpConfig:
     n_frames: int = 1
 
     def validate(self) -> "ChirpConfig":
-        """Check finite positivity and that the sampled window fits inside the PRT."""
+        """Check finite positivity, the ADC window inside the PRT and the PRT inside the frame."""
         for name in ("fc", "prt", "t_frame", "n_adc", "fs", "k_chirp", "n_frames"):
             value = getattr(self, name)
             try:
@@ -41,6 +41,11 @@ class ChirpConfig:
             raise ConfigError(
                 f"ADC window n_adc/fs = {self.n_adc / self.fs:.3e} s "
                 f"exceeds the pulse repetition time {self.prt:.3e} s"
+            )
+        if self.t_frame < self.prt:
+            raise ConfigError(
+                f"frame duration t_frame = {self.t_frame:.3e} s is shorter than "
+                f"its chirp's pulse repetition time {self.prt:.3e} s"
             )
         return self
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from ._util import thread_count
 from .config import derive_waveform
@@ -57,6 +56,8 @@ def range_fft(cube: RawDataCube, n_fft_range: int) -> RangeCube:
         )
     if n_fft_range & (n_fft_range - 1):
         raise ConfigError(f"n_fft_range must be a power of two, got {n_fft_range}")
+    import scipy.fft  # deferred: only process and e2e run a range transform
+
     wf = derive_waveform(cube.chirp)
     bins = scipy.fft.fft(cube.samples, n=n_fft_range, axis=-1, workers=thread_count())
     return RangeCube(

@@ -249,6 +249,58 @@ def test_only_scg_commands_import_scipy_signal(workdir, tmp_path):
     assert "scipy.signal" in seen["scg"]
 
 
+def test_only_range_transforms_import_scipy(workdir, tmp_path, capsys):
+    """Importing the CLI, simulate and a same-rate compare load no scipy
+    module at all; process (with an angle map) loads scipy.fft."""
+    traces = tmp_path / "traces.csv"
+    assert main(["process", "--cube", str(workdir["cube"]),
+                 "--config", str(workdir["cfg"]), "--out", str(traces)]) == 0
+    capsys.readouterr()
+    script = "\n".join([
+        "import json, sys",
+        "import multivital, multivital.cli",
+        "def loaded():",
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+        "seen = {'import': loaded()}",
+        "from multivital.cli import main",
+        "cube, cfg, root, traces = sys.argv[1:5]",
+        "assert main(['simulate', '--config', cfg, '--out', root + '/c.mvdc']) == 0",
+        "seen['simulate'] = loaded()",
+        "assert main(['compare', '--radar', traces, '--ref', traces,",
+        "             '--out', root + '/r.json']) == 0",
+        "seen['compare'] = loaded()",
+        "assert main(['process', '--cube', cube, '--config', cfg, '--out', root + '/t.csv',",
+        "             '--angle-map', root + '/am.csv']) == 0",
+        "seen['process'] = loaded()",
+        "print(json.dumps(seen))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         str(workdir["cube"]), str(workdir["cfg"]), str(tmp_path), str(traces)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == seen["simulate"] == seen["compare"] == []
+    assert "scipy.fft" in seen["process"]
+
+
+def test_frame_shorter_than_its_chirp_fails_simulate(workdir, tmp_path, capsys):
+    doc = json.loads(workdir["cfg"].read_text())
+    doc["chirp"].update(t_frame_s=1e-5, n_frames=8)  # prt_s is 70 us
+    cfg = tmp_path / "short-frame.json"
+    cfg.write_text(json.dumps(doc))
+    cube = tmp_path / "c.mvdc"
+    assert main(["simulate", "--config", str(cfg), "--out", str(cube)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one object, nothing else
+    assert err["error"] == "config"
+    assert "t_frame" in err["message"]
+    assert not cube.exists()
+
+
 def test_non_finite_cube_header_reports_cube_format_error(workdir, tmp_path):
     """An infinite chirp slope in the MVDC header fails as one JSON error."""
     raw = bytearray(workdir["cube"].read_bytes())
@@ -352,6 +404,29 @@ def test_short_fft_is_rejected_before_simulating(workdir, tmp_path, key, value):
     assert err["error"] == "config"
     assert f"config.pipeline.{key}" in err["message"]
     assert not (tmp_path / "run" / "cube.mvdc").exists()
+
+
+@pytest.mark.parametrize("outputs,keys", [
+    ({"traces": "same.csv", "truth": "same.csv"}, ("traces", "truth")),
+    ({"traces": "report.json"}, ("traces", "report")),
+    ({"cube": "sub/../traces.csv"}, ("cube", "traces")),
+])
+def test_e2e_outputs_naming_one_file_are_rejected(workdir, tmp_path, capsys, outputs, keys):
+    """Two outputs that resolve to one file (a default name counts) fail as
+    a config error naming both keys, before anything is simulated."""
+    doc = json.loads(workdir["cfg"].read_text())
+    doc["outputs"] = outputs
+    cfg = tmp_path / "clash.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one object, nothing else
+    assert err["error"] == "config"
+    for key in keys:
+        assert f"config.outputs.{key}" in err["message"]
+    assert not out.exists()
 
 
 def test_scg_subcommand(workdir, tmp_path, capsys):

@@ -61,6 +61,13 @@ def test_validate_rejects_adc_window_longer_than_prt(table1):
         bad.validate()
 
 
+def test_validate_rejects_frame_shorter_than_its_chirp(table1):
+    # A frame holds its one chirp: t_frame may equal the 85.3 us PRT, not undercut it.
+    with pytest.raises(ConfigError, match="t_frame = 1.000e-05 s is shorter"):
+        dataclasses.replace(table1, t_frame=1e-5).validate()
+    dataclasses.replace(table1, t_frame=table1.prt).validate()
+
+
 def test_validate_accepts_tables(table1, table2):
     assert table1.validate() is table1
     assert table2.validate() is table2

@@ -160,6 +160,17 @@ def test_cube_non_finite_header_rejected(tmp_path, table2, cascade, field):
         load_cube(str(path))
 
 
+def test_cube_header_frame_shorter_than_chirp_rejected(tmp_path, table2, cascade):
+    path = tmp_path / "cube.mvdc"
+    save_cube(_small_cube(table2, cascade), str(path))
+    raw = path.read_bytes()
+    header = dict(zip(_HEADER_FIELDS, struct.unpack_from("<4s5I5dQ", raw)[2:]))
+    header["t_frame"] = header["prt"] / 2
+    path.write_bytes(_header_bytes(header) + raw[72:])
+    with pytest.raises(CubeFormatError, match="cube.mvdc: frame duration t_frame"):
+        load_cube(str(path))
+
+
 _U32 = st.integers(0, 2**32 - 1)
 _F64 = st.floats(allow_nan=True, allow_infinity=True)
 _VALID_HEADER = dict(n_frames=2, n_tx=12, n_rx=16, n_samples=8, fc=77e9, fs=5e6,

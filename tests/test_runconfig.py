@@ -189,6 +189,13 @@ def test_fft_shorter_than_its_input_is_rejected(key, short, enough):
     assert getattr(parse_run_config(doc).pipeline, key) == enough
 
 
+def test_frame_shorter_than_its_chirp_is_rejected():
+    doc = minimal_doc()
+    doc["chirp"]["t_frame_s"] = 1e-5  # prt_s is 70 us
+    with pytest.raises(ConfigError, match="t_frame = 1.000e-05 s is shorter"):
+        parse_run_config(doc)
+
+
 def test_azimuth_fft_is_sized_against_the_geometry_ula():
     doc = minimal_doc()
     doc["geometry"] = {
