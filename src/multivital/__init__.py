@@ -1,10 +1,10 @@
 """Radar vital-sign toolkit: FMCW MIMO simulation, DOA, displacement recovery.
 
 The package covers a full loop: synthesize raw IF data cubes for scenes of
-moving chest-wall scatterers, locate the subject in range, steer a stitched
-azimuth ULA (with near-field junction compensation) plus sparse elevation
-rows onto chest regions, convert slow-time phase to displacement traces, and
-score them against accelerometer-derived references.
+moving chest-wall scatterers, locate the subject in range, read its azimuth
+from a stitched ULA (with near-field junction compensation), focus the whole
+array on each chest region's point, convert slow-time phase to displacement
+traces, and score them against accelerometer-derived references.
 """
 
 from .config import (

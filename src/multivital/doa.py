@@ -1,11 +1,12 @@
-"""Azimuth/elevation spectra, near-field phase compensation, region selection.
+"""Azimuth spectra, near-field focusing and compensation, region selection.
 
 The dense azimuth ULA is stitched from runs of different (Tx, Rx-cluster)
 pairs. Under plane-wave arrival the stitching is exact, but for a close
 subject the wavefront curvature differs between the physical Tx/Rx pairs
 that realize adjacent ULA positions, leaving a phase step at every block
 junction. Those steps are precomputed per steering angle into a table and
-folded into the ULA weights.
+folded into the ULA weights, for the azimuth spectrum. Regions, elevation
+and the angle map focus all channels on scene points instead.
 
 Sign convention. Raw IF data carry phase exp(-j pi p u) across virtual
 position p (direction cosine u); the Beamformer steers them with matched
@@ -22,12 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, ProcessingError
-from .geometry import (
-    ArrayGeometry,
-    AzimuthUlaSelection,
-    build_virtual_array,
-    element_positions_m,
-)
+from .geometry import ArrayGeometry, AzimuthUlaSelection, element_positions_m
 # Not called here: kept so multivital.doa.extract_range_bin stays importable;
 # the bench tracer wraps it at this name.
 from .rangeproc import extract_range_bin  # noqa: F401
@@ -59,21 +55,24 @@ def _shifted_grid(n_fft: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Beamformer:
-    """Steers one array's azimuth ULA and elevation rows over the grid.
+    """Reads one array's azimuth ULA over the grid and focuses the whole array.
 
     Takes raw channel data, shape (n_tx * n_rx, n_cols), and steers it
     with matched weights (sign convention in the module docstring).
     Azimuth lives on the grid u_l = 2 l / n_fft. weights holds the ULA's
     weight at every grid azimuth, junction compensation included, so every
-    azimuth read of the ULA is one product with its rows. steer gives the
-    whole array's output at chosen grid azimuths and elevations.
+    azimuth read of the ULA is one product with its rows. focus steers
+    regions, elevation and the angle map to scene points at range_wl
+    (wavelengths; inf gives plane waves).
     """
 
     n_fft: int
     ula: list[int]  # channel (tx * n_rx + rx) of every ULA position
     weights: np.ndarray  # (n_fft, len(ula)) complex
-    # (elevation, channels, azimuth positions) per elevation row, row 0 first
-    rows: tuple[tuple[int, list[int], np.ndarray], ...]
+    tx_wl: np.ndarray  # (n_tx, 3) element positions, wavelengths
+    rx_wl: np.ndarray  # (n_rx, 3)
+    range_wl: float
+    plane: bool  # region angles are a layout's chest-plane angles
 
     @classmethod
     def build(
@@ -82,8 +81,10 @@ class Beamformer:
         geom: ArrayGeometry,
         n_fft: int,
         dphi: np.ndarray | None = None,
+        range_wl: float = np.inf,
+        plane: bool = False,
     ) -> "Beamformer":
-        """Beamformer for a ULA selection of geom.
+        """Beamformer for a ULA selection of geom, focused at range_wl (plane waves when inf).
 
         The weight of ULA position p at grid index l is
         exp(+2 pi j l p / n_fft). A phase table dphi from
@@ -105,60 +106,53 @@ class Beamformer:
             rot = np.exp(-1j * np.cumsum(dphi, axis=0))
             for (start, stop), r in zip(sel.blocks[1:], rot):
                 weights[:, start:stop + 1] *= r[:, None]
-        grouped: dict[int, list[tuple[int, int]]] = {}
-        for e in build_virtual_array(geom).elements:
-            grouped.setdefault(e.elevation, []).append((e.tx * geom.n_rx + e.rx, e.azimuth))
-        rows = tuple(
-            (el, [c for c, _ in grouped[el]],
-             np.array([a for _, a in grouped[el]], dtype=np.float64))
-            for el in sorted(grouped, key=lambda e: (e != 0, e))
-        )
+        tx_wl, rx_wl = element_positions_m(geom, 1.0)
         ula = [t * geom.n_rx + r for t, r in sel.chosen]
-        return cls(n_fft=n_fft, ula=ula, weights=weights, rows=rows)
+        return cls(n_fft, ula, weights, tx_wl, rx_wl, range_wl, plane)
 
     def ula_spectrum(self, y: np.ndarray) -> np.ndarray:
         """Matched ULA spectrum of raw data y over the grid, shape (n_fft, n_cols)."""
         return self.weights @ y[self.ula]
 
-    def row_sums(self, y: np.ndarray, u) -> np.ndarray:
-        """Mean matched sum of every row of raw data y at direction cosines u.
+    def focus(self, y: np.ndarray, u, v, range_wl) -> np.ndarray:
+        """Matched output of raw data y at scene points, shape (len(u), n_cols).
 
-        Returns shape (n_rows, len(u), n_cols).
+        Point P lies at range_wl (wavelengths, one or per point) along the
+        direction cosines u (lateral), v (up). Channel (t, r) gets weight
+        exp(-2 pi j (d_t + d_r)), d_e = |P - e| - |P|, factored into Tx and
+        Rx phasors as in the exact-path simulator. With rho = 1 / range_wl,
+        d_e = (rho |e|^2 - 2 e_hat . e) / (|e_hat - rho e| + 1) at any
+        range; its phase is at most 2 pi |e| (~170 rad): float32 cos/sin.
         """
-        return np.stack([_row_sum(y, u, ch, az) for _, ch, az in self.rows])
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=np.float64), v)
+        e_hat = np.stack([u, np.sqrt(1.0 - u * u - v * v), v], axis=-1)
+        rho = 1.0 / np.broadcast_to(range_wl, u.shape)[:, None]
 
-    def combine(self, rows: np.ndarray, sin_theta) -> np.ndarray:
-        """Elevation matched combination of per-row values, averaged over rows.
+        def phasors(xyz: np.ndarray) -> np.ndarray:
+            d = e_hat @ (-2.0 * xyz.T)  # (points, elements), in place from here
+            d += rho * np.sum(xyz * xyz, axis=1)
+            root = rho * d
+            root += 1.0
+            d /= np.sqrt(root, out=root) + 1.0
+            phase = (2.0 * np.pi * d).astype(np.float32)
+            out = np.empty(phase.shape, dtype=np.complex128)
+            out.real = np.cos(phase)
+            out.imag = np.negative(np.sin(phase, out=phase), out=phase)
+            return out
 
-        rows has shape (n_rows, n_azimuth, n_cols) in row order; returns
-        shape (n_azimuth, len(sin_theta), n_cols).
-        """
-        el = np.array([e for e, _, _ in self.rows], dtype=np.float64)
-        weights = np.exp(1j * np.pi * np.outer(el, sin_theta))
-        return np.einsum("re,rlc->lec", weights, rows) / len(el)
+        n_tx, n_rx = len(self.tx_wl), len(self.rx_wl)
+        by_rx = y.reshape(n_tx, n_rx, -1).transpose(1, 0, 2).reshape(n_rx, -1)
+        per_tx = (phasors(self.rx_wl) @ by_rx).reshape(len(u), n_tx, -1)
+        return np.einsum("pt,ptc->pc", phasors(self.tx_wl), per_tx) / (n_tx * n_rx)
 
-    def steer(self, y: np.ndarray, l, sin_theta) -> np.ndarray:
-        """Array output of raw data y at grid azimuth indices l and elevation sines.
-
-        Row 0 is the compensated ULA read through its weight rows at l;
-        every other row is its matched sum at u = 2 l / n_fft. The rows
-        are then combined over elevation.
-
-        Returns shape (len(l), len(sin_theta), n_cols).
-        """
-        l = np.asarray(l)
-        u = 2.0 * l / self.n_fft
-        rows = np.stack(
-            [self.weights[l + self.n_fft // 2] @ y[self.ula] / len(self.ula)]
-            + [_row_sum(y, u, ch, az) for _, ch, az in self.rows[1:]]
-        )
-        return self.combine(rows, sin_theta)
-
-
-def _row_sum(y: np.ndarray, u, ch: list[int], az: np.ndarray) -> np.ndarray:
-    """Mean matched sum of channels ch, at azimuth positions az, at direction cosines u."""
-    u = np.asarray(u, dtype=np.float64)
-    return np.exp(1j * np.pi * np.outer(u, az)) @ y[ch] / len(ch)
+    def directional_power(self, y: np.ndarray, u, v) -> np.ndarray:
+        """Focused power of frame 0 of y at range_wl along direction cosines
+        u, v (broadcast together); 0 where u^2 + v^2 >= 1."""
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=np.float64), v)
+        ok = u * u + v * v < 1.0
+        power = np.zeros(u.shape)
+        power[ok] = np.abs(self.focus(y[:, :1], u[ok], v[ok], self.range_wl)[:, 0]) ** 2
+        return power
 
 
 def _path_difference(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -266,10 +260,9 @@ def select_region_signal(
 ) -> list[RegionSignal]:
     """Slow-time signal per chest region from its (azimuth, elevation) angles.
 
-    For every frame the subject-bin data are steered to each region:
-    the dense azimuth ULA through its weights at the grid index nearest
-    sin(phi), the elevation rows through matched sums at the same direction
-    cosine, then all rows are combined over elevation at theta.
+    Every frame is focused on each region's point: with bf.plane at
+    (z tan(phi), z, z tan(theta)) for z = bf.range_wl, else at range
+    bf.range_wl along the direction cosines (sin(phi), sin(theta)).
 
     Parameters
     ----------
@@ -288,31 +281,25 @@ def select_region_signal(
         if rid not in REGION_IDS:
             raise ConfigError(f"region must be one of {REGION_IDS}, got {rid!r}")
 
-    n_fft = bf.n_fft
-    out: list[RegionSignal] = []
-    for rid, (phi, theta) in regions.items():
-        if not (abs(phi) < np.pi / 2 and abs(theta) < np.pi / 2):
+    phi, theta = np.array(list(regions.values()), dtype=np.float64).T
+    u, v, range_wl = np.sin(phi), np.sin(theta), bf.range_wl
+    if bf.plane:
+        norm = np.sqrt(1.0 + np.tan(phi) ** 2 + np.tan(theta) ** 2)
+        u, v, range_wl = np.tan(phi) / norm, np.tan(theta) / norm, range_wl * norm
+    for rid, p, t, uv in zip(regions, phi, theta, u * u + v * v):
+        if not (abs(p) < np.pi / 2 and abs(t) < np.pi / 2 and uv < 1.0):
             raise ProcessingError(
-                f"region {rid} angles ({phi:.3f}, {theta:.3f}) rad outside the field of view"
+                f"region {rid} angles ({p:.3f}, {t:.3f}) rad outside the field of view"
             )
-        l_star = int(round(n_fft * np.sin(phi) / 2.0))
-        if not -n_fft // 2 <= l_star <= n_fft // 2 - 1:
-            raise ProcessingError(
-                f"region {rid} azimuth {phi:.3f} rad falls off the angular grid"
-            )
-        combined = bf.steer(y, [l_star], [np.sin(theta)])[0, 0]
-        out.append(RegionSignal(region=rid, slowtime=combined))
-    return out
+    steered = bf.focus(y, u, v, range_wl)
+    return [RegionSignal(region=rid, slowtime=s) for rid, s in zip(regions, steered)]
 
 
 def angle_map(bf: Beamformer, y: np.ndarray) -> AngleMap:
-    """Azimuth x elevation beamformed power of frame 0 of raw data y,
-    elevation on a 1 degree grid from -45 to 45 degrees."""
+    """Azimuth x elevation focused power of frame 0 of raw data y, at
+    direction cosines (u_l, sin(theta)) for elevation on a 1 degree grid
+    from -45 to 45 degrees."""
     elevation_grid = np.deg2rad(np.arange(-45.0, 46.0, 1.0))
     l, az_grid = _shifted_grid(bf.n_fft)
-    combined = bf.steer(y[:, :1], l, np.sin(elevation_grid))[:, :, 0]
-    return AngleMap(
-        power=np.abs(combined) ** 2,
-        azimuth_grid=az_grid,
-        elevation_grid=elevation_grid,
-    )
+    power = bf.directional_power(y, (2.0 * l / bf.n_fft)[:, None], np.sin(elevation_grid))
+    return AngleMap(power=power, azimuth_grid=az_grid, elevation_grid=elevation_grid)

@@ -78,9 +78,9 @@ def locate_subject(rc: RangeCube) -> SubjectLocation:
     Raises
     ------
     ProcessingError
-        empty cube, or a non-finite range profile. One NaN or inf sample
-        spreads through the FFT to every bin of its channel, so checking
-        the profile catches any non-finite input.
+        empty cube, or a non-finite or all-zero range profile. One NaN or
+        inf sample spreads through the FFT to every bin of its channel, so
+        checking the profile catches any non-finite input.
     """
     if rc.bins.size == 0:
         raise ProcessingError("empty range cube")
@@ -94,6 +94,8 @@ def locate_subject(rc: RangeCube) -> SubjectLocation:
         profile += np.abs(part, out=buf[:len(part)]).sum(axis=0, dtype=np.float64)
     if not np.all(np.isfinite(profile)):
         raise ProcessingError("range profile is not finite: the cube holds NaN or inf samples")
+    if not profile.any():
+        raise ProcessingError("range profile is all zero: the cube holds no return")
     bin_idx = int(np.argmax(profile))
     return SubjectLocation(bin=bin_idx, range_m=bin_idx * rc.bin_width_m)
 

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from multivital import (
     RegionSignal,
@@ -24,7 +25,7 @@ from multivital import (
     simulate,
 )
 from multivital.doa import Beamformer
-from multivital.metrics import max_freq_difference
+from multivital.metrics import SensorLayout, max_freq_difference
 from multivital.pipeline import estimate_angles, steer_subject
 from multivital.rangeproc import locate_subject, range_fft
 from multivital.runconfig import load_run_config
@@ -313,4 +314,65 @@ def test_a9_comparison_metric_oracles(capsys):
         f"roll(+7) -> rho {rho_shift:.3f} lag {lag_shift}; "
         f"df identical {d_same} Hz, df 1.0 vs 1.2 Hz {d_apart:.4f} Hz "
         f"(want 0.20 +-{2.0 / 180.0:.4f})",
+    )
+
+
+A10_FREQS = {"A": 0.9, "P": 1.05, "T": 1.2, "E": 1.35, "M": 1.5}  # Hz
+# A processing layout that is off: 1.2 cm deeper (the located range's error
+# at 0.5 m) and every non-A sensor moved by at most 5 mm. The x offsets of P
+# and E stay inside their ~1 mm (toward A) to ~4 mm (away) lateral
+# tolerance: the points sit 1 cm apart in x, about the array's spot size.
+A10_OFFSETS = {"P": (-0.003, 0.004), "T": (0.003, -0.004), "E": (0.0, -0.005), "M": (0.004, 0.003)}
+
+
+@pytest.fixture(scope="module")
+def five_frequency_phantom():
+    """phantom-five-point at 400 frames, each point at its own frequency."""
+    cfg = load_run_config("phantom-five-point")
+    points = tuple(
+        dataclasses.replace(p, motion=dataclasses.replace(p.motion, frequency=f))
+        for p, f in zip(cfg.scene.points, A10_FREQS.values())
+    )
+    scene = dataclasses.replace(cfg.scene, points=points)
+    chirp = dataclasses.replace(cfg.chirp, n_frames=400)
+    return cfg, scene, chirp, simulate(scene, chirp, cfg.geometry)
+
+
+@pytest.mark.parametrize("near_field", [True, False])
+@pytest.mark.parametrize("layout_error", [False, True])
+def test_a10_five_frequency_phantom(five_frequency_phantom, layout_error, near_field, capsys):
+    cfg, scene, chirp, cube = five_frequency_phantom
+    layout = cfg.layout
+    if layout_error:
+        positions = {
+            rid: (x + A10_OFFSETS[rid][0], y + A10_OFFSETS[rid][1]) if rid in A10_OFFSETS
+            else (x, y)
+            for rid, (x, y) in layout.positions.items()
+        }
+        layout = SensorLayout(positions=positions, z_a=layout.z_a + 0.012)
+    pcfg = dataclasses.replace(cfg.pipeline, near_field=near_field)
+    result = run_pipeline(cube, pcfg, layout=layout)
+    times = np.arange(chirp.n_frames) / chirp.frame_rate
+    bin_hz = chirp.frame_rate / chirp.n_frames
+
+    ok = True
+    parts = []
+    for tr, point in zip(result.traces, scene.points):
+        truth = point.radial_displacement(times)
+        rho, _ = normalized_xcorr_max(tr.displacement, truth)
+        f_est = dominant_frequency(tr, pcfg.band)
+        # normalized_xcorr_max ignores sign (A9); the trace must also move
+        # the same way as its point.
+        same_sign = float(np.dot(tr.displacement - tr.displacement.mean(),
+                                 truth - truth.mean())) > 0
+        ok = ok and rho >= 0.9 and abs(f_est - A10_FREQS[tr.region]) <= bin_hz + 1e-12
+        ok = ok and same_sign
+        parts.append(f"{tr.region} rho {rho:.3f} f {f_est:.2f} Hz"
+                     + ("" if same_sign else " sign flipped"))
+    case = "layout +1.2 cm, <=5 mm" if layout_error else "exact layout"
+    _report(
+        capsys,
+        "A10", ok,
+        f"{case}, near-field {'on' if near_field else 'off'}: " + ", ".join(parts)
+        + f" (need rho >=0.9, f within {bin_hz:.2f} Hz of own, same sign)",
     )

@@ -20,6 +20,7 @@ from multivital.cli import main
 from multivital.io import load_cube, load_scg_csv, read_trace_table, save_cube
 from multivital.runconfig import load_run_config
 from multivital.scg import scg_to_displacement
+from multivital.simulate import RawDataCube
 
 RATE = 250.0  # Hz, synthetic accelerometer rate
 
@@ -318,6 +319,25 @@ def test_non_finite_cube_header_reports_cube_format_error(workdir, tmp_path):
     assert json.loads(proc.stderr)["error"] == "cube-format"  # nothing else on stderr
     assert "chirp.k_chirp" in proc.stderr
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("near_field", ["on", "off"])
+@pytest.mark.parametrize("config", ["sim-single-target", "phantom-five-point"])
+def test_cube_with_no_return_reports_processing_error(tmp_path, capsys, config, near_field):
+    """An all-zero cube has no subject to locate: process fails as a
+    processing error and writes no traces."""
+    cfg = load_run_config(config)
+    chirp = dataclasses.replace(cfg.chirp, n_frames=4)
+    samples = np.zeros((4, cfg.geometry.n_tx, cfg.geometry.n_rx, chirp.n_adc), np.complex64)
+    cube = tmp_path / "zero.mvdc"
+    save_cube(RawDataCube(samples=samples, chirp=chirp, geometry=cfg.geometry), str(cube))
+    out = tmp_path / "traces.csv"
+    assert main(["process", "--cube", str(cube), "--config", config,
+                 "--out", str(out), "--near-field", near_field]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "processing"
+    assert "no return" in err["message"]
+    assert not out.exists()
 
 
 def test_process_near_field_flag_and_angle_map(workdir, tmp_path, capsys):

@@ -13,7 +13,12 @@ from multivital.doa import (
     select_region_signal,
 )
 from multivital.errors import ConfigError, ProcessingError
-from multivital.geometry import ArrayGeometry, AzimuthUlaSelection
+from multivital.geometry import (
+    ArrayGeometry,
+    AzimuthUlaSelection,
+    element_positions_m,
+    steering_from_cosines,
+)
 from multivital.pipeline import steer_subject
 from multivital.rangeproc import locate_subject, range_fft
 from multivital.simulate import ScatterPoint, Scene, SinusoidMotion, simulate
@@ -208,29 +213,43 @@ def test_calibration_recovers_close_target(table2, cascade, ula):
     assert np.max(np.abs(nf)) > np.max(np.abs(ff))
 
 
-def _elevation_pattern(bf, row_values, grid):
-    return np.abs(bf.combine(row_values[:, None, None], np.sin(grid))[0, :, 0]) ** 2
+@pytest.mark.parametrize("range_m", [0.5, 5.0, np.inf])
+def test_focus_matches_direct_matched_sum(cascade, ula, range_m):
+    # The factored float32-phase focus against the matched sum over all
+    # 192 channels in float64: exact paths at a finite range, the
+    # plane-wave simulator's steering phasors at an infinite one.
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((192, 3)) + 1j * rng.standard_normal((192, 3))
+    u = np.array([0.0, 0.3, -0.55, 0.1])
+    v = np.array([0.0, -0.2, 0.1, 0.6])
+    bf = Beamformer.build(ula, cascade, 256, range_wl=range_m / WL77)
+    want = np.empty((len(u), 3), dtype=complex)
+    for i, (ui, vi) in enumerate(zip(u, v)):
+        if np.isinf(range_m):
+            a, b = steering_from_cosines(cascade, ui, vi)
+            w = np.outer(a, np.conj(b))
+        else:
+            p = range_m * np.array([ui, np.sqrt(1.0 - ui * ui - vi * vi), vi])
+            tx, rx = element_positions_m(cascade, WL77)
+            path = (np.linalg.norm(p - tx, axis=1)[:, None]
+                    + np.linalg.norm(p - rx, axis=1)[None, :] - 2.0 * np.linalg.norm(p))
+            w = np.exp(-2j * np.pi * path / WL77)
+        want[i] = w.ravel() @ y / 192
+    got = bf.focus(y, u, v, bf.range_wl)
+    assert np.max(np.abs(got - want)) < 1e-4 * np.max(np.abs(y)) / np.sqrt(192)
 
 
-def test_elevation_matched_beamwidth(cascade, ula):
-    # Half-power width of the cascade's {0,1,4,6} rows steered broadside.
-    bf = Beamformer.build(ula, cascade, 256)
-    assert [el for el, _, _ in bf.rows] == [0, 1, 4, 6]
-    grid = np.arcsin(np.linspace(-0.6, 0.6, 200001))
-    pat = _elevation_pattern(bf, np.ones(4, dtype=complex), grid)
-    pat = pat / pat.max()
-    half = np.degrees(grid[pat >= 0.5])
-    assert half.max() - half.min() == pytest.approx(12.17, abs=0.05)
-
-
-def test_elevation_peak_at_steered_angle(cascade, ula):
-    bf = Beamformer.build(ula, cascade, 256)
-    rows = np.array([el for el, _, _ in bf.rows])
-    theta0 = np.deg2rad(-9.0)
-    y = np.exp(-1j * np.pi * rows * np.sin(theta0))  # raw sign
-    grid = np.deg2rad(np.arange(-45.0, 45.25, 0.25))
-    pat = _elevation_pattern(bf, y, grid)
-    assert abs(np.degrees(grid[int(np.argmax(pat))]) + 9.0) <= 0.25
+def test_layout_regions_focus_on_their_chest_plane_points(cascade, ula):
+    # With plane, region angles are a layout's (atan(x / z), atan(y / z)):
+    # the region focuses on (x, z, y), not at range z along those angles.
+    z, x, h = 0.5, 0.12, -0.15
+    rng = np.random.default_rng(8)
+    y = rng.standard_normal((192, 2)) + 1j * rng.standard_normal((192, 2))
+    bf = Beamformer.build(ula, cascade, 256, range_wl=z / WL77, plane=True)
+    got = select_region_signal(bf, y, {"P": (np.arctan2(x, z), np.arctan2(h, z))})[0]
+    r = np.sqrt(x * x + z * z + h * h)
+    want = bf.focus(y, [x / r], [h / r], r / WL77)[0]
+    assert np.allclose(got.slowtime, want, rtol=1e-4, atol=0)
 
 
 @pytest.fixture(scope="module")
@@ -304,9 +323,3 @@ def test_region_signal_matches_angle_map_cell(cascade, ula, offset_cube, calibra
     for f in (0, 5):
         power = angle_map(bf, y[:, f:]).power[256 + l, k]
         assert abs(signal[f]) ** 2 == pytest.approx(power, rel=1e-12)
-    # steer reads row 0 through the ULA weight rows only: bit for bit the
-    # full-plane row sums with row 0 overwritten by those rows.
-    ls, sin_el = np.arange(-256, 256), np.sin(amap.elevation_grid)
-    rows = bf.row_sums(y[:, :2], 2.0 * ls / 512)
-    rows[0] = bf.weights[ls + 256] @ y[bf.ula, :2] / len(bf.ula)
-    assert np.array_equal(bf.steer(y[:, :2], ls, sin_el), bf.combine(rows, sin_el))

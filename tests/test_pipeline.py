@@ -78,35 +78,59 @@ def _near(cfg, near_field):
     return dataclasses.replace(cfg.pipeline, near_field=near_field)
 
 
-def _elevated_cube(r, theta_deg):
-    """sim-single-target's point moved to range r, azimuth 0 and elevation theta."""
+def test_near_field_switches_only_the_azimuth_peak(phantom):
+    """near_field compensates the ULA's azimuth reading only: the elevation
+    and every region trace come from the same focus either way."""
+    cfg, cube = phantom
+    on, off = (pipeline.run_pipeline(cube, _near(cfg, nf), layout=cfg.layout)
+               for nf in (True, False))
+    assert on.azimuth_peak_rad != off.azimuth_peak_rad
+    assert on.elevation_peak_rad == off.elevation_peak_rad
+    for a, b in zip(on.traces, off.traces, strict=True):
+        assert np.array_equal(a.displacement, b.displacement)
+
+
+@pytest.mark.parametrize("near_field", [True, False])
+def test_subject_at_range_zero_fails_loudly(phantom, near_field):
+    """A constant cube puts its only return in range bin 0, where there is
+    no range to focus at."""
+    cfg, cube = phantom
+    dc = dataclasses.replace(cube, samples=np.ones_like(cube.samples))
+    with pytest.raises(ProcessingError, match="no range to focus at"):
+        pipeline.run_pipeline(dc, _near(cfg, near_field), layout=None)
+
+
+def _elevated_cube(r, theta_deg, phi_deg=0.0):
+    """sim-single-target's point moved to range r along the direction cosines
+    (sin(phi), sin(theta)): azimuth phi and elevation theta as the chain
+    reports them."""
     cfg = load_run_config("sim-single-target")
-    theta = np.radians(theta_deg)
+    u, v = np.sin(np.radians(phi_deg)), np.sin(np.radians(theta_deg))
     point = dataclasses.replace(
-        cfg.scene.points[0], position0=(0.0, r * np.cos(theta), r * np.sin(theta))
+        cfg.scene.points[0], position0=(r * u, r * np.sqrt(1.0 - u * u - v * v), r * v)
     )
     scene = dataclasses.replace(cfg.scene, points=(point,), mode="exact-path", snr_db=None)
     return cfg, simulate(scene, dataclasses.replace(cfg.chirp, n_frames=16), cfg.geometry)
 
 
-@pytest.mark.parametrize("r,theta_deg,near_field", [
-    *[(1.0, th, nf) for th in (-10, 5, 10, 15) for nf in (False, True)],
-    *[(0.5, th, False) for th in (-10, 5, 10, 15)],
-    pytest.param(0.5, 10, True, marks=pytest.mark.xfail(
-        strict=True, reason="near-field elevation at 0.5 m reads 1.75 deg low")),
+def _case(r, theta_deg, near_field, phi_deg=0):
+    suffix = f"-az{phi_deg}" if phi_deg else ""
+    return pytest.param(r, theta_deg, near_field, phi_deg,
+                        id=f"{r}-{theta_deg}-{near_field}{suffix}")
+
+
+@pytest.mark.parametrize("r,theta_deg,near_field,phi_deg", [
+    *[_case(r, th, nf) for r in (1.0, 0.5) for th in (-10, 5, 10, 15) for nf in (False, True)],
+    *[_case(r, th, nf, phi) for r, th, phi in ((0.5, 10, 30), (0.5, -10, -20), (1.0, 10, 30))
+      for nf in (False, True)],
 ])
-def test_elevation_of_target_at_known_elevation(r, theta_deg, near_field):
-    cfg, cube = _elevated_cube(r, theta_deg)
+def test_elevation_of_target_at_known_elevation(r, theta_deg, near_field, phi_deg):
+    cfg, cube = _elevated_cube(r, theta_deg, phi_deg)
     result = pipeline.run_pipeline(cube, _near(cfg, near_field))
     assert abs(np.degrees(result.elevation_peak_rad) - theta_deg) <= 1.0
 
 
-@pytest.mark.parametrize("near_field", [
-    False,
-    pytest.param(True, marks=pytest.mark.xfail(
-        strict=True, reason="near-field map steers a compensated row 0 with "
-                            "uncompensated elevation rows: 10 deg reads 7 deg")),
-])
+@pytest.mark.parametrize("near_field", [False, True])
 def test_angle_map_peak_at_known_elevation(near_field):
     """At 1.0 m and 10 deg, the map's peak lies within one 1 deg cell of the truth."""
     cfg, cube = _elevated_cube(1.0, 10)
@@ -143,7 +167,8 @@ def test_angle_map_never_locates_the_subject(phantom, monkeypatch):
 ])
 def test_angle_map_equals_the_full_cube_map(request, scene, with_layout, near_field):
     """The one-frame map is bit for bit the frame-0 map steered from the
-    whole cube's range transform at the same location and phase-table range."""
+    whole cube's range transform at the same location, focus and
+    phase-table range."""
     cfg, cube = request.getfixturevalue(scene)
     layout = cfg.layout if with_layout else None
     pcfg = _near(cfg, near_field)
@@ -154,11 +179,10 @@ def test_angle_map_equals_the_full_cube_map(request, scene, with_layout, near_fi
     assert (loc.bin, loc.range_m) == (result.range_bin, result.range_m)
     sel = select_azimuth_ula(build_virtual_array(cube.geometry))
     wavelength = derive_waveform(cube.chirp).wavelength
-    range_z = None
-    if near_field:
-        range_z = layout.z_a if layout is not None else loc.range_m
+    range_z = layout.z_a if layout is not None else loc.range_m
     bf, y = pipeline.steer_subject(rc, loc, sel, cube.geometry, wavelength,
-                                   cfg.pipeline.n_fft_azimuth, range_z)
+                                   cfg.pipeline.n_fft_azimuth, range_z, near_field,
+                                   layout is not None)
     expected = doa.angle_map(bf, y)
 
     amap = pipeline.make_angle_map(cube, pcfg, result)
