@@ -11,10 +11,12 @@ from .doa import Beamformer, angle_map, build_phase_error_table, select_region_s
 from .errors import ProcessingError
 from .geometry import build_virtual_array, select_azimuth_ula
 from .metrics import SensorLayout, compute_alignment
-from .rangeproc import extract_range_bin, locate_subject, range_fft
+from .rangeproc import RangeCube, extract_range_bin, locate_subject, range_bin_dft, range_fft
 from .runconfig import PipelineConfig
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace, region_signal_to_trace
+
+_CHUNK_BYTES = 32 << 20  # range bins run_pipeline holds at a time: one frame chunk's transform
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class PipelineResult:
 
 
 def steer_subject(
-    rc, loc, sel, geom, wavelength: float, n_fft: int,
+    y, loc, sel, geom, wavelength: float, n_fft: int,
     range_z: float | None = None, compensate: bool = True, plane: bool = False,
 ) -> tuple[Beamformer, np.ndarray]:
     """Beamformer for the subject bin and its raw slow-time data.
@@ -39,8 +41,9 @@ def steer_subject(
     The one place a run builds its steering: the Beamformer focuses at
     range_z (plane waves when None; a subject at 0 m is an error), with
     the near-field phase table there when compensate and a layout's
-    chest-plane region angles when plane; then the complex128 subject-bin
-    slab (channels, frames).
+    chest-plane region angles when plane; then the subject-bin slab y
+    (channels, frames) as complex128. y may also be a whole RangeCube,
+    whose bin loc.bin is then taken.
     """
     if not loc.range_m > 0:
         raise ProcessingError(
@@ -51,7 +54,9 @@ def steer_subject(
         dphi = build_phase_error_table(sel, geom, wavelength, range_z, n_fft)
     range_wl = np.inf if range_z is None else range_z / wavelength
     bf = Beamformer.build(sel, geom, n_fft, dphi, range_wl, plane)
-    return bf, extract_range_bin(rc, loc.bin).astype(np.complex128)
+    if isinstance(y, RangeCube):
+        y = extract_range_bin(y, loc.bin)
+    return bf, y.astype(np.complex128)
 
 
 def estimate_angles(bf: Beamformer, y: np.ndarray) -> tuple[float, float]:
@@ -73,19 +78,33 @@ def estimate_angles(bf: Beamformer, y: np.ndarray) -> tuple[float, float]:
     return azimuth, elevation
 
 
+def _frames(cube: RawDataCube, start: int, stop: int) -> RawDataCube:
+    """Frames start..stop - 1 of cube as a cube: a view, not a copy."""
+    samples = cube.samples[start:stop]
+    return replace(cube, samples=samples, chirp=replace(cube.chirp, n_frames=len(samples)))
+
+
 def _steered_subject(cube, pcfg, layout):
-    """Range pass, subject location and steer_subject for one cube, focused
-    at the layout's boresight range (else the subject's), with the phase
-    table at that range when pcfg.near_field. The range cube is freed on
-    return, before the caller's own temporaries."""
+    """Subject location and steer_subject for one cube, focused at the
+    layout's boresight range (else the subject's), with the phase table at
+    that range when pcfg.near_field.
+
+    The cube is range-transformed a frame chunk at a time, each chunk at
+    most _CHUNK_BYTES of bins (one frame at least), and locate_subject folds
+    each into its profile before the next is made. The subject-bin slab is
+    then a one-bin DFT of the raw cube, so no full-size range cube exists.
+    """
     wavelength = derive_waveform(cube.chirp).wavelength
     geom = cube.geometry
     sel = select_azimuth_ula(build_virtual_array(geom))
-    rc = range_fft(cube, pcfg.n_fft_range)
-    loc = locate_subject(rc)
+    n_fft = pcfg.n_fft_range
+    frame_bytes = 8 * n_fft * geom.n_tx * geom.n_rx  # one frame's complex64 bins
+    step = max(1, _CHUNK_BYTES // frame_bytes)
+    loc = locate_subject(range_fft(_frames(cube, start, start + step), n_fft)
+                         for start in range(0, len(cube.samples), step))
     range_z = layout.z_a if layout is not None else loc.range_m
-    bf, y = steer_subject(rc, loc, sel, geom, wavelength, pcfg.n_fft_azimuth,
-                          range_z, pcfg.near_field, layout is not None)
+    bf, y = steer_subject(range_bin_dft(cube, n_fft, loc.bin), loc, sel, geom, wavelength,
+                          pcfg.n_fft_azimuth, range_z, pcfg.near_field, layout is not None)
     return loc, wavelength, bf, y
 
 
@@ -128,7 +147,6 @@ def make_angle_map(cube: RawDataCube, pcfg: PipelineConfig, result: PipelineResu
 
     Only frame 0 is range-transformed: a one-frame view of the cube.
     """
-    first = replace(cube, samples=cube.samples[:1], chirp=replace(cube.chirp, n_frames=1))
-    rc = range_fft(first, pcfg.n_fft_range)
+    rc = range_fft(_frames(cube, 0, 1), pcfg.n_fft_range)
     y = extract_range_bin(rc, result.range_bin).astype(np.complex128)
     return angle_map(result.beamformer, y)

@@ -340,6 +340,93 @@ def test_cube_with_no_return_reports_processing_error(tmp_path, capsys, config, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad,match", [
+    ("nan-last-frame", "not finite"), ("inf-middle-chunk", "not finite"),
+    ("all-zero", "no return"),
+])
+def test_bad_cube_over_several_chunks_reports_processing_error(
+    workdir, tmp_path, monkeypatch, capsys, bad, match,
+):
+    """With the range stage in three frame chunks (6, 6 and 4 of 16 frames),
+    a NaN in the last frame, an inf in the middle chunk or a cube with no
+    return exits 1 with the one processing-error line and writes no traces."""
+    cfg = load_run_config(str(workdir["cfg"]))
+    cube = load_cube(str(workdir["cube"]), geometry=cfg.geometry)
+    samples = cube.samples.copy()
+    if bad == "nan-last-frame":
+        samples[15, 11, 15, 255] = np.nan
+    elif bad == "inf-middle-chunk":
+        samples[8, 0, 0, 0] = np.inf
+    else:
+        samples[:] = 0
+    path = tmp_path / "bad.mvdc"
+    save_cube(dataclasses.replace(cube, samples=samples), str(path))
+    frame_bytes = 8 * cfg.pipeline.n_fft_range * cfg.geometry.n_tx * cfg.geometry.n_rx
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 6 * frame_bytes)
+    frames = []
+    range_fft = pipeline.range_fft
+
+    def recording(cube, n_fft_range):
+        frames.append(cube.samples.shape[0])
+        return range_fft(cube, n_fft_range)
+
+    monkeypatch.setattr(pipeline, "range_fft", recording)
+    out = tmp_path / "t.csv"
+    assert main(["process", "--cube", str(path), "--config", str(workdir["cfg"]),
+                 "--out", str(out)]) == 1
+    assert frames == [6, 6, 4]
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "processing" and match in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_process_peak_memory_is_the_cube_plus_one_chunk(tmp_path, capsys):
+    """In a fresh interpreter, process on a 203 MiB cube raises the peak RSS
+    by at most 1.5x the cube: the loaded cube plus one <= 32 MiB chunk of
+    range bins. A full range cube beside the loaded one took ~2x.
+
+    The child reads its own address space's high-water mark (VmHWM):
+    ru_maxrss would start from this test process's RSS, carried over the
+    fork and exec.
+    """
+    doc = {
+        "chirp": {"fc_hz": 77.0e9, "prt_s": 70.0e-6, "t_frame_s": 0.05, "n_adc": 256,
+                  "fs_hz": 5.0e6, "k_chirp_hz_per_s": 65.998e12, "n_frames": 540},
+        "geometry": "ti-cascade",
+        "scene": {"points": [{"position_m": [0.0, 0.5, 0.0]}], "mode": "plane-wave"},
+        "pipeline": {"n_fft_range": 256, "n_fft_azimuth": 256},
+    }
+    cfg, cube = tmp_path / "big.json", tmp_path / "big.mvdc"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(cube)]) == 0
+    capsys.readouterr()
+    cube_bytes = cube.stat().st_size
+    assert cube_bytes >= 200 * 2**20
+    script = "\n".join([
+        "import json, sys",
+        "import numpy, scipy.fft  # loaded first: the rise is the command's data",
+        "from multivital.cli import main",
+        "def peak():",
+        "    with open('/proc/self/status') as fh:",
+        "        return next(int(line.split()[1]) * 1024 for line in fh",
+        "                    if line.startswith('VmHWM:'))",
+        "before = peak()",
+        "rc = main(['process', '--cube', sys.argv[1], '--config', sys.argv[2],",
+        "           '--out', sys.argv[3]])",
+        "print(json.dumps({'rc': rc, 'before': before, 'after': peak()}))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cube), str(cfg), str(tmp_path / "t.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["rc"] == 0
+    assert got["after"] - got["before"] <= 1.5 * cube_bytes
+
+
 def test_process_near_field_flag_and_angle_map(workdir, tmp_path, capsys):
     out = tmp_path / "traces.csv"
     amap = tmp_path / "map.csv"

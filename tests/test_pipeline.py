@@ -1,5 +1,6 @@
-"""run_pipeline: one steering pass, non-finite cubes refused, known elevations found;
-make_angle_map: frame 0 only, steered by the run's subject bin and Beamformer."""
+"""run_pipeline: one steering pass, the range stage streamed in frame chunks,
+non-finite cubes refused, known elevations found; make_angle_map: frame 0
+only, steered by the run's subject bin and Beamformer."""
 
 import dataclasses
 import tracemalloc
@@ -12,7 +13,7 @@ import multivital.pipeline as pipeline
 from multivital.config import derive_waveform
 from multivital.errors import ProcessingError
 from multivital.geometry import build_virtual_array, select_azimuth_ula
-from multivital.rangeproc import locate_subject, range_fft
+from multivital.rangeproc import extract_range_bin, locate_subject, range_fft
 from multivital.runconfig import load_run_config
 from multivital.simulate import simulate
 
@@ -57,10 +58,77 @@ def test_non_finite_sample_fails_loudly(phantom, bad):
                               cfg.pipeline, layout=cfg.layout)
 
 
+def _three_chunks(cube, pcfg, monkeypatch):
+    """Set run_pipeline's chunk budget so cube's range stage takes three
+    frame chunks, the last one partial. Returns the list that records each
+    range_fft call's arguments, and the three chunks' expected frame counts."""
+    n_frames = len(cube.samples)
+    step = n_frames // 3 + 1
+    frame_bytes = 8 * pcfg.n_fft_range * cube.geometry.n_tx * cube.geometry.n_rx
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", step * frame_bytes + frame_bytes // 2)
+    calls = []
+    monkeypatch.setattr(pipeline, "range_fft", _counting(pipeline.range_fft, calls))
+    return calls, [step, step, n_frames - 2 * step]
+
+
+@pytest.mark.parametrize("near_field", [False, True])
+@pytest.mark.parametrize("scene,with_layout", [
+    ("phantom", True), ("phantom", False), ("single_target", False),
+])
+def test_streamed_range_stage_equals_the_full_cube_route(
+    request, monkeypatch, scene, with_layout, near_field,
+):
+    """Located from three frame chunks and steered on a one-bin DFT, a run
+    reads the same subject and angles as from one range cube of every frame
+    and extract_range_bin, with every trace within 1e-6 mm."""
+    cfg, cube = request.getfixturevalue(scene)
+    layout = cfg.layout if with_layout else None
+    pcfg = _near(cfg, near_field)
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_CHUNK_BYTES", cube.samples.nbytes * pcfg.n_fft_range)
+        m.setattr(pipeline, "range_bin_dft",
+                  lambda c, n_fft, b: extract_range_bin(range_fft(c, n_fft), b))
+        full = pipeline.run_pipeline(cube, pcfg, layout=layout)
+    calls, chunks = _three_chunks(cube, pcfg, monkeypatch)
+    streamed = pipeline.run_pipeline(cube, pcfg, layout=layout)
+
+    assert [c.samples.shape[0] for c, _ in calls] == chunks and chunks[-1] < chunks[0]
+    assert (streamed.range_bin, streamed.range_m) == (full.range_bin, full.range_m)
+    assert streamed.azimuth_peak_rad == full.azimuth_peak_rad
+    assert streamed.elevation_peak_rad == full.elevation_peak_rad
+    assert streamed.region_angles == full.region_angles
+    for a, b in zip(streamed.traces, full.traces, strict=True):
+        assert a.region == b.region
+        assert np.max(np.abs(a.displacement - b.displacement)) <= 1e-6
+
+
+@pytest.mark.parametrize("bad,match", [
+    ("nan-last-frame", "not finite"), ("inf-middle-chunk", "not finite"),
+    ("all-zero", "no return"),
+])
+def test_bad_sample_in_any_chunk_fails_loudly(phantom, monkeypatch, bad, match):
+    """A NaN in the last frame only, an inf in the middle chunk, or no
+    return at all is refused after the fold over all three chunks."""
+    cfg, cube = phantom
+    samples = cube.samples.copy()
+    if bad == "nan-last-frame":
+        samples[-1, 11, 15, 255] = np.nan
+    elif bad == "inf-middle-chunk":
+        samples[len(samples) // 2, 0, 0, 0] = np.inf
+    else:
+        samples[:] = 0
+    calls, chunks = _three_chunks(cube, cfg.pipeline, monkeypatch)
+    with pytest.raises(ProcessingError, match=match):
+        pipeline.run_pipeline(dataclasses.replace(cube, samples=samples),
+                              cfg.pipeline, layout=cfg.layout)
+    assert [c.samples.shape[0] for c, _ in calls] == chunks
+
+
 def test_run_pipeline_peak_memory_is_about_the_range_cube():
     """On bundled sim-single-target (50 frames), the traced peak stays
-    within 1.25x the cube: the range cube plus small buffers. Taking
-    |bins| of the whole range cube at once took 1.5x."""
+    within 1.25x the cube: one 42-frame chunk of range bins plus small
+    buffers (a whole range cube took ~1x). Taking |bins| of the whole
+    range cube at once took 1.5x."""
     cfg = load_run_config("sim-single-target")
     cube = simulate(cfg.scene, cfg.chirp, cfg.geometry)
     assert cube.samples.shape == (50, 12, 16, 512)

@@ -11,6 +11,7 @@ from multivital.rangeproc import (
     RangeCube,
     extract_range_bin,
     locate_subject,
+    range_bin_dft,
     range_fft,
 )
 from multivital.simulate import ScatterPoint, Scene, simulate
@@ -64,11 +65,38 @@ def test_range_fft_rejects_bad_sizes(cube5m):
         range_fft(cube5m, 600)  # not a power of two
 
 
+@pytest.mark.parametrize("n_fft", [512, 1024])
+def test_range_bin_dft_is_the_fft_bin(cube5m, n_fft):
+    """Every bin, zero-padded or not, within 1e-6 of the subject bin's scale
+    of a complex128 FFT, in extract_range_bin's layout."""
+    ref = np.fft.fft(cube5m.samples.astype(np.complex128), n=n_fft, axis=-1)
+    peak = 154 * n_fft // 512
+    scale = np.linalg.norm(ref[..., peak])
+    for b in (0, 1, peak, n_fft - 1):
+        out = range_bin_dft(cube5m, n_fft, b)
+        assert out.dtype == np.complex64 and out.flags.c_contiguous
+        assert out.shape == (12 * 16, 3)
+        assert np.linalg.norm(out - ref[..., b].reshape(3, -1).T) <= 1e-6 * scale
+
+
+def test_range_bin_dft_bounds(cube5m):
+    with pytest.raises(ProcessingError):
+        range_bin_dft(cube5m, 512, 512)
+    with pytest.raises(ProcessingError):
+        range_bin_dft(cube5m, 512, -1)
+    with pytest.raises(ConfigError):
+        range_bin_dft(cube5m, 256, 0)  # smaller than n_adc
+    with pytest.raises(ConfigError):
+        range_bin_dft(cube5m, 600, 0)  # not a power of two
+
+
 def test_locate_empty_cube():
     rc = RangeCube(bins=np.zeros((0, 0, 0, 0), dtype=np.complex64),
                    n_fft_range=512, bin_width_m=0.03)
-    with pytest.raises(ProcessingError):
+    with pytest.raises(ProcessingError, match="empty"):
         locate_subject(rc)
+    with pytest.raises(ProcessingError, match="empty"):
+        locate_subject(iter([]))
 
 
 @pytest.mark.parametrize("n_fft", [512, 1024])
@@ -137,3 +165,17 @@ def test_locate_subject_matches_double_precision_argmax(seed, cells, monkeypatch
     second, first = np.sort(ref)[-2:]
     assert first - second > 1e-4 * first
     assert locate_subject(rc).bin == int(np.argmax(ref))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_locate_subject_folds_frame_chunks(seed, monkeypatch):
+    """Frame chunks from a generator, one of them empty and the last one
+    partial, locate the same bin as the whole cube, through a row buffer
+    sized by the first chunk."""
+    monkeypatch.setattr(rangeproc, "_ABS_CELLS", 1000)
+    rc = _random_range_cube((9, 4, 7, 64), seed)
+    bounds = (0, 4, 4, 8, 9)
+    chunks = (dataclasses.replace(rc, bins=rc.bins[a:b]) for a, b in zip(bounds, bounds[1:]))
+    whole = locate_subject(rc)
+    assert locate_subject(chunks) == whole
+    assert whole.range_m == whole.bin * 0.03
