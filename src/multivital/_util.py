@@ -1,9 +1,14 @@
-"""Small shared helpers: thread-count resolution, atomic file writes."""
+"""Small shared helpers: thread-count resolution, atomic file writes,
+giving back the pages of a read-only file mapping."""
 
 from __future__ import annotations
 
+import mmap
 import os
 import tempfile
+from collections.abc import Iterable
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -33,11 +38,13 @@ def thread_count() -> int:
     return n
 
 
-def atomic_write_bytes(path: str, *chunks) -> None:
+def atomic_write_bytes(path: str, chunks: Iterable) -> None:
     """Write byte chunks in order to path via a temp file in the same directory plus rename.
 
     A chunk is any C-contiguous buffer (bytes, a numpy array), written from
-    its own memory without a copy.
+    its own memory without a copy. Each chunk is written before the next is
+    taken from chunks, so a generator may hand out one reused buffer. If
+    chunks raises, nothing is renamed and the temp file is removed.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
@@ -53,4 +60,24 @@ def atomic_write_bytes(path: str, *chunks) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])
+
+
+def release_pages(a: np.ndarray) -> None:
+    """Give back the resident pages of the read-only file mapping that the
+    numpy array a views; do nothing when a views anything else.
+
+    Only a mapping opened read-only (mmap.ACCESS_READ, so shared) is
+    released: the page cache keeps its data, and the next read faults the
+    pages back in from there. A writable private mapping's pages hold the
+    only copy of what was written to them, and MADV_DONTNEED would drop it.
+    """
+    base = a
+    while isinstance(base, np.ndarray):
+        base = base.base
+    mapping = base.obj if isinstance(base, memoryview) else None
+    if not isinstance(mapping, mmap.mmap) or not hasattr(mmap, "MADV_DONTNEED"):
+        return
+    with memoryview(mapping) as view:
+        if view.readonly:
+            mapping.madvise(mmap.MADV_DONTNEED)

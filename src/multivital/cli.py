@@ -25,13 +25,14 @@ from .io import (
     read_trace_table,
     save_cube,
     trace_rate_hz,
+    write_cube,
     write_report,
 )
 from .metrics import compare_traces
-from .pipeline import make_angle_map, run_pipeline
+from .pipeline import frames_per_chunk, make_angle_map, run_pipeline
 from .runconfig import load_run_config
 from .scg import scg_to_displacement
-from .simulate import simulate
+from .simulate import simulate, simulate_chunks
 from .vitals import DisplacementTrace, dominant_frequency
 
 
@@ -108,11 +109,12 @@ def _cmd_simulate(args) -> int:
     scene = cfg.scene
     if args.seed is not None:
         scene = dataclasses.replace(scene, seed=args.seed)
-    cube = simulate(scene, cfg.chirp, cfg.geometry)
-    save_cube(cube, args.out)
-    n_frames, n_tx, n_rx, n_adc = cube.samples.shape
-    print(f"wrote {args.out}: {n_frames} frames, {n_tx}x{n_rx} channels, "
-          f"{n_adc} samples")
+    chirp, geom = cfg.chirp, cfg.geometry
+    # One chunk of frames at a time: each is written before the next is made.
+    step = frames_per_chunk(8 * geom.n_tx * geom.n_rx * chirp.n_adc)
+    write_cube(args.out, chirp, geom, scene.seed, simulate_chunks(scene, chirp, geom, step))
+    print(f"wrote {args.out}: {chirp.n_frames} frames, {geom.n_tx}x{geom.n_rx} channels, "
+          f"{chirp.n_adc} samples")
     return 0
 
 

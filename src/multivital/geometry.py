@@ -7,6 +7,7 @@ meters where physical path lengths are needed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -119,8 +120,13 @@ class AzimuthUlaSelection:
     junctions: tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=8)
 def select_azimuth_ula(va: VirtualArray) -> AzimuthUlaSelection:
     """Pick one virtual element per azimuth position to form a dense ULA.
+
+    Cached per virtual array (frozen, so hashable; the selection is frozen
+    too, so callers share it): a run's config check and its pipeline make
+    one selection. A geometry that raises is never cached.
 
     Walks positions left to right, preferring to stay on the current
     (Tx, Rx-cluster) pair so runs stay long; when a run cannot continue,

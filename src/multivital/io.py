@@ -22,8 +22,10 @@ import io as _io
 import itertools
 import json
 import math
+import mmap
 import os
 import struct
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -46,23 +48,46 @@ _HEADER = struct.Struct("<4s5I5dQ")  # 72 bytes
 
 def save_cube(cube: RawDataCube, path: str) -> None:
     """Write a RawDataCube to an MVDC file (atomic replace)."""
-    cube.validate()
-    n_frames, n_tx, n_rx, n_samples = cube.samples.shape
-    header = _HEADER.pack(
-        MVDC_MAGIC,
-        MVDC_VERSION,
-        n_frames,
-        n_tx,
-        n_rx,
-        n_samples,
-        cube.chirp.fc,
-        cube.chirp.fs,
-        cube.chirp.k_chirp,
-        cube.chirp.prt,
-        cube.chirp.t_frame,
-        cube.seed & 0xFFFFFFFFFFFFFFFF,
-    )
-    atomic_write_bytes(path, header, np.ascontiguousarray(cube.samples, dtype="<c8"))
+    write_cube(path, cube.chirp, cube.geometry, cube.seed, [cube.samples])
+
+
+def write_cube(
+    path: str, chirp: ChirpConfig, geometry: ArrayGeometry, seed: int,
+    chunks: Iterable[np.ndarray],
+) -> None:
+    """Write a cube's frames, given in consecutive chunks, to an MVDC file
+    (atomic replace).
+
+    Each chunk is a complex array (frames, n_tx, n_rx, n_adc), written
+    before the next is taken from chunks, so a generator may hand out one
+    reused buffer (simulate_chunks does). save_cube is the one-chunk case.
+
+    Raises
+    ------
+    ConfigError
+        a chunk whose channels or samples do not match geometry and chirp,
+        or chunks whose frames do not add up to chirp.n_frames; the file at
+        path is then left as it was.
+    """
+    chirp.validate()
+    shape = (geometry.n_tx, geometry.n_rx, chirp.n_adc)
+
+    def payload():
+        yield _HEADER.pack(
+            MVDC_MAGIC, MVDC_VERSION, chirp.n_frames, *shape,
+            chirp.fc, chirp.fs, chirp.k_chirp, chirp.prt, chirp.t_frame,
+            seed & 0xFFFFFFFFFFFFFFFF,
+        )
+        frames = 0
+        for chunk in chunks:
+            if chunk.shape[1:] != shape:
+                raise ConfigError(f"cube chunk shape {chunk.shape} does not match meta {shape}")
+            frames += len(chunk)
+            yield np.ascontiguousarray(chunk, dtype="<c8")
+        if frames != chirp.n_frames:
+            raise ConfigError(f"cube chunks hold {frames} frames, meta says {chirp.n_frames}")
+
+    atomic_write_bytes(path, payload())
 
 
 def load_cube(path: str, geometry: ArrayGeometry | None = None) -> RawDataCube:
@@ -71,6 +96,14 @@ def load_cube(path: str, geometry: ArrayGeometry | None = None) -> RawDataCube:
     The file carries no antenna positions; pass the geometry used when the
     cube was simulated. Without one, a 12x16 channel layout is assumed to
     be the cascade board.
+
+    The samples are a read-only view of the file, mapped (mmap.ACCESS_READ)
+    rather than read: nothing is copied, pages are read as they are first
+    touched, and run_pipeline gives them back a frame chunk at a time.
+    Writing to them raises ValueError; .copy() them to modify. Replacing
+    the file by a rename (as save_cube does) leaves the mapping valid;
+    truncating it in place while it is mapped makes a later read of the
+    cut pages raise SIGBUS.
 
     Raises
     ------
@@ -121,16 +154,15 @@ def load_cube(path: str, geometry: ArrayGeometry | None = None) -> RawDataCube:
             chirp.validate()
         except ConfigError as exc:
             raise CubeFormatError(f"{path}: {exc}") from None
-        # Read the payload straight into the array that the cube keeps.
-        samples = np.empty((n_frames, n_tx, n_rx, n_samples), dtype="<c8")
-        got = fh.readinto(samples.reshape(-1).view(np.uint8))
-    if got != expected:
-        raise CubeFormatError(
-            f"{path}: truncated payload, expected {expected} bytes, got {got}"
-        )
+        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    got = len(mapping) - _HEADER.size
+    if got != expected:  # the file changed size since it was checked
+        mapping.close()
+        raise CubeFormatError(f"{path}: payload is {got} bytes, the header implies {expected}")
+    samples = np.frombuffer(mapping, dtype="<c8", count=expected // 8, offset=_HEADER.size)
     return RawDataCube(
-        samples=samples.astype(np.complex64, copy=False), chirp=chirp, geometry=geometry,
-        seed=int(seed),
+        samples=samples.reshape(n_frames, n_tx, n_rx, n_samples).astype(np.complex64, copy=False),
+        chirp=chirp, geometry=geometry, seed=int(seed),
     ).validate()
 
 
@@ -150,7 +182,7 @@ def export_traces(traces: list[DisplacementTrace], path: str) -> None:
             f"{t!r},{region},{ph!r},{d!r}\n"
             for t, ph, d in zip(tr.times.tolist(), tr.phase.tolist(), tr.displacement.tolist())
         ]).encode("utf-8"))
-    atomic_write_bytes(path, *chunks)
+    atomic_write_bytes(path, chunks)
 
 
 def export_scg_traces(traces: list[ScgTrace], ecg: np.ndarray, path: str) -> None:
@@ -173,7 +205,7 @@ def export_scg_traces(traces: list[ScgTrace], ecg: np.ndarray, path: str) -> Non
         rows = zip(time_cells[tr.fs, n], keys, map(repr, tr.displacement.tolist()), ecg_cells,
                    strict=True)
         chunks.append(("\n".join(map(",".join, rows)) + "\n").encode("utf-8"))
-    atomic_write_bytes(path, *chunks)
+    atomic_write_bytes(path, chunks)
 
 
 def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._util import release_pages
 from .config import derive_waveform
 from .doa import Beamformer, angle_map, build_phase_error_table, select_region_signal
 from .errors import ProcessingError
@@ -16,7 +18,7 @@ from .runconfig import PipelineConfig
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace, region_signal_to_trace
 
-_CHUNK_BYTES = 32 << 20  # range bins run_pipeline holds at a time: one frame chunk's transform
+_CHUNK_BYTES = 32 << 20  # frame data held at a time: simulate's raw frames, a chunk's range bins
 
 
 @dataclass(frozen=True)
@@ -84,27 +86,46 @@ def _frames(cube: RawDataCube, start: int, stop: int) -> RawDataCube:
     return replace(cube, samples=samples, chirp=replace(cube.chirp, n_frames=len(samples)))
 
 
+def frames_per_chunk(frame_bytes: int) -> int:
+    """Frames of frame_bytes each that fit in _CHUNK_BYTES, one at least."""
+    return max(1, _CHUNK_BYTES // frame_bytes)
+
+
+def _chunks(cube: RawDataCube, n_fft: int) -> Iterator[RawDataCube]:
+    """Consecutive frame chunks of cube as views, each of at most
+    _CHUNK_BYTES of range bins (one frame at least).
+
+    Once a chunk has been used, the pages a file-mapped cube read for it
+    are given back (release_pages), so a loaded cube keeps one chunk
+    resident; an in-memory cube is left as it is.
+    """
+    step = frames_per_chunk(8 * n_fft * cube.geometry.n_tx * cube.geometry.n_rx)
+    for start in range(0, len(cube.samples), step):
+        yield _frames(cube, start, start + step)
+        release_pages(cube.samples)
+
+
 def _steered_subject(cube, pcfg, layout):
     """Subject location and steer_subject for one cube, focused at the
     layout's boresight range (else the subject's), with the phase table at
     that range when pcfg.near_field.
 
-    The cube is range-transformed a frame chunk at a time, each chunk at
-    most _CHUNK_BYTES of bins (one frame at least), and locate_subject folds
-    each into its profile before the next is made. The subject-bin slab is
-    then a one-bin DFT of the raw cube, so no full-size range cube exists.
+    Both passes over the cube go a frame chunk at a time: range_fft of each
+    chunk is folded into locate_subject's profile before the next is made,
+    then the subject-bin slab is the one-bin DFT of each chunk, joined along
+    frames. No full-size range cube exists, and of a loaded cube one
+    chunk's pages are resident at a time.
     """
     wavelength = derive_waveform(cube.chirp).wavelength
     geom = cube.geometry
     sel = select_azimuth_ula(build_virtual_array(geom))
     n_fft = pcfg.n_fft_range
-    frame_bytes = 8 * n_fft * geom.n_tx * geom.n_rx  # one frame's complex64 bins
-    step = max(1, _CHUNK_BYTES // frame_bytes)
-    loc = locate_subject(range_fft(_frames(cube, start, start + step), n_fft)
-                         for start in range(0, len(cube.samples), step))
+    loc = locate_subject(range_fft(chunk, n_fft) for chunk in _chunks(cube, n_fft))
+    slab = np.concatenate([range_bin_dft(chunk, n_fft, loc.bin) for chunk in _chunks(cube, n_fft)],
+                          axis=1)
     range_z = layout.z_a if layout is not None else loc.range_m
-    bf, y = steer_subject(range_bin_dft(cube, n_fft, loc.bin), loc, sel, geom, wavelength,
-                          pcfg.n_fft_azimuth, range_z, pcfg.near_field, layout is not None)
+    bf, y = steer_subject(slab, loc, sel, geom, wavelength, pcfg.n_fft_azimuth, range_z,
+                          pcfg.near_field, layout is not None)
     return loc, wavelength, bf, y
 
 

@@ -72,14 +72,19 @@ def detrend(x: np.ndarray) -> np.ndarray:
     return signal.detrend(x, type="linear")
 
 
-def _highpass(x: np.ndarray, fs: float, cutoff: float) -> np.ndarray:
+def _highpass_design(fs: float, cutoff: float, n: int):
+    """The chain's zero-phase high-pass for n-sample arrays, as a function.
+
+    The Butterworth SOS and the pad length are worked out here once, so the
+    three stages of each axis filter with one design.
+    """
     from scipy import signal  # deferred: only the SCG chain pays its import
 
     sos = signal.butter(FILTER_ORDER, cutoff, btype="highpass", fs=fs, output="sos")
     # the default pad is a few dozen samples; at sub-Hz cutoffs the filter
     # memory is seconds, so pad three cutoff periods
-    padlen = min(len(x) - 1, int(round(3.0 * fs / cutoff)))
-    return signal.sosfiltfilt(sos, x, padlen=padlen)
+    padlen = min(n - 1, int(round(3.0 * fs / cutoff)))
+    return lambda x: signal.sosfiltfilt(sos, x, padlen=padlen)
 
 
 def _end_taper(n: int, transient: int) -> np.ndarray:
@@ -134,15 +139,16 @@ def scg_to_displacement(ch: ScgChannel, cutoff: float = 0.5) -> list[ScgTrace]:
     dt = 1.0 / fs
     transient = int(round(TRANSIENT_S * fs))
     wnd = _end_taper(n, transient)
+    highpass = _highpass_design(fs, cutoff, n)
     out = []
     for axis, acc in (("x", ch.ax), ("y", ch.ay), ("z", ch.az)):
         a = detrend(np.asarray(acc, dtype=np.float64))
-        a = _highpass((a - a.mean()) * wnd, fs, cutoff)
+        a = highpass((a - a.mean()) * wnd)
         v = cumulative_trapezoid(a, dx=dt, initial=0.0)
         v = detrend(v)
-        v = _highpass(v - v.mean(), fs, cutoff)
+        v = highpass(v - v.mean())
         d = cumulative_trapezoid(v, dx=dt, initial=0.0)
-        d = _highpass(d, fs, cutoff)
+        d = highpass(d)
         out.append(
             ScgTrace(
                 region=ch.region,

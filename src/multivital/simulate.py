@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -356,7 +357,8 @@ def synthesize_frame(
 
 
 def simulate(scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry) -> RawDataCube:
-    """Run synthesize_frame for all frames, in parallel, into one cube.
+    """Run synthesize_frame for all frames, in parallel, into one cube: the
+    one-chunk case of simulate_chunks.
 
     Deterministic for a given scene seed regardless of thread count: every
     frame draws from its own counter-based stream keyed (seed, frame).
@@ -365,25 +367,47 @@ def simulate(scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry) -> RawDataCube
     -------
     RawDataCube
     """
+    (samples,) = simulate_chunks(scene, cfg, geom, cfg.n_frames)
+    return RawDataCube(samples=samples, chirp=cfg, geometry=geom, seed=scene.seed).validate()
+
+
+def simulate_chunks(
+    scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry, frames_per_chunk: int,
+) -> Iterator[np.ndarray]:
+    """The cube's frames in order, frames_per_chunk at a time (the last
+    chunk may hold fewer), each synthesized in parallel into one reused
+    complex64 buffer.
+
+    A chunk is overwritten by the next, so use it (write it out) before
+    asking for the next: only one chunk of the cube is ever held. The frames
+    are simulate's, bit for bit, whatever the chunk size or thread count.
+
+    Yields
+    ------
+    ndarray, complex64, shape (frames, n_tx, n_rx, n_adc)
+    """
     plan = _plan(scene, cfg, geom)  # validates, and builds the plan every frame reuses
-    out = np.empty(
-        (cfg.n_frames, geom.n_tx, geom.n_rx, cfg.n_adc), dtype=np.complex64
+    buf = np.empty(
+        (min(frames_per_chunk, cfg.n_frames), geom.n_tx, geom.n_rx, cfg.n_adc),
+        dtype=np.complex64,
     )
     b = plan.omega.shape[1]
+    workers = min(thread_count(), len(buf))
+    # One product buffer per worker, reused by its frames, so frames do not
+    # allocate and fault in their own.
+    work = [np.empty((geom.n_tx, geom.n_rx, b, b), dtype=np.complex128) for _ in range(workers)]
 
-    def run(frames) -> None:
-        # One product buffer per worker, reused by its frames and freed
-        # with it, so frames do not allocate and fault in their own.
-        work = np.empty((geom.n_tx, geom.n_rx, b, b), dtype=np.complex128)
-        for m in frames:
-            synthesize_frame(scene, cfg, geom, m, out=out[m], work=work)
+    with ThreadPoolExecutor(workers) as pool:  # starts no thread until first used
+        for start in range(0, cfg.n_frames, len(buf)):
+            out = buf[:cfg.n_frames - start]
 
-    workers = min(thread_count(), cfg.n_frames)
-    if workers <= 1:
-        run(range(cfg.n_frames))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # list() drains the map so a worker's exception is raised here
-            list(pool.map(run, (range(k, cfg.n_frames, workers) for k in range(workers))))
-    return RawDataCube(samples=out, chirp=cfg, geometry=geom, seed=scene.seed).validate()
+            def run(k: int) -> None:
+                for j in range(k, len(out), workers):
+                    synthesize_frame(scene, cfg, geom, start + j, out=out[j], work=work[k])
 
+            if workers == 1:
+                run(0)
+            else:
+                # list() drains the map so a worker's exception is raised here
+                list(pool.map(run, range(workers)))
+            yield out

@@ -14,13 +14,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import multivital.cli as cli
 import multivital.doa as doa
 import multivital.pipeline as pipeline
 from multivital.cli import main
+from multivital.geometry import select_azimuth_ula
 from multivital.io import load_cube, load_scg_csv, read_trace_table, save_cube
 from multivital.runconfig import load_run_config
 from multivital.scg import scg_to_displacement
-from multivital.simulate import RawDataCube
+from multivital.simulate import RawDataCube, simulate
 
 RATE = 250.0  # Hz, synthetic accelerometer rate
 
@@ -120,6 +122,39 @@ def test_simulate_deterministic_unless_reseeded(workdir, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
     assert "wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_writes_frame_chunks_as_one_cube(workdir, tmp_path, monkeypatch, capsys,
+                                                  threads):
+    """simulate synthesizes 6, 6 and 4 of 16 noisy frames into one reused
+    buffer and writes each before the next is made: the file is byte for
+    byte save_cube of the whole simulated cube."""
+    doc = json.loads(workdir["cfg"].read_text())
+    doc["scene"].update(snr_db=10.0, mode="exact-path")
+    cfg_path = tmp_path / "noisy.json"
+    cfg_path.write_text(json.dumps(doc))
+    cfg = load_run_config(str(cfg_path))
+    frame_bytes = 8 * cfg.geometry.n_tx * cfg.geometry.n_rx * cfg.chirp.n_adc
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 6 * frame_bytes + frame_bytes // 2)
+    monkeypatch.setenv("MULTIVITAL_THREADS", threads)
+    chunks = []
+    simulate_chunks = cli.simulate_chunks
+
+    def recording(*args):
+        for chunk in simulate_chunks(*args):
+            chunks.append((len(chunk), chunk.__array_interface__["data"][0]))
+            yield chunk
+
+    monkeypatch.setattr(cli, "simulate_chunks", recording)
+    streamed = tmp_path / "streamed.mvdc"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(streamed)]) == 0
+    assert [n for n, _ in chunks] == [6, 6, 4]
+    assert len({address for _, address in chunks}) == 1  # one buffer, reused
+    whole = tmp_path / "whole.mvdc"
+    save_cube(simulate(cfg.scene, cfg.chirp, cfg.geometry), str(whole))
+    assert streamed.read_bytes() == whole.read_bytes()
+    capsys.readouterr()
 
 
 def test_process_writes_readable_traces(workdir, tmp_path, capsys):
@@ -380,51 +415,87 @@ def test_bad_cube_over_several_chunks_reports_processing_error(
     assert not out.exists()
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_process_peak_memory_is_the_cube_plus_one_chunk(tmp_path, capsys):
-    """In a fresh interpreter, process on a 203 MiB cube raises the peak RSS
-    by at most 1.5x the cube: the loaded cube plus one <= 32 MiB chunk of
-    range bins. A full range cube beside the loaded one took ~2x.
+def _peak_rise(argv: list[str]) -> int:
+    """Bytes by which main(argv) raises the peak RSS of a fresh interpreter.
 
-    The child reads its own address space's high-water mark (VmHWM):
-    ru_maxrss would start from this test process's RSS, carried over the
-    fork and exec.
+    The child reads its own address space's high-water mark (VmHWM) before
+    and after the command: ru_maxrss would start from this test process's
+    RSS, carried over the fork and exec. numpy and scipy.fft are loaded
+    before the first reading, so the rise is the command's data.
     """
-    doc = {
-        "chirp": {"fc_hz": 77.0e9, "prt_s": 70.0e-6, "t_frame_s": 0.05, "n_adc": 256,
-                  "fs_hz": 5.0e6, "k_chirp_hz_per_s": 65.998e12, "n_frames": 540},
-        "geometry": "ti-cascade",
-        "scene": {"points": [{"position_m": [0.0, 0.5, 0.0]}], "mode": "plane-wave"},
-        "pipeline": {"n_fft_range": 256, "n_fft_azimuth": 256},
-    }
-    cfg, cube = tmp_path / "big.json", tmp_path / "big.mvdc"
-    cfg.write_text(json.dumps(doc))
-    assert main(["simulate", "--config", str(cfg), "--out", str(cube)]) == 0
-    capsys.readouterr()
-    cube_bytes = cube.stat().st_size
-    assert cube_bytes >= 200 * 2**20
     script = "\n".join([
         "import json, sys",
-        "import numpy, scipy.fft  # loaded first: the rise is the command's data",
+        "import numpy, scipy.fft",
         "from multivital.cli import main",
         "def peak():",
         "    with open('/proc/self/status') as fh:",
         "        return next(int(line.split()[1]) * 1024 for line in fh",
         "                    if line.startswith('VmHWM:'))",
         "before = peak()",
-        "rc = main(['process', '--cube', sys.argv[1], '--config', sys.argv[2],",
-        "           '--out', sys.argv[3]])",
-        "print(json.dumps({'rc': rc, 'before': before, 'after': peak()}))",
+        "rc = main(json.loads(sys.argv[1]))",
+        "print(json.dumps({'rc': rc, 'rise': peak() - before}))",
     ])
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(cube), str(cfg), str(tmp_path / "t.csv")],
+        [sys.executable, "-c", script, json.dumps(argv)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["rc"] == 0
-    assert got["after"] - got["before"] <= 1.5 * cube_bytes
+    return got["rise"]
+
+
+_BIG_CUBE = {  # 540 frames of 12 x 16 x 256 samples: a 203 MiB cube
+    "chirp": {"fc_hz": 77.0e9, "prt_s": 70.0e-6, "t_frame_s": 0.05, "n_adc": 256,
+              "fs_hz": 5.0e6, "k_chirp_hz_per_s": 65.998e12, "n_frames": 540},
+    "geometry": "ti-cascade",
+    "scene": {"points": [{"position_m": [0.0, 0.5, 0.0]}], "mode": "plane-wave"},
+    "pipeline": {"n_fft_range": 256, "n_fft_azimuth": 256},
+}
+
+
+@pytest.fixture(scope="module")
+def big_cube(tmp_path_factory):
+    """A 203 MiB cube, simulated in a fresh interpreter, with its config and
+    the peak RSS rise of that simulate."""
+    root = tmp_path_factory.mktemp("big")
+    cfg, cube = root / "big.json", root / "big.mvdc"
+    cfg.write_text(json.dumps(_BIG_CUBE))
+    rise = _peak_rise(["simulate", "--config", str(cfg), "--out", str(cube)])
+    assert cube.stat().st_size >= 200 * 2**20
+    return {"root": root, "cfg": cfg, "cube": cube, "simulate_rise": rise}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_simulate_peak_memory_is_one_chunk(big_cube):
+    """simulate writes its frames a <= 32 MiB chunk at a time: the peak
+    rises by at most half the cube. Holding the whole cube took ~1x."""
+    assert big_cube["simulate_rise"] <= 0.5 * big_cube["cube"].stat().st_size
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_process_peak_memory_is_the_cube_plus_one_chunk(big_cube):
+    """In a fresh interpreter, process on a 203 MiB cube raises the peak RSS
+    by at most 1.5x the cube. A full range cube beside the loaded one took
+    ~2x."""
+    cube_bytes = big_cube["cube"].stat().st_size
+    rise = _peak_rise(["process", "--cube", str(big_cube["cube"]),
+                       "--config", str(big_cube["cfg"]),
+                       "--out", str(big_cube["root"] / "t.csv")])
+    assert rise <= 1.5 * cube_bytes
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_process_angle_map_peak_memory_is_one_chunk(big_cube):
+    """process --angle-map maps the cube read-only and gives back each
+    frame chunk's pages once both range passes are done with it: the peak
+    rises by at most half the cube. Reading the whole cube in took ~1x."""
+    root = big_cube["root"]
+    rise = _peak_rise(["process", "--cube", str(big_cube["cube"]),
+                       "--config", str(big_cube["cfg"]), "--out", str(root / "t.csv"),
+                       "--angle-map", str(root / "map.csv")])
+    assert rise <= 0.5 * big_cube["cube"].stat().st_size
 
 
 def test_process_near_field_flag_and_angle_map(workdir, tmp_path, capsys):
@@ -489,6 +560,17 @@ def test_process_builds_the_steering_once(workdir, tmp_path, monkeypatch, capsys
         "--angle-map", str(tmp_path / "map.csv"),
     ]) == 0
     assert calls == {"table": 1, "build": 1, "ula": 1}
+    capsys.readouterr()
+
+
+def test_process_makes_one_azimuth_ula_selection(workdir, tmp_path, capsys):
+    """The config check and the pipeline share one cached selection: a
+    process run selects the azimuth ULA once, not once for each."""
+    select_azimuth_ula.cache_clear()
+    assert main(["process", "--cube", str(workdir["cube"]), "--config", str(workdir["cfg"]),
+                 "--out", str(tmp_path / "traces.csv")]) == 0
+    info = select_azimuth_ula.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     capsys.readouterr()
 
 

@@ -111,13 +111,20 @@ def test_cube_trailing_bytes_rejected(tmp_path, table2, cascade):
         load_cube(str(tmp_path / "long.mvdc"))
 
 
-def test_loaded_samples_are_writable_contiguous_complex64(tmp_path, table2, cascade):
+def test_loaded_samples_are_a_read_only_contiguous_complex64_view(tmp_path, table2, cascade):
+    """Loaded samples are a read-only view of the mapped file: equal to the
+    saved cube, refusing writes, and writable once copied."""
     path = str(tmp_path / "cube.mvdc")
-    save_cube(_small_cube(table2, cascade), path)
+    cube = _small_cube(table2, cascade)
+    save_cube(cube, path)
     samples = load_cube(path).samples
-    assert samples.dtype == np.complex64
-    assert samples.flags.c_contiguous and samples.flags.writeable
-    samples[0, 0, 0, 0] = 1j  # the cube owns its buffer
+    assert samples.dtype == np.complex64 and samples.flags.c_contiguous
+    assert np.array_equal(samples, cube.samples)
+    with pytest.raises(ValueError):
+        samples[0, 0, 0, 0] = 1j
+    copy = samples.copy()
+    copy[0, 0, 0, 0] = 1j
+    assert copy[0, 0, 0, 0] == 1j and samples[0, 0, 0, 0] == cube.samples[0, 0, 0, 0]
 
 
 def test_saved_cube_is_header_then_sample_bytes(tmp_path, table2, cascade):

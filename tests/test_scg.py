@@ -54,6 +54,23 @@ def test_transient_trim():
     assert len(tr.trimmed) == len(tr.displacement) - 800
 
 
+def test_filter_is_designed_once_per_channel(monkeypatch):
+    """The three high-pass stages of all three axes share one design."""
+    from scipy import signal
+
+    designs = []
+    butter = signal.butter
+
+    def counting(*args, **kwargs):
+        designs.append(args)
+        return butter(*args, **kwargs)
+
+    monkeypatch.setattr(signal, "butter", counting)
+    for region in ("A", "B"):
+        assert len(scg_to_displacement(_tone_channel(fs=200.0, region=region))) == 3
+    assert len(designs) == 2
+
+
 def test_short_record_raises():
     # 10 time constants of the 0.5 Hz filter are 3.18 s.
     with pytest.raises(ProcessingError, match="time constants"):
