@@ -53,9 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cube", required=True, help="input .mvdc cube")
     p.add_argument("--config", required=True, help="config file path or bundled name")
     p.add_argument("--out", required=True, help="output trace CSV path")
-    p.add_argument("--near-field", choices=("on", "off"), default=None,
-                   dest="near_field",
-                   help="override the config's junction-compensation setting")
     p.add_argument("--angle-map", default=None, dest="angle_map",
                    help="also write a frame-0 angle map CSV to this path")
     p.set_defaults(func=_cmd_process)
@@ -121,13 +118,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_process(args) -> int:
     cfg = load_run_config(args.config)
     cube = load_cube(args.cube, geometry=cfg.geometry)
-    pcfg = cfg.pipeline
-    if args.near_field is not None:
-        pcfg = dataclasses.replace(pcfg, near_field=args.near_field == "on")
-    result = run_pipeline(cube, pcfg, layout=cfg.layout)
+    result = run_pipeline(cube, cfg.pipeline, layout=cfg.layout)
     export_traces(result.traces, args.out)
     if args.angle_map:
-        export_angle_map(make_angle_map(cube, pcfg, result), args.angle_map)
+        export_angle_map(make_angle_map(cube, cfg.pipeline, result), args.angle_map)
     print(f"subject at {result.range_m:.3f} m (bin {result.range_bin}), "
           f"azimuth peak {np.degrees(result.azimuth_peak_rad):.2f} deg; "
           f"wrote {len(result.traces)} trace(s) to {args.out}")

@@ -213,18 +213,17 @@ def junction_phase_error(
     p = np.stack([z * np.tan(th), np.full_like(th, z), np.zeros_like(th)], axis=-1)
     u = np.sin(th)
     tx_xyz, rx_xyz = element_positions_m(geom, wavelength)
-    tx_az = [a for a, _ in geom.tx_elements]
-    rx_az = [a for a, _ in geom.rx_elements]
+    tx_az = np.array(geom.tx_elements)[:, 0]
+    rx_az = np.array(geom.rx_elements)[:, 0]
 
+    # Path differences once per physical element, (n_elements, len(th)),
+    # then taken per ULA position by its (Tx, Rx) pair.
+    ti, ri = np.array(sel.chosen).T
     tx_0, rx_0 = sel.chosen[0]
-    eps = np.empty((len(sel.chosen), len(th)))
-    for e, (ti, ri) in enumerate(sel.chosen):
-        dp = (tx_az[ti] + rx_az[ri]) - (tx_az[tx_0] + rx_az[rx_0])
-        d_path = (
-            _path_difference(p, tx_xyz[ti], tx_xyz[tx_0])
-            + _path_difference(p, rx_xyz[ri], rx_xyz[rx_0])
-        )
-        eps[e] = (2.0 * np.pi / wavelength) * d_path + np.pi * dp * u
+    tx_path = _path_difference(p, tx_xyz[:, None], tx_xyz[tx_0])
+    rx_path = _path_difference(p, rx_xyz[:, None], rx_xyz[rx_0])
+    dp = (tx_az[ti] + rx_az[ri]) - (tx_az[tx_0] + rx_az[rx_0])
+    eps = (2.0 * np.pi / wavelength) * (tx_path[ti] + rx_path[ri]) + np.pi * dp[:, None] * u
     block_err = np.stack([eps[s:stop + 1].mean(axis=0) for s, stop in sel.blocks])
     out = block_err[1:] - block_err[:-1]
     return out[:, 0] if scalar else out

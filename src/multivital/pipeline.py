@@ -36,13 +36,13 @@ class PipelineResult:
 
 def steer_subject(
     y, loc, sel, geom, wavelength: float, n_fft: int,
-    range_z: float | None = None, compensate: bool = True, plane: bool = False,
+    range_z: float | None = None, plane: bool = False,
 ) -> tuple[Beamformer, np.ndarray]:
     """Beamformer for the subject bin and its raw slow-time data.
 
     The one place a run builds its steering: the Beamformer focuses at
-    range_z (plane waves when None; a subject at 0 m is an error), with
-    the near-field phase table there when compensate and a layout's
+    range_z, with the near-field phase table there (plane waves and no
+    table when None; a subject at 0 m is an error), and a layout's
     chest-plane region angles when plane; then the subject-bin slab y
     (channels, frames) as complex128. y may also be a whole RangeCube,
     whose bin loc.bin is then taken.
@@ -51,11 +51,11 @@ def steer_subject(
         raise ProcessingError(
             f"subject located at {loc.range_m} m (range bin {loc.bin}): no range to focus at"
         )
-    dphi = None
-    if compensate and range_z is not None:
+    if range_z is None:
+        bf = Beamformer.build(sel, geom, n_fft, plane=plane)
+    else:
         dphi = build_phase_error_table(sel, geom, wavelength, range_z, n_fft)
-    range_wl = np.inf if range_z is None else range_z / wavelength
-    bf = Beamformer.build(sel, geom, n_fft, dphi, range_wl, plane)
+        bf = Beamformer.build(sel, geom, n_fft, dphi, range_z / wavelength, plane)
     if isinstance(y, RangeCube):
         y = extract_range_bin(y, loc.bin)
     return bf, y.astype(np.complex128)
@@ -108,7 +108,7 @@ def _chunks(cube: RawDataCube, n_fft: int) -> Iterator[RawDataCube]:
 def _steered_subject(cube, pcfg, layout):
     """Subject location and steer_subject for one cube, focused at the
     layout's boresight range (else the subject's), with the phase table at
-    that range when pcfg.near_field.
+    that range.
 
     Both passes over the cube go a frame chunk at a time: range_fft of each
     chunk is folded into locate_subject's profile before the next is made,
@@ -125,7 +125,7 @@ def _steered_subject(cube, pcfg, layout):
                           axis=1)
     range_z = layout.z_a if layout is not None else loc.range_m
     bf, y = steer_subject(slab, loc, sel, geom, wavelength, pcfg.n_fft_azimuth, range_z,
-                          pcfg.near_field, layout is not None)
+                          layout is not None)
     return loc, wavelength, bf, y
 
 

@@ -26,7 +26,6 @@ class PipelineConfig:
 
     n_fft_range: int
     n_fft_azimuth: int
-    near_field: bool = True
     band: tuple[float, float] = (0.5, 3.0)  # Hz
 
 
@@ -191,15 +190,12 @@ def _parse_scene(obj: dict, path: str) -> Scene:
 
 def _parse_pipeline(obj: dict, path: str) -> PipelineConfig:
     _check_keys(obj, path, required=("n_fft_range", "n_fft_azimuth"),
-                optional=("near_field", "band_hz"))
+                optional=("band_hz",))
     def fft_size(key):
         n = _integer(obj, path, key)
         if n < 2 or n & (n - 1):
             raise ConfigError(f"{path}.{key} must be a power of two, got {n}")
         return n
-    near = obj.get("near_field", True)
-    if not isinstance(near, bool):
-        raise ConfigError(f"{path}.near_field must be a boolean")
     band = obj.get("band_hz", [0.5, 3.0])
     lo, hi = _vector(band, f"{path}.band_hz", 2)
     if not 0 <= lo < hi:
@@ -207,7 +203,6 @@ def _parse_pipeline(obj: dict, path: str) -> PipelineConfig:
     return PipelineConfig(
         n_fft_range=fft_size("n_fft_range"),
         n_fft_azimuth=fft_size("n_fft_azimuth"),
-        near_field=near,
         band=(lo, hi),
     )
 

@@ -83,6 +83,15 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_retired_near_field_flag_is_a_usage_error(workdir, tmp_path, capsys):
+    """Junction compensation is always on: process has no --near-field."""
+    out = tmp_path / "t.csv"
+    assert main(["process", "--cube", str(workdir["cube"]), "--config", str(workdir["cfg"]),
+                 "--out", str(out), "--near-field", "on"]) == 2
+    assert "--near-field" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_python_m_multivital_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "multivital", "--help"],
@@ -356,9 +365,8 @@ def test_non_finite_cube_header_reports_cube_format_error(workdir, tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
-@pytest.mark.parametrize("near_field", ["on", "off"])
 @pytest.mark.parametrize("config", ["sim-single-target", "phantom-five-point"])
-def test_cube_with_no_return_reports_processing_error(tmp_path, capsys, config, near_field):
+def test_cube_with_no_return_reports_processing_error(tmp_path, capsys, config):
     """An all-zero cube has no subject to locate: process fails as a
     processing error and writes no traces."""
     cfg = load_run_config(config)
@@ -367,8 +375,7 @@ def test_cube_with_no_return_reports_processing_error(tmp_path, capsys, config, 
     cube = tmp_path / "zero.mvdc"
     save_cube(RawDataCube(samples=samples, chirp=chirp, geometry=cfg.geometry), str(cube))
     out = tmp_path / "traces.csv"
-    assert main(["process", "--cube", str(cube), "--config", config,
-                 "--out", str(out), "--near-field", near_field]) == 1
+    assert main(["process", "--cube", str(cube), "--config", config, "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "processing"
     assert "no return" in err["message"]
@@ -498,13 +505,12 @@ def test_process_angle_map_peak_memory_is_one_chunk(big_cube):
     assert rise <= 0.5 * big_cube["cube"].stat().st_size
 
 
-def test_process_near_field_flag_and_angle_map(workdir, tmp_path, capsys):
+def test_process_writes_the_angle_map(workdir, tmp_path, capsys):
     out = tmp_path / "traces.csv"
     amap = tmp_path / "map.csv"
     rc = main([
         "process", "--cube", str(workdir["cube"]),
-        "--config", str(workdir["cfg"]), "--out", str(out),
-        "--near-field", "on", "--angle-map", str(amap),
+        "--config", str(workdir["cfg"]), "--out", str(out), "--angle-map", str(amap),
     ])
     assert rc == 0
     lines = amap.read_text().splitlines()
@@ -538,8 +544,8 @@ def test_angle_map_range_transforms_frame_zero_only(workdir, tmp_path, monkeypat
 
 
 def test_process_builds_the_steering_once(workdir, tmp_path, monkeypatch, capsys):
-    """process --angle-map --near-field on makes one ULA selection, one phase
-    table and one Beamformer: the map steers with the run's."""
+    """process --angle-map makes one ULA selection, one phase table and one
+    Beamformer: the map steers with the run's."""
     calls = {"table": 0, "build": 0, "ula": 0}
 
     def counting(fn, key):
@@ -556,8 +562,7 @@ def test_process_builds_the_steering_once(workdir, tmp_path, monkeypatch, capsys
                         counting(pipeline.select_azimuth_ula, "ula"))
     assert main([
         "process", "--cube", str(workdir["cube"]), "--config", str(workdir["cfg"]),
-        "--out", str(tmp_path / "traces.csv"), "--near-field", "on",
-        "--angle-map", str(tmp_path / "map.csv"),
+        "--out", str(tmp_path / "traces.csv"), "--angle-map", str(tmp_path / "map.csv"),
     ]) == 0
     assert calls == {"table": 1, "build": 1, "ula": 1}
     capsys.readouterr()

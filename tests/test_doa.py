@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from multivital.config import derive_waveform
 from multivital.doa import (
     Beamformer,
+    _path_difference,
     angle_map,
     build_phase_error_table,
     junction_phase_error,
@@ -174,6 +175,45 @@ def test_junction_steps_halve_with_doubled_range(cascade, ula):
 def test_junction_rejects_bad_range(cascade, ula):
     with pytest.raises(ConfigError):
         junction_phase_error(ula, cascade, WL77, 0.0, 0.0)
+
+
+def _junction_by_position(sel, geom, wavelength, z, theta_l):
+    """junction_phase_error by one path-difference pass per ULA position,
+    the reference for its per-element form."""
+    th = np.atleast_1d(np.asarray(theta_l, dtype=np.float64))
+    p = np.stack([z * np.tan(th), np.full_like(th, z), np.zeros_like(th)], axis=-1)
+    u = np.sin(th)
+    tx_xyz, rx_xyz = element_positions_m(geom, wavelength)
+    tx_az = [a for a, _ in geom.tx_elements]
+    rx_az = [a for a, _ in geom.rx_elements]
+    tx_0, rx_0 = sel.chosen[0]
+    eps = np.empty((len(sel.chosen), len(th)))
+    for e, (ti, ri) in enumerate(sel.chosen):
+        dp = (tx_az[ti] + rx_az[ri]) - (tx_az[tx_0] + rx_az[rx_0])
+        d_path = (
+            _path_difference(p, tx_xyz[ti], tx_xyz[tx_0])
+            + _path_difference(p, rx_xyz[ri], rx_xyz[rx_0])
+        )
+        eps[e] = (2.0 * np.pi / wavelength) * d_path + np.pi * dp * u
+    block_err = np.stack([eps[s:stop + 1].mean(axis=0) for s, stop in sel.blocks])
+    out = block_err[1:] - block_err[:-1]
+    return out[:, 0] if np.ndim(theta_l) == 0 else out
+
+
+@pytest.mark.parametrize("z", [0.5, 1.0, 5.0])
+def test_phase_table_equals_the_per_position_loop(cascade, ula, z):
+    # Path differences taken once per physical element and indexed by the
+    # ULA's (Tx, Rx) pairs give the per-position loop's table bit for bit.
+    n_fft = 512
+    frac = 2.0 * (np.arange(n_fft) - n_fft // 2) / n_fft
+    valid = np.abs(frac) < 1.0
+    want = np.zeros((len(ula.junctions), n_fft))
+    want[:, valid] = _junction_by_position(ula, cascade, WL77, z, np.arcsin(frac[valid]))
+    assert np.array_equal(build_phase_error_table(ula, cascade, WL77, z, n_fft), want)
+    theta = np.deg2rad(23.0)
+    got = junction_phase_error(ula, cascade, WL77, z, theta)
+    assert got.shape == (len(ula.junctions),)
+    assert np.array_equal(got, _junction_by_position(ula, cascade, WL77, z, theta))
 
 
 def test_phase_table_layout(cascade, ula):

@@ -20,9 +20,8 @@ from multivital.simulate import simulate
 
 @pytest.fixture(scope="module")
 def phantom():
-    """Eight frames of the five-point phantom, near-field compensation on."""
+    """Eight frames of the five-point phantom."""
     cfg = load_run_config("phantom-five-point")
-    assert cfg.pipeline.near_field
     chirp = dataclasses.replace(cfg.chirp, n_frames=8)
     return cfg, simulate(cfg.scene, chirp, cfg.geometry)
 
@@ -71,19 +70,16 @@ def _three_chunks(cube, pcfg, monkeypatch):
     return calls, [step, step, n_frames - 2 * step]
 
 
-@pytest.mark.parametrize("near_field", [False, True])
 @pytest.mark.parametrize("scene,with_layout", [
     ("phantom", True), ("phantom", False), ("single_target", False),
 ])
-def test_streamed_range_stage_equals_the_full_cube_route(
-    request, monkeypatch, scene, with_layout, near_field,
-):
+def test_streamed_range_stage_equals_the_full_cube_route(request, monkeypatch, scene, with_layout):
     """Located from three frame chunks and steered on a one-bin DFT, a run
     reads the same subject and angles as from one range cube of every frame
     and extract_range_bin, with every trace within 1e-6 mm."""
     cfg, cube = request.getfixturevalue(scene)
     layout = cfg.layout if with_layout else None
-    pcfg = _near(cfg, near_field)
+    pcfg = cfg.pipeline
     with monkeypatch.context() as m:
         m.setattr(pipeline, "_CHUNK_BYTES", cube.samples.nbytes * pcfg.n_fft_range)
         m.setattr(pipeline, "range_bin_dft",
@@ -141,31 +137,13 @@ def test_run_pipeline_peak_memory_is_about_the_range_cube():
     assert peak <= 1.25 * cube.samples.nbytes
 
 
-def _near(cfg, near_field):
-    """cfg's pipeline config with near-field compensation set to near_field."""
-    return dataclasses.replace(cfg.pipeline, near_field=near_field)
-
-
-def test_near_field_switches_only_the_azimuth_peak(phantom):
-    """near_field compensates the ULA's azimuth reading only: the elevation
-    and every region trace come from the same focus either way."""
-    cfg, cube = phantom
-    on, off = (pipeline.run_pipeline(cube, _near(cfg, nf), layout=cfg.layout)
-               for nf in (True, False))
-    assert on.azimuth_peak_rad != off.azimuth_peak_rad
-    assert on.elevation_peak_rad == off.elevation_peak_rad
-    for a, b in zip(on.traces, off.traces, strict=True):
-        assert np.array_equal(a.displacement, b.displacement)
-
-
-@pytest.mark.parametrize("near_field", [True, False])
-def test_subject_at_range_zero_fails_loudly(phantom, near_field):
+def test_subject_at_range_zero_fails_loudly(phantom):
     """A constant cube puts its only return in range bin 0, where there is
     no range to focus at."""
     cfg, cube = phantom
     dc = dataclasses.replace(cube, samples=np.ones_like(cube.samples))
     with pytest.raises(ProcessingError, match="no range to focus at"):
-        pipeline.run_pipeline(dc, _near(cfg, near_field), layout=None)
+        pipeline.run_pipeline(dc, cfg.pipeline, layout=None)
 
 
 def _elevated_cube(r, theta_deg, phi_deg=0.0):
@@ -181,28 +159,39 @@ def _elevated_cube(r, theta_deg, phi_deg=0.0):
     return cfg, simulate(scene, dataclasses.replace(cfg.chirp, n_frames=16), cfg.geometry)
 
 
-def _case(r, theta_deg, near_field, phi_deg=0):
+def _case(r, theta_deg, phi_deg=0):
     suffix = f"-az{phi_deg}" if phi_deg else ""
-    return pytest.param(r, theta_deg, near_field, phi_deg,
-                        id=f"{r}-{theta_deg}-{near_field}{suffix}")
+    return pytest.param(r, theta_deg, phi_deg, id=f"{r}-{theta_deg}{suffix}")
 
 
-@pytest.mark.parametrize("r,theta_deg,near_field,phi_deg", [
-    *[_case(r, th, nf) for r in (1.0, 0.5) for th in (-10, 5, 10, 15) for nf in (False, True)],
-    *[_case(r, th, nf, phi) for r, th, phi in ((0.5, 10, 30), (0.5, -10, -20), (1.0, 10, 30))
-      for nf in (False, True)],
+@pytest.mark.parametrize("r,theta_deg,phi_deg", [
+    *[_case(r, th) for r in (1.0, 0.5) for th in (-10, 5, 10, 15)],
+    *[_case(r, th, phi) for r, th, phi in ((0.5, 10, 30), (0.5, -10, -20), (1.0, 10, 30))],
 ])
-def test_elevation_of_target_at_known_elevation(r, theta_deg, near_field, phi_deg):
+def test_elevation_of_target_at_known_elevation(r, theta_deg, phi_deg):
     cfg, cube = _elevated_cube(r, theta_deg, phi_deg)
-    result = pipeline.run_pipeline(cube, _near(cfg, near_field))
+    result = pipeline.run_pipeline(cube, cfg.pipeline)
     assert abs(np.degrees(result.elevation_peak_rad) - theta_deg) <= 1.0
 
 
-@pytest.mark.parametrize("near_field", [False, True])
-def test_angle_map_peak_at_known_elevation(near_field):
+@pytest.mark.parametrize("r,theta_deg,phi_deg", [
+    _case(0.5, 0), _case(0.5, 0, 30), _case(0.5, 10, 20),
+])
+def test_azimuth_of_close_target_without_layout(r, theta_deg, phi_deg):
+    """With no layout, the ULA is compensated at the located range, so a
+    close point's azimuth peak, where region A is focused, reads within
+    0.75 deg of the truth. Uncompensated, these read 3.1 to 3.8 deg low."""
+    cfg, cube = _elevated_cube(r, theta_deg, phi_deg)
+    assert cfg.layout is None
+    result = pipeline.run_pipeline(cube, cfg.pipeline)
+    assert abs(np.degrees(result.azimuth_peak_rad) - phi_deg) <= 0.75
+    assert result.region_angles == {"A": (result.azimuth_peak_rad, result.elevation_peak_rad)}
+
+
+def test_angle_map_peak_at_known_elevation():
     """At 1.0 m and 10 deg, the map's peak lies within one 1 deg cell of the truth."""
     cfg, cube = _elevated_cube(1.0, 10)
-    pcfg = _near(cfg, near_field)
+    pcfg = cfg.pipeline
     amap = pipeline.make_angle_map(cube, pcfg, pipeline.run_pipeline(cube, pcfg))
     _, k = np.unravel_index(np.argmax(amap.power), amap.power.shape)
     assert abs(k - int(np.argmin(np.abs(amap.elevation_grid - np.radians(10))))) <= 1
@@ -229,18 +218,16 @@ def test_angle_map_never_locates_the_subject(phantom, monkeypatch):
     assert amap.power.shape == (len(amap.azimuth_grid), len(amap.elevation_grid))
 
 
-@pytest.mark.parametrize("near_field", [False, True])
 @pytest.mark.parametrize("scene,with_layout", [
     ("phantom", True), ("phantom", False), ("single_target", False),
 ])
-def test_angle_map_equals_the_full_cube_map(request, scene, with_layout, near_field):
+def test_angle_map_equals_the_full_cube_map(request, scene, with_layout):
     """The one-frame map is bit for bit the frame-0 map steered from the
     whole cube's range transform at the same location, focus and
     phase-table range."""
     cfg, cube = request.getfixturevalue(scene)
     layout = cfg.layout if with_layout else None
-    pcfg = _near(cfg, near_field)
-    result = pipeline.run_pipeline(cube, pcfg, layout=layout)
+    result = pipeline.run_pipeline(cube, cfg.pipeline, layout=layout)
 
     rc = range_fft(cube, cfg.pipeline.n_fft_range)
     loc = locate_subject(rc)
@@ -249,11 +236,10 @@ def test_angle_map_equals_the_full_cube_map(request, scene, with_layout, near_fi
     wavelength = derive_waveform(cube.chirp).wavelength
     range_z = layout.z_a if layout is not None else loc.range_m
     bf, y = pipeline.steer_subject(rc, loc, sel, cube.geometry, wavelength,
-                                   cfg.pipeline.n_fft_azimuth, range_z, near_field,
-                                   layout is not None)
+                                   cfg.pipeline.n_fft_azimuth, range_z, layout is not None)
     expected = doa.angle_map(bf, y)
 
-    amap = pipeline.make_angle_map(cube, pcfg, result)
+    amap = pipeline.make_angle_map(cube, cfg.pipeline, result)
     assert np.array_equal(amap.power, expected.power)
     assert np.array_equal(amap.azimuth_grid, expected.azimuth_grid)
     assert np.array_equal(amap.elevation_grid, expected.elevation_grid)

@@ -57,9 +57,8 @@ def test_load_bundled_single_target():
     assert isinstance(point.motion, SinusoidMotion)
     assert point.motion.amplitude == 1.0e-3
     assert point.motion.frequency == 1.0
-    assert cfg.scene.mode == "plane-wave"
+    assert cfg.scene.mode == "exact-path"
     assert cfg.scene.snr_db is None
-    assert cfg.pipeline.near_field is False
     assert cfg.pipeline.band == (0.5, 3.0)
     assert cfg.layout is None
 
@@ -70,7 +69,6 @@ def test_load_bundled_phantom():
     assert cfg.chirp.n_frames == 600
     assert cfg.scene.snr_db == 30.0
     assert cfg.scene.mode == "exact-path"
-    assert cfg.pipeline.near_field is True
     assert cfg.layout is not None
     assert set(cfg.layout.positions) == {"A", "P", "T", "E", "M"}
     assert cfg.layout.z_a == 0.5
@@ -88,7 +86,6 @@ def test_load_from_file(tmp_path):
     assert cfg.chirp.n_adc == 256
     assert cfg.geometry == ArrayGeometry.ti_cascade()
     assert cfg.scene.points[0].motion is None
-    assert cfg.pipeline.near_field is True  # default
     assert cfg.outputs == {}
 
 
@@ -119,6 +116,15 @@ def test_unknown_key_reports_full_path():
     doc = minimal_doc()
     doc["chirp"]["bogus"] = 1.0
     with pytest.raises(ConfigError, match=r"config\.chirp\.bogus"):
+        parse_run_config(doc)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_retired_near_field_key_is_unknown(value):
+    """Junction compensation is always on, so the old switch is an unknown key."""
+    doc = minimal_doc()
+    doc["pipeline"]["near_field"] = value
+    with pytest.raises(ConfigError, match=r"unknown key config\.pipeline\.near_field"):
         parse_run_config(doc)
 
 
