@@ -159,14 +159,17 @@ def _elevated_cube(r, theta_deg, phi_deg=0.0):
     return cfg, simulate(scene, dataclasses.replace(cfg.chirp, n_frames=16), cfg.geometry)
 
 
-def _case(r, theta_deg, phi_deg=0):
+def _case(r, theta_deg, phi_deg=0, tag=""):
     suffix = f"-az{phi_deg}" if phi_deg else ""
-    return pytest.param(r, theta_deg, phi_deg, id=f"{r}-{theta_deg}{suffix}")
+    return pytest.param(r, theta_deg, phi_deg, id=f"{r}-{theta_deg}{tag}{suffix}")
 
 
+# The elevation cases keep the "-True" (compensated) of their ids from when
+# junction compensation could be switched off, so each keeps its name.
 @pytest.mark.parametrize("r,theta_deg,phi_deg", [
-    *[_case(r, th) for r in (1.0, 0.5) for th in (-10, 5, 10, 15)],
-    *[_case(r, th, phi) for r, th, phi in ((0.5, 10, 30), (0.5, -10, -20), (1.0, 10, 30))],
+    *[_case(r, th, tag="-True") for r in (1.0, 0.5) for th in (-10, 5, 10, 15)],
+    *[_case(r, th, phi, tag="-True")
+      for r, th, phi in ((0.5, 10, 30), (0.5, -10, -20), (1.0, 10, 30))],
 ])
 def test_elevation_of_target_at_known_elevation(r, theta_deg, phi_deg):
     cfg, cube = _elevated_cube(r, theta_deg, phi_deg)
