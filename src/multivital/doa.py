@@ -80,29 +80,28 @@ class Beamformer:
         sel: AzimuthUlaSelection,
         geom: ArrayGeometry,
         n_fft: int,
-        dphi: np.ndarray | None = None,
         range_wl: float = np.inf,
         plane: bool = False,
     ) -> "Beamformer":
-        """Beamformer for a ULA selection of geom, focused at range_wl (plane waves when inf).
+        """Beamformer for a ULA selection of geom, focused at range_wl
+        (wavelengths, > 0; inf gives plane waves).
 
         The weight of ULA position p at grid index l is
-        exp(+2 pi j l p / n_fft). A phase table dphi from
-        build_phase_error_table turns on near-field junction compensation:
-        the weights of block b are rotated by exp(-j sum of the first b
-        table rows).
+        exp(+2 pi j l p / n_fft). At a finite range_wl the near-field
+        junction table (build_phase_error_table, in wavelength units) is
+        built there and folded in: the weights of block b are rotated by
+        exp(-j sum of the first b table rows).
         """
+        if not range_wl > 0:
+            raise ConfigError(f"focus range must be > 0 wavelengths (inf for plane waves), "
+                              f"got {range_wl}")
         n_ula = len(sel.chosen)
         if n_fft < n_ula:
             raise ConfigError(f"n_fft {n_fft} is smaller than the array length {n_ula}")
         l, _ = _shifted_grid(n_fft)
         weights = np.exp(2j * np.pi * np.outer(l, np.arange(n_ula)) / n_fft)
-        if dphi is not None:
-            if dphi.shape != (len(sel.junctions), n_fft):
-                raise ProcessingError(
-                    f"phase table shape {dphi.shape} does not match "
-                    f"{len(sel.junctions)} junctions x n_fft {n_fft}"
-                )
+        if np.isfinite(range_wl):
+            dphi = build_phase_error_table(sel, geom, 1.0, range_wl, n_fft)
             rot = np.exp(-1j * np.cumsum(dphi, axis=0))
             for (start, stop), r in zip(sel.blocks[1:], rot):
                 weights[:, start:stop + 1] *= r[:, None]

@@ -9,11 +9,15 @@ import numpy as np
 
 from ._util import release_pages
 from .config import derive_waveform
-from .doa import Beamformer, angle_map, build_phase_error_table, select_region_signal
+from .doa import Beamformer, angle_map, select_region_signal
+# Not called here (Beamformer.build makes the table): kept so
+# multivital.pipeline.build_phase_error_table stays importable; the bench
+# tracer wraps it at this name.
+from .doa import build_phase_error_table  # noqa: F401
 from .errors import ProcessingError
 from .geometry import build_virtual_array, select_azimuth_ula
 from .metrics import SensorLayout, compute_alignment
-from .rangeproc import RangeCube, extract_range_bin, locate_subject, range_bin_dft, range_fft
+from .rangeproc import extract_range_bin, locate_subject, range_bin_dft, range_fft
 from .runconfig import PipelineConfig
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace, region_signal_to_trace
@@ -32,33 +36,6 @@ class PipelineResult:
     region_angles: dict[str, tuple[float, float]]
     traces: list[DisplacementTrace]
     beamformer: Beamformer
-
-
-def steer_subject(
-    y, loc, sel, geom, wavelength: float, n_fft: int,
-    range_z: float | None = None, plane: bool = False,
-) -> tuple[Beamformer, np.ndarray]:
-    """Beamformer for the subject bin and its raw slow-time data.
-
-    The one place a run builds its steering: the Beamformer focuses at
-    range_z, with the near-field phase table there (plane waves and no
-    table when None; a subject at 0 m is an error), and a layout's
-    chest-plane region angles when plane; then the subject-bin slab y
-    (channels, frames) as complex128. y may also be a whole RangeCube,
-    whose bin loc.bin is then taken.
-    """
-    if not loc.range_m > 0:
-        raise ProcessingError(
-            f"subject located at {loc.range_m} m (range bin {loc.bin}): no range to focus at"
-        )
-    if range_z is None:
-        bf = Beamformer.build(sel, geom, n_fft, plane=plane)
-    else:
-        dphi = build_phase_error_table(sel, geom, wavelength, range_z, n_fft)
-        bf = Beamformer.build(sel, geom, n_fft, dphi, range_z / wavelength, plane)
-    if isinstance(y, RangeCube):
-        y = extract_range_bin(y, loc.bin)
-    return bf, y.astype(np.complex128)
 
 
 def estimate_angles(bf: Beamformer, y: np.ndarray) -> tuple[float, float]:
@@ -106,9 +83,9 @@ def _chunks(cube: RawDataCube, n_fft: int) -> Iterator[RawDataCube]:
 
 
 def _steered_subject(cube, pcfg, layout):
-    """Subject location and steer_subject for one cube, focused at the
-    layout's boresight range (else the subject's), with the phase table at
-    that range.
+    """Subject location, wavelength, Beamformer and complex128 subject-bin
+    slab for one cube, focused at the layout's z_a with its chest-plane
+    region angles, else at the subject's range (an error at 0 m).
 
     Both passes over the cube go a frame chunk at a time: range_fft of each
     chunk is folded into locate_subject's profile before the next is made,
@@ -121,12 +98,15 @@ def _steered_subject(cube, pcfg, layout):
     sel = select_azimuth_ula(build_virtual_array(geom))
     n_fft = pcfg.n_fft_range
     loc = locate_subject(range_fft(chunk, n_fft) for chunk in _chunks(cube, n_fft))
+    if not loc.range_m > 0:
+        raise ProcessingError(
+            f"subject located at {loc.range_m} m (range bin {loc.bin}): no range to focus at"
+        )
     slab = np.concatenate([range_bin_dft(chunk, n_fft, loc.bin) for chunk in _chunks(cube, n_fft)],
                           axis=1)
     range_z = layout.z_a if layout is not None else loc.range_m
-    bf, y = steer_subject(slab, loc, sel, geom, wavelength, pcfg.n_fft_azimuth, range_z,
-                          layout is not None)
-    return loc, wavelength, bf, y
+    bf = Beamformer.build(sel, geom, pcfg.n_fft_azimuth, range_z / wavelength, layout is not None)
+    return loc, wavelength, bf, slab.astype(np.complex128)
 
 
 def run_pipeline(

@@ -26,8 +26,8 @@ from multivital import (
 )
 from multivital.doa import Beamformer
 from multivital.metrics import SensorLayout, max_freq_difference
-from multivital.pipeline import estimate_angles, steer_subject
-from multivital.rangeproc import locate_subject, range_fft
+from multivital.pipeline import estimate_angles
+from multivital.rangeproc import extract_range_bin, locate_subject, range_fft
 from multivital.runconfig import load_run_config
 from multivital.scg import ScgChannel, scg_to_displacement
 
@@ -110,10 +110,9 @@ def test_a3_junction_calibration_sweep(table2, cascade, ula, capsys):
         cube = simulate(scene, chirp, cascade)
         rc = range_fft(cube, 256)
         loc = locate_subject(rc)
-        bf, y = steer_subject(rc, loc, ula, cascade, wl, n_fft, range_z=z)
-        az_cal, _ = estimate_angles(bf, y)
-        bf, y = steer_subject(rc, loc, ula, cascade, wl, n_fft)
-        az_unc, _ = estimate_angles(bf, y)
+        y = extract_range_bin(rc, loc.bin).astype(np.complex128)
+        az_cal, _ = estimate_angles(Beamformer.build(ula, cascade, n_fft, z / wl), y)
+        az_unc, _ = estimate_angles(Beamformer.build(ula, cascade, n_fft), y)
         err_cal = abs(math.sin(az_cal) - math.sin(phi)) / cell  # grid cells
         err_unc = abs(math.sin(az_unc) - math.sin(phi)) / cell
         n_cases += 1
@@ -135,8 +134,7 @@ def test_a4_block_recombination_matches_direct_dft(cascade, ula, capsys):
     rng = np.random.default_rng(2024)
     n_ula = len(ula.chosen)
     beamformers = {
-        n: Beamformer.build(ula, cascade, n, np.zeros((len(ula.junctions), n)))
-        for n in (128, 256, 512)
+        n: Beamformer.build(ula, cascade, n) for n in (128, 256, 512)
     }
     y = np.zeros((cascade.n_tx * cascade.n_rx, 1), dtype=np.complex128)
     worst = 0.0
@@ -172,8 +170,8 @@ def test_a5_two_scatterers_same_bin(table2, cascade, ula, capsys):
     rc = range_fft(cube, 256)
     loc = locate_subject(rc)
     regions = {"A": (phi, 0.0), "P": (-phi, 0.0)}
-    bf, y = steer_subject(rc, loc, ula, cascade, wl, 512, range_z=z)
-    signals = select_region_signal(bf, y, regions)
+    y = extract_range_bin(rc, loc.bin).astype(np.complex128)
+    signals = select_region_signal(Beamformer.build(ula, cascade, 512, z / wl), y, regions)
     frame_rate = table2.frame_rate
     times = np.arange(table2.n_frames) / frame_rate
     refs = {f: np.sin(2.0 * np.pi * f * times) for f in own.values()}

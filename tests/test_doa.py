@@ -20,8 +20,7 @@ from multivital.geometry import (
     element_positions_m,
     steering_from_cosines,
 )
-from multivital.pipeline import steer_subject
-from multivital.rangeproc import locate_subject, range_fft
+from multivital.rangeproc import extract_range_bin, locate_subject, range_fft
 from multivital.simulate import ScatterPoint, Scene, SinusoidMotion, simulate
 
 WL77 = 3.893409e-3  # m
@@ -31,13 +30,9 @@ def _direct_dft(x, n_fft):
     return np.fft.fftshift(np.fft.ifft(x, n=n_fft, norm="forward"))
 
 
-def _zero_table(sel, n_fft):
-    return np.zeros((len(sel.junctions), n_fft))
-
-
 def _ula_input(cascade, ula, x, n_fft):
-    """Beamformer with a zero table, and the 86 ULA samples x on their channels."""
-    bf = Beamformer.build(ula, cascade, n_fft, _zero_table(ula, n_fft))
+    """Plane-wave Beamformer, and the 86 ULA samples x on their channels."""
+    bf = Beamformer.build(ula, cascade, n_fft)
     y = np.zeros((cascade.n_tx * cascade.n_rx, 1), dtype=complex)
     y[bf.ula, 0] = x
     return bf, y
@@ -84,12 +79,14 @@ def test_weights_match_block_transform(cascade, ula, z):
     # The weight matrix folds the near-field table into the same linear map
     # as the per-block transforms with junction rotations.
     n_fft = 512
-    table = (_zero_table(ula, n_fft) if z is None
-             else build_phase_error_table(ula, cascade, WL77, z, n_fft))
+    if z is None:
+        table, range_wl = np.zeros((len(ula.junctions), n_fft)), np.inf
+    else:
+        table, range_wl = build_phase_error_table(ula, cascade, WL77, z, n_fft), z / WL77
     rng = np.random.default_rng(77)
     y = (rng.standard_normal((cascade.n_tx * cascade.n_rx, 16))
          + 1j * rng.standard_normal((cascade.n_tx * cascade.n_rx, 16)))
-    bf = Beamformer.build(ula, cascade, n_fft, table)
+    bf = Beamformer.build(ula, cascade, n_fft, range_wl, plane=True)
     got = bf.ula_spectrum(y)
     want = _block_transform(ula, table, y[bf.ula], n_fft)
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
@@ -115,14 +112,16 @@ def test_input_length_checks(cascade, ula):
     # list, so only the FFT size can be too short for them.
     assert len(Beamformer.build(ula, cascade, 256).ula) == 86
     with pytest.raises(ConfigError):
-        Beamformer.build(ula, cascade, 64, _zero_table(ula, 64))
+        Beamformer.build(ula, cascade, 64, 0.5 / WL77)
     with pytest.raises(ConfigError):
         Beamformer.build(ula, cascade, 64)
 
 
-def test_table_shape_check(cascade, ula):
-    with pytest.raises(ProcessingError, match="phase table shape"):
-        Beamformer.build(ula, cascade, 256, np.zeros((19, 256)))
+@pytest.mark.parametrize("range_wl", [0.0, -100.0, np.nan])
+def test_bad_focus_range_fails_loudly(cascade, ula, range_wl):
+    # Only a positive range, or inf for plane waves, is a focus.
+    with pytest.raises(ConfigError, match="focus range"):
+        Beamformer.build(ula, cascade, 256, range_wl=range_wl)
 
 
 def test_junction_step_two_element_example():
@@ -243,9 +242,8 @@ def test_calibration_recovers_close_target(table2, cascade, ula):
     slab = rc.bins[0, :, :, loc.bin].reshape(-1, 1).astype(np.complex128)
 
     n_fft = 512
-    table = build_phase_error_table(ula, cascade, WL77, z, n_fft)
     ff = Beamformer.build(ula, cascade, n_fft).ula_spectrum(slab)[:, 0]
-    nf = Beamformer.build(ula, cascade, n_fft, table).ula_spectrum(slab)[:, 0]
+    nf = Beamformer.build(ula, cascade, n_fft, z / WL77, plane=True).ula_spectrum(slab)[:, 0]
 
     l0 = round(n_fft * np.sin(theta0) / 2.0)
     err_nf = abs(int(np.argmax(np.abs(nf))) - 256 - l0)
@@ -307,8 +305,8 @@ def _steered(cube, cascade, ula, calibrate=True):
     rc = range_fft(cube, 512)
     wl = derive_waveform(cube.chirp).wavelength
     loc = locate_subject(rc)
-    range_z = loc.range_m if calibrate else None
-    return steer_subject(rc, loc, ula, cascade, wl, 512, range_z)
+    bf = Beamformer.build(ula, cascade, 512, loc.range_m / wl if calibrate else np.inf)
+    return bf, extract_range_bin(rc, loc.bin).astype(np.complex128)
 
 
 def test_select_region_signal_recovers_motion(table1, cascade, ula, offset_cube):

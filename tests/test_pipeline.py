@@ -238,9 +238,9 @@ def test_angle_map_equals_the_full_cube_map(request, scene, with_layout):
     sel = select_azimuth_ula(build_virtual_array(cube.geometry))
     wavelength = derive_waveform(cube.chirp).wavelength
     range_z = layout.z_a if layout is not None else loc.range_m
-    bf, y = pipeline.steer_subject(rc, loc, sel, cube.geometry, wavelength,
-                                   cfg.pipeline.n_fft_azimuth, range_z, layout is not None)
-    expected = doa.angle_map(bf, y)
+    bf = doa.Beamformer.build(sel, cube.geometry, cfg.pipeline.n_fft_azimuth,
+                              range_z / wavelength, layout is not None)
+    expected = doa.angle_map(bf, extract_range_bin(rc, loc.bin).astype(np.complex128))
 
     amap = pipeline.make_angle_map(cube, cfg.pipeline, result)
     assert np.array_equal(amap.power, expected.power)
