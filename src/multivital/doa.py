@@ -89,8 +89,10 @@ class Beamformer:
         The weight of ULA position p at grid index l is
         exp(+2 pi j l p / n_fft). At a finite range_wl the near-field
         junction table (build_phase_error_table, in wavelength units) is
-        built there and folded in: the weights of block b are rotated by
-        exp(-j sum of the first b table rows).
+        built at the points focus steers to: with plane on the depth plane
+        z = range_wl, else at radial range range_wl, depth
+        range_wl cos(theta_l). It is folded in: the weights of block b are
+        rotated by exp(-j sum of the first b table rows).
         """
         if not range_wl > 0:
             raise ConfigError(f"focus range must be > 0 wavelengths (inf for plane waves), "
@@ -98,10 +100,11 @@ class Beamformer:
         n_ula = len(sel.chosen)
         if n_fft < n_ula:
             raise ConfigError(f"n_fft {n_fft} is smaller than the array length {n_ula}")
-        l, _ = _shifted_grid(n_fft)
+        l, theta = _shifted_grid(n_fft)
         weights = np.exp(2j * np.pi * np.outer(l, np.arange(n_ula)) / n_fft)
         if np.isfinite(range_wl):
-            dphi = build_phase_error_table(sel, geom, 1.0, range_wl, n_fft)
+            depth = range_wl if plane else range_wl * np.cos(theta)
+            dphi = build_phase_error_table(sel, geom, 1.0, depth, n_fft)
             rot = np.exp(-1j * np.cumsum(dphi, axis=0))
             for (start, stop), r in zip(sel.blocks[1:], rot):
                 weights[:, start:stop + 1] *= r[:, None]
@@ -170,10 +173,10 @@ def junction_phase_error(
     sel: AzimuthUlaSelection,
     geom: ArrayGeometry,
     wavelength: float,
-    z: float,
+    z: float | np.ndarray,
     theta_l,
 ) -> np.ndarray:
-    """Phase step at every block junction for a subject at boresight range z.
+    """Phase step at every block junction for a subject at boresight depth z.
 
     The subject sits at P = (z tan(theta_l), z, 0). Every virtual element
     carries a near-field phase error: its exact two-way (Tx -> P -> Rx)
@@ -194,8 +197,8 @@ def junction_phase_error(
     ----------
     sel, geom : selection and physical geometry
     wavelength : float, m
-    z : float
-        Boresight range, m, > 0.
+    z : float or array
+        Boresight depth, m, > 0: one, or one per steering angle.
     theta_l : float or array
         Steering angle(s), rad.
 
@@ -204,12 +207,13 @@ def junction_phase_error(
     ndarray
         Shape (n_junctions,) for scalar theta_l, else (n_junctions, len).
     """
-    if not z > 0:
-        raise ConfigError(f"boresight range z must be > 0, got {z}")
+    if not np.all(np.asarray(z) > 0):
+        raise ConfigError(f"boresight depth z must be > 0, got {z}")
     theta = np.asarray(theta_l, dtype=np.float64)
     scalar = theta.ndim == 0
     th = np.atleast_1d(theta)
-    p = np.stack([z * np.tan(th), np.full_like(th, z), np.zeros_like(th)], axis=-1)
+    z = np.broadcast_to(z, th.shape)
+    p = np.stack([z * np.tan(th), z, np.zeros_like(th)], axis=-1)
     u = np.sin(th)
     tx_xyz, rx_xyz = element_positions_m(geom, wavelength)
     tx_az = np.array(geom.tx_elements)[:, 0]
@@ -232,10 +236,11 @@ def build_phase_error_table(
     sel: AzimuthUlaSelection,
     geom: ArrayGeometry,
     wavelength: float,
-    z: float,
+    z: float | np.ndarray,
     n_fft: int,
 ) -> np.ndarray:
-    """Tabulate junction phase errors over the full angular grid.
+    """Tabulate junction phase errors over the full angular grid, for a
+    subject at boresight depth z (m): one, or one per grid angle.
 
     Returns dphi, rad, shape (n_junctions, n_fft). Grid indices with
     |2l / n_fft| >= 1 have no real steering angle and get zero entries (no
@@ -246,7 +251,7 @@ def build_phase_error_table(
     valid = np.abs(frac) < 1.0
     dphi = np.zeros((len(sel.junctions), n_fft))
     dphi[:, valid] = junction_phase_error(
-        sel, geom, wavelength, z, np.arcsin(frac[valid])
+        sel, geom, wavelength, np.broadcast_to(z, frac.shape)[valid], np.arcsin(frac[valid])
     )
     return dphi
 

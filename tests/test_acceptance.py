@@ -111,7 +111,7 @@ def test_a3_junction_calibration_sweep(table2, cascade, ula, capsys):
         rc = range_fft(cube, 256)
         loc = locate_subject(rc)
         y = extract_range_bin(rc, loc.bin).astype(np.complex128)
-        az_cal, _ = estimate_angles(Beamformer.build(ula, cascade, n_fft, z / wl), y)
+        az_cal, _ = estimate_angles(Beamformer.build(ula, cascade, n_fft, z / wl, True), y)
         az_unc, _ = estimate_angles(Beamformer.build(ula, cascade, n_fft), y)
         err_cal = abs(math.sin(az_cal) - math.sin(phi)) / cell  # grid cells
         err_unc = abs(math.sin(az_unc) - math.sin(phi)) / cell

@@ -77,19 +77,24 @@ def _block_transform(sel, table, x, n_fft):
 @pytest.mark.parametrize("z", [None, 0.5, 5.0])
 def test_weights_match_block_transform(cascade, ula, z):
     # The weight matrix folds the near-field table into the same linear map
-    # as the per-block transforms with junction rotations.
+    # as the per-block transforms with junction rotations: the meters table
+    # at depth z with plane, at radial range z (depth z cos(theta_l)) without.
     n_fft = 512
-    if z is None:
-        table, range_wl = np.zeros((len(ula.junctions), n_fft)), np.inf
-    else:
-        table, range_wl = build_phase_error_table(ula, cascade, WL77, z, n_fft), z / WL77
     rng = np.random.default_rng(77)
     y = (rng.standard_normal((cascade.n_tx * cascade.n_rx, 16))
          + 1j * rng.standard_normal((cascade.n_tx * cascade.n_rx, 16)))
-    bf = Beamformer.build(ula, cascade, n_fft, range_wl, plane=True)
-    got = bf.ula_spectrum(y)
-    want = _block_transform(ula, table, y[bf.ula], n_fft)
-    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
+    theta = np.arcsin(np.clip(2.0 * (np.arange(n_fft) - n_fft // 2) / n_fft, -1.0, 1.0))
+    for plane in (True, False):
+        if z is None:
+            table, range_wl = np.zeros((len(ula.junctions), n_fft)), np.inf
+        else:
+            depth = z if plane else z * np.cos(theta)
+            table = build_phase_error_table(ula, cascade, WL77, depth, n_fft)
+            range_wl = z / WL77
+        bf = Beamformer.build(ula, cascade, n_fft, range_wl, plane)
+        got = bf.ula_spectrum(y)
+        want = _block_transform(ula, table, y[bf.ula], n_fft)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
 
 
 def test_spectrum_grid(cascade, ula):
@@ -180,7 +185,8 @@ def _junction_by_position(sel, geom, wavelength, z, theta_l):
     """junction_phase_error by one path-difference pass per ULA position,
     the reference for its per-element form."""
     th = np.atleast_1d(np.asarray(theta_l, dtype=np.float64))
-    p = np.stack([z * np.tan(th), np.full_like(th, z), np.zeros_like(th)], axis=-1)
+    z = np.broadcast_to(z, th.shape)
+    p = np.stack([z * np.tan(th), z, np.zeros_like(th)], axis=-1)
     u = np.sin(th)
     tx_xyz, rx_xyz = element_positions_m(geom, wavelength)
     tx_az = [a for a, _ in geom.tx_elements]
@@ -202,13 +208,17 @@ def _junction_by_position(sel, geom, wavelength, z, theta_l):
 @pytest.mark.parametrize("z", [0.5, 1.0, 5.0])
 def test_phase_table_equals_the_per_position_loop(cascade, ula, z):
     # Path differences taken once per physical element and indexed by the
-    # ULA's (Tx, Rx) pairs give the per-position loop's table bit for bit.
+    # ULA's (Tx, Rx) pairs give the per-position loop's table bit for bit,
+    # at one depth and at one depth per grid angle (radial range z).
     n_fft = 512
     frac = 2.0 * (np.arange(n_fft) - n_fft // 2) / n_fft
     valid = np.abs(frac) < 1.0
-    want = np.zeros((len(ula.junctions), n_fft))
-    want[:, valid] = _junction_by_position(ula, cascade, WL77, z, np.arcsin(frac[valid]))
-    assert np.array_equal(build_phase_error_table(ula, cascade, WL77, z, n_fft), want)
+    for depth in (z, z * np.sqrt(1.0 - frac * frac)):
+        want = np.zeros((len(ula.junctions), n_fft))
+        want[:, valid] = _junction_by_position(
+            ula, cascade, WL77, np.broadcast_to(depth, frac.shape)[valid], np.arcsin(frac[valid])
+        )
+        assert np.array_equal(build_phase_error_table(ula, cascade, WL77, depth, n_fft), want)
     theta = np.deg2rad(23.0)
     got = junction_phase_error(ula, cascade, WL77, z, theta)
     assert got.shape == (len(ula.junctions),)

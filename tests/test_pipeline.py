@@ -191,6 +191,20 @@ def test_azimuth_of_close_target_without_layout(r, theta_deg, phi_deg):
     assert result.region_angles == {"A": (result.azimuth_peak_rad, result.elevation_peak_rad)}
 
 
+@pytest.mark.parametrize("r,theta_deg,phi_deg", [
+    _case(0.5, 0, 30), _case(0.5, 0, -40), _case(1.0, 5, 45),
+])
+def test_azimuth_of_off_boresight_target_within_one_cell(r, theta_deg, phi_deg):
+    """With no layout, the junction table models the point at the subject's
+    radial range, where region A is focused, so off boresight the azimuth
+    peak is within one grid cell. Modelled at that boresight depth instead,
+    these read 29.48, -41.01 and 44.36 deg."""
+    cfg, cube = _elevated_cube(r, theta_deg, phi_deg)
+    result = pipeline.run_pipeline(cube, cfg.pipeline)
+    cell = 2.0 / cfg.pipeline.n_fft_azimuth
+    assert abs(np.sin(result.azimuth_peak_rad) - np.sin(np.radians(phi_deg))) <= cell
+
+
 def test_angle_map_peak_at_known_elevation():
     """At 1.0 m and 10 deg, the map's peak lies within one 1 deg cell of the truth."""
     cfg, cube = _elevated_cube(1.0, 10)
