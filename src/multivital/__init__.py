@@ -65,7 +65,6 @@ from .simulate import (
     ScatterPoint,
     Scene,
     SinusoidMotion,
-    far_field_distance,
     simulate,
     synthesize_frame,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "ScatterPoint",
     "Scene",
     "SinusoidMotion",
-    "far_field_distance",
     "simulate",
     "synthesize_frame",
     "DisplacementTrace",

@@ -122,7 +122,7 @@ class Beamformer:
         Point P lies at range_wl (wavelengths, one or per point) along the
         direction cosines u (lateral), v (up). Channel (t, r) gets weight
         exp(-2 pi j (d_t + d_r)), d_e = |P - e| - |P|, factored into Tx and
-        Rx phasors as in the exact-path simulator. With rho = 1 / range_wl,
+        Rx phasors as in the simulator. With rho = 1 / range_wl,
         d_e = (rho |e|^2 - 2 e_hat . e) / (|e_hat - rho e| + 1) at any
         range; its phase is at most 2 pi |e| (~170 rad): float32 cos/sin.
         """

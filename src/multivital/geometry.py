@@ -203,40 +203,3 @@ def _clusters_from_positions(rx_pos: dict[int, int]) -> dict[int, int]:
         clusters[idx] = cid
     return clusters
 
-
-def steering_from_cosines(
-    geom: ArrayGeometry, u: float, v: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tx and Rx steering phasors for a plane wave with direction cosines u, v.
-
-    u runs along azimuth and v along elevation. Tx entries carry a positive
-    exponent, Rx entries a negative one:
-
-        a[i] = exp(+j pi (p_az u + p_el v))
-        b[i] = exp(-j pi (q_az u + q_el v))
-
-    with positions p, q in half-wavelength units.
-
-    Returns
-    -------
-    (a, b) : tuple of complex ndarray
-        Unit-modulus vectors of length n_tx and n_rx.
-    """
-    tx = np.asarray(geom.tx_elements, dtype=np.float64)
-    rx = np.asarray(geom.rx_elements, dtype=np.float64)
-    a = np.exp(1j * np.pi * (tx[:, 0] * u + tx[:, 1] * v))
-    b = np.exp(-1j * np.pi * (rx[:, 0] * u + rx[:, 1] * v))
-    return a, b
-
-
-def scene_direction_cosines(position: np.ndarray) -> tuple[float, float]:
-    """Direction cosines (u, v) of a scene point seen from the array origin.
-
-    Scene frame: x lateral (azimuth axis), y boresight depth, z vertical
-    (elevation axis). u = x/r, v = z/r.
-    """
-    p = np.asarray(position, dtype=np.float64)
-    r = float(np.linalg.norm(p))
-    if r == 0.0:
-        raise ProcessingError("direction undefined for a point at the array origin")
-    return float(p[0] / r), float(p[2] / r)

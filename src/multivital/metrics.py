@@ -23,8 +23,11 @@ class SensorLayout:
     def validate(self) -> "SensorLayout":
         if "A" not in self.positions:
             raise ConfigError("sensor layout must include point A")
-        if not self.z_a > 0:
-            raise ConfigError(f"z_a must be > 0, got {self.z_a}")
+        for rid, xy in self.positions.items():
+            if not all(map(math.isfinite, xy)):
+                raise ConfigError(f"sensor layout position of {rid} must be finite, got {xy}")
+        if not 0 < self.z_a < math.inf:
+            raise ConfigError(f"z_a must be finite and > 0, got {self.z_a}")
         return self
 
 

@@ -17,7 +17,7 @@ from .doa import REGION_IDS
 from .errors import ConfigError, ProcessingError
 from .geometry import ArrayGeometry, build_virtual_array, select_azimuth_ula
 from .metrics import SensorLayout
-from .simulate import MODES, SampledMotion, ScatterPoint, Scene, SinusoidMotion
+from .simulate import SampledMotion, ScatterPoint, Scene, SinusoidMotion
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def _parse_motion(obj, path: str):
 
 def _parse_scene(obj: dict, path: str) -> Scene:
     _check_keys(obj, path, required=("points",),
-                optional=("snr_db", "seed", "mode"))
+                optional=("snr_db", "seed"))
     points_doc = obj["points"]
     if not isinstance(points_doc, list) or not points_doc:
         raise ConfigError(f"{path}.points must be a non-empty list")
@@ -177,14 +177,10 @@ def _parse_scene(obj: dict, path: str) -> Scene:
     snr = obj.get("snr_db")
     if snr is not None:
         snr = _number(obj, path, "snr_db")
-    mode = obj.get("mode", "auto")
-    if mode not in MODES:
-        raise ConfigError(f"{path}.mode must be one of {MODES}, got {mode!r}")
     return Scene(
         points=tuple(points),
         snr_db=snr,
         seed=_integer(obj, path, "seed", 0),
-        mode=mode,
     ).validate()
 
 

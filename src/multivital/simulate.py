@@ -1,11 +1,9 @@
 """Raw IF data-cube synthesis for scenes of moving point scatterers.
 
 Each frame holds one chirp per channel; scatterer motion is frozen within a
-frame. Two fidelity modes exist: "plane-wave" factors the channel response
-into Tx/Rx steering phasors with a common two-way delay, "exact-path"
-computes every Tx-point-Rx path length so wavefront curvature is present in
-the data. "auto" picks exact-path whenever any scatterer sits closer than
-the far-field distance 2 D^2 / lambda of the aperture.
+frame. Every channel's response is traced along its exact Tx -> point -> Rx
+path, so wavefront curvature is in the data at every range, and the
+far-field (plane-wave) behaviour is its limit far from the aperture.
 
 Each path's phase is linear in the fast-time sample index, so its n_adc
 tones are the outer product of about sqrt(n_adc) coarse and sqrt(n_adc)
@@ -13,6 +11,9 @@ fine phasors. A frame is one batched matrix product of those factors over
 the points. Noise, when the scene has an SNR, is complex Gaussian from
 polar Box-Muller on float32 uniforms of a Philox stream keyed (seed,
 frame), added straight into the complex64 frame.
+
+Every validate raises ConfigError for a non-finite number, so a library
+caller gets the same loud failure as a run config rather than a NaN cube.
 """
 
 from __future__ import annotations
@@ -28,14 +29,20 @@ import numpy as np
 from ._util import thread_count
 from .config import SPEED_OF_LIGHT, ChirpConfig, derive_waveform
 from .errors import ConfigError
-from .geometry import (
-    ArrayGeometry,
-    element_positions_m,
-    scene_direction_cosines,
-    steering_from_cosines,
-)
+from .geometry import ArrayGeometry, element_positions_m
 
-MODES = ("auto", "plane-wave", "exact-path")
+
+def _require_finite(what: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what} must be finite")
+
+
+def _check_direction(direction: tuple[float, float, float]) -> None:
+    """The check both motion kinds share: a finite unit vector."""
+    _require_finite("motion direction", *direction)
+    norm = math.sqrt(sum(c * c for c in direction))
+    if abs(norm - 1.0) > 1e-6:
+        raise ConfigError(f"motion direction must be a unit vector, |d| = {norm:.6g}")
 
 
 @dataclass(frozen=True)
@@ -48,9 +55,10 @@ class SinusoidMotion:
     phase: float = 0.0  # rad
 
     def validate(self) -> "SinusoidMotion":
-        norm = math.sqrt(sum(c * c for c in self.direction))
-        if abs(norm - 1.0) > 1e-6:
-            raise ConfigError(f"motion direction must be a unit vector, |d| = {norm:.6g}")
+        _check_direction(self.direction)
+        _require_finite("motion amplitude", self.amplitude)
+        _require_finite("motion frequency", self.frequency)
+        _require_finite("motion phase", self.phase)
         if self.amplitude < 0:
             raise ConfigError("motion amplitude must be >= 0")
         if self.frequency <= 0:
@@ -74,9 +82,9 @@ class SampledMotion:
     rate_hz: float
 
     def validate(self) -> "SampledMotion":
-        norm = math.sqrt(sum(c * c for c in self.direction))
-        if abs(norm - 1.0) > 1e-6:
-            raise ConfigError(f"motion direction must be a unit vector, |d| = {norm:.6g}")
+        _check_direction(self.direction)
+        _require_finite("motion rate_hz", self.rate_hz)
+        _require_finite("motion displacement_m", *self.displacement_m)
         if self.rate_hz <= 0:
             raise ConfigError("motion rate_hz must be > 0")
         if not self.displacement_m:
@@ -101,6 +109,8 @@ class ScatterPoint:
     reflectivity: float = 1.0
 
     def validate(self) -> "ScatterPoint":
+        _require_finite("point position0", *self.position0)
+        _require_finite("point reflectivity", self.reflectivity)
         if not self.reflectivity > 0:
             raise ConfigError("reflectivity must be > 0")
         if self.motion is not None:
@@ -130,7 +140,6 @@ class Scene:
     points: tuple[ScatterPoint, ...]
     snr_db: float | None = None  # per-sample SNR; None disables noise
     seed: int = 0
-    mode: str = "auto"
 
     def validate(self) -> "Scene":
         if not self.points:
@@ -139,8 +148,6 @@ class Scene:
             p.validate()
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ConfigError("scene snr_db must be finite (use null/None to disable)")
-        if self.mode not in MODES:
-            raise ConfigError(f"scene mode must be one of {MODES}, got {self.mode!r}")
         return self
 
 
@@ -168,21 +175,6 @@ class RawDataCube:
         return self
 
 
-def far_field_distance(geom: ArrayGeometry, wavelength: float) -> float:
-    """2 D^2 / lambda for the virtual aperture extent D, meters."""
-    az = [t[0] + r[0] for t in geom.tx_elements for r in geom.rx_elements]
-    d = (max(az) - min(az)) * wavelength / 2.0  # m
-    return 2.0 * d * d / wavelength
-
-
-def _resolve_mode(scene: Scene, geom: ArrayGeometry, wavelength: float) -> str:
-    if scene.mode != "auto":
-        return scene.mode
-    limit = far_field_distance(geom, wavelength)
-    closest = min(float(np.linalg.norm(np.asarray(p.position0))) for p in scene.points)
-    return "exact-path" if closest < limit else "plane-wave"
-
-
 @dataclass(frozen=True)
 class _Plan:
     """What synthesize_frame needs that does not change from frame to frame.
@@ -193,7 +185,6 @@ class _Plan:
     read-only because simulate shares one plan across its threads.
     """
 
-    mode: str
     omega: np.ndarray  # (2, b) rad/s
     reflectivity: np.ndarray  # (n_points,)
     tx_xyz: np.ndarray  # (n_tx, 3) m
@@ -224,7 +215,6 @@ def _plan(scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry) -> _Plan:
     for arr in (omega, reflectivity, tx_xyz, rx_xyz):
         arr.setflags(write=False)
     return _Plan(
-        mode=_resolve_mode(scene, geom, wl),
         omega=omega,
         reflectivity=reflectivity,
         tx_xyz=tx_xyz,
@@ -319,26 +309,18 @@ def synthesize_frame(
         raise ConfigError(f"frame index {m} outside 0..{cfg.n_frames - 1}")
     pos = np.array([p.position_at(m * cfg.t_frame) for p in scene.points])  # (P, 3) m
     refl = plan.reflectivity
-    if plan.mode == "plane-wave":
-        # Point p reaches channel (t, r) as refl conj(a[t]) b[r] times the
-        # tone of the two-way delay 2 |P| / c.
-        ph = _phasors(2.0 * np.linalg.norm(pos, axis=1) / SPEED_OF_LIGHT, plan.omega)
-        a, b = zip(*(steering_from_cosines(geom, *scene_direction_cosines(q)) for q in pos))
-        coarse = np.einsum("p,pt,pr,pq->trqp", refl, np.conj(a), b, ph[:, 0])
-        fine = ph[:, 1]  # (P, b)
-    else:
-        # Exact per-channel paths. The two-way path splits into
-        # (Tx -> P) + (P -> Rx), so the per-channel tone factorizes into a
-        # Tx-dependent and an Rx-dependent term.
-        d_tx = np.linalg.norm(pos[:, None, :] - plan.tx_xyz, axis=-1)  # (P, T) m
-        d_rx = np.linalg.norm(pos[:, None, :] - plan.rx_xyz, axis=-1)  # (P, R) m
-        ph_tx = _phasors(d_tx / SPEED_OF_LIGHT, plan.omega)  # (P, T, 2, b)
-        ph_rx = _phasors(d_rx / SPEED_OF_LIGHT, plan.omega)  # (P, R, 2, b)
-        # coarse[t, r, q, p] = refl[p] ph_tx[p, t, 0, q] ph_rx[p, r, 0, q] and
-        # fine[t, r, p, s] = ph_tx[p, t, 1, s] ph_rx[p, r, 1, s], by broadcasting.
-        ctx = (refl[:, None, None] * ph_tx[:, :, 0]).transpose(1, 2, 0)  # (T, b, P)
-        coarse = ctx[:, None] * ph_rx[:, :, 0].transpose(1, 2, 0)
-        fine = ph_tx[:, :, 1].transpose(1, 0, 2)[:, None] * ph_rx[:, :, 1].transpose(1, 0, 2)
+    # The two-way path splits into (Tx -> P) + (P -> Rx), so the
+    # per-channel tone factorizes into a Tx-dependent and an Rx-dependent
+    # term.
+    d_tx = np.linalg.norm(pos[:, None, :] - plan.tx_xyz, axis=-1)  # (P, T) m
+    d_rx = np.linalg.norm(pos[:, None, :] - plan.rx_xyz, axis=-1)  # (P, R) m
+    ph_tx = _phasors(d_tx / SPEED_OF_LIGHT, plan.omega)  # (P, T, 2, b)
+    ph_rx = _phasors(d_rx / SPEED_OF_LIGHT, plan.omega)  # (P, R, 2, b)
+    # coarse[t, r, q, p] = refl[p] ph_tx[p, t, 0, q] ph_rx[p, r, 0, q] and
+    # fine[t, r, p, s] = ph_tx[p, t, 1, s] ph_rx[p, r, 1, s], by broadcasting.
+    ctx = (refl[:, None, None] * ph_tx[:, :, 0]).transpose(1, 2, 0)  # (T, b, P)
+    coarse = ctx[:, None] * ph_rx[:, :, 0].transpose(1, 2, 0)
+    fine = ph_tx[:, :, 1].transpose(1, 0, 2)[:, None] * ph_rx[:, :, 1].transpose(1, 0, 2)
     # One product sums the points: sample q b + s of channel (t, r) is
     # sum_p coarse[t, r, q, p] fine[(t, r,) p, s]; keep the first n_adc.
     product = np.matmul(coarse, fine, out=work)

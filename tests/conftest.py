@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from multivital.config import ChirpConfig
@@ -25,6 +26,25 @@ def table2():
 @pytest.fixture(scope="session")
 def cascade():
     return ArrayGeometry.ti_cascade()
+
+
+@pytest.fixture(scope="session")
+def steering():
+    """Plane-wave reference: Tx and Rx steering phasors of a geometry for
+    direction cosines u (azimuth) and v (elevation),
+
+        a[i] = exp(+j pi (p_az u + p_el v)),  b[i] = exp(-j pi (q_az u + q_el v))
+
+    with Tx positions p and Rx positions q in half-wavelength units, so
+    channel (t, r) carries conj(a[t]) b[r]: the far-field limit of its
+    exact two-way path."""
+    def phasors(geom, u, v):
+        tx = np.asarray(geom.tx_elements, dtype=np.float64)
+        rx = np.asarray(geom.rx_elements, dtype=np.float64)
+        a = np.exp(1j * np.pi * (tx[:, 0] * u + tx[:, 1] * v))
+        b = np.exp(-1j * np.pi * (rx[:, 0] * u + rx[:, 1] * v))
+        return a, b
+    return phasors
 
 
 @pytest.fixture(scope="session")

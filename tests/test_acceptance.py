@@ -105,7 +105,7 @@ def test_a3_junction_calibration_sweep(table2, cascade, ula, capsys):
         phi = math.radians(phi_deg)
         scene = Scene(
             points=(ScatterPoint(position0=(z * math.tan(phi), z, 0.0)),),
-            snr_db=None, seed=0, mode="exact-path",
+            snr_db=None, seed=0,
         )
         cube = simulate(scene, chirp, cascade)
         rc = range_fft(cube, 256)
@@ -165,7 +165,7 @@ def test_a5_two_scatterers_same_bin(table2, cascade, ula, capsys):
         )
         for s, f in ((+1.0, own["A"]), (-1.0, own["P"]))
     )
-    scene = Scene(points=points, snr_db=None, seed=5, mode="exact-path")
+    scene = Scene(points=points, snr_db=None, seed=5)
     cube = simulate(scene, table2, cascade)
     rc = range_fft(cube, 256)
     loc = locate_subject(rc)

@@ -53,7 +53,6 @@ def workdir(tmp_path_factory):
                 },
             }],
             "seed": 3,
-            "mode": "plane-wave",
         },
         "pipeline": {"n_fft_range": 256, "n_fft_azimuth": 256},
     }
@@ -140,7 +139,7 @@ def test_simulate_writes_frame_chunks_as_one_cube(workdir, tmp_path, monkeypatch
     buffer and writes each before the next is made: the file is byte for
     byte save_cube of the whole simulated cube."""
     doc = json.loads(workdir["cfg"].read_text())
-    doc["scene"].update(snr_db=10.0, mode="exact-path")
+    doc["scene"]["snr_db"] = 10.0
     cfg_path = tmp_path / "noisy.json"
     cfg_path.write_text(json.dumps(doc))
     cfg = load_run_config(str(cfg_path))
@@ -346,6 +345,23 @@ def test_frame_shorter_than_its_chirp_fails_simulate(workdir, tmp_path, capsys):
     assert not cube.exists()
 
 
+def test_retired_scene_mode_key_fails_simulate(workdir, tmp_path, capsys):
+    """A config that still carries scene.mode fails as an unknown key,
+    before anything is simulated."""
+    doc = json.loads(workdir["cfg"].read_text())
+    doc["scene"]["mode"] = "exact-path"
+    cfg = tmp_path / "mode.json"
+    cfg.write_text(json.dumps(doc))
+    cube = tmp_path / "c.mvdc"
+    assert main(["simulate", "--config", str(cfg), "--out", str(cube)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one object, nothing else
+    assert err["error"] == "config"
+    assert "unknown key config.scene.mode" in err["message"]
+    assert not cube.exists()
+
+
 def test_non_finite_cube_header_reports_cube_format_error(workdir, tmp_path):
     """An infinite chirp slope in the MVDC header fails as one JSON error."""
     raw = bytearray(workdir["cube"].read_bytes())
@@ -457,7 +473,7 @@ _BIG_CUBE = {  # 540 frames of 12 x 16 x 256 samples: a 203 MiB cube
     "chirp": {"fc_hz": 77.0e9, "prt_s": 70.0e-6, "t_frame_s": 0.05, "n_adc": 256,
               "fs_hz": 5.0e6, "k_chirp_hz_per_s": 65.998e12, "n_frames": 540},
     "geometry": "ti-cascade",
-    "scene": {"points": [{"position_m": [0.0, 0.5, 0.0]}], "mode": "plane-wave"},
+    "scene": {"points": [{"position_m": [0.0, 0.5, 0.0]}]},
     "pipeline": {"n_fft_range": 256, "n_fft_azimuth": 256},
 }
 

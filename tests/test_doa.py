@@ -18,7 +18,6 @@ from multivital.geometry import (
     ArrayGeometry,
     AzimuthUlaSelection,
     element_positions_m,
-    steering_from_cosines,
 )
 from multivital.rangeproc import extract_range_bin, locate_subject, range_fft
 from multivital.simulate import ScatterPoint, Scene, SinusoidMotion, simulate
@@ -245,7 +244,7 @@ def test_calibration_recovers_close_target(table2, cascade, ula):
     theta0 = np.deg2rad(20.0)
     z = 0.5
     pos = (z * np.tan(theta0), z, 0.0)
-    scene = Scene(points=(ScatterPoint(pos),), mode="exact-path")
+    scene = Scene(points=(ScatterPoint(pos),))
     cube = simulate(scene, cfg, cascade)
     rc = range_fft(cube, 256)
     loc = locate_subject(rc)
@@ -262,10 +261,10 @@ def test_calibration_recovers_close_target(table2, cascade, ula):
 
 
 @pytest.mark.parametrize("range_m", [0.5, 5.0, np.inf])
-def test_focus_matches_direct_matched_sum(cascade, ula, range_m):
+def test_focus_matches_direct_matched_sum(cascade, ula, steering, range_m):
     # The factored float32-phase focus against the matched sum over all
     # 192 channels in float64: exact paths at a finite range, the
-    # plane-wave simulator's steering phasors at an infinite one.
+    # plane-wave steering phasors at an infinite one.
     rng = np.random.default_rng(5)
     y = rng.standard_normal((192, 3)) + 1j * rng.standard_normal((192, 3))
     u = np.array([0.0, 0.3, -0.55, 0.1])
@@ -274,7 +273,7 @@ def test_focus_matches_direct_matched_sum(cascade, ula, range_m):
     want = np.empty((len(u), 3), dtype=complex)
     for i, (ui, vi) in enumerate(zip(u, v)):
         if np.isinf(range_m):
-            a, b = steering_from_cosines(cascade, ui, vi)
+            a, b = steering(cascade, ui, vi)
             w = np.outer(a, np.conj(b))
         else:
             p = range_m * np.array([ui, np.sqrt(1.0 - ui * ui - vi * vi), vi])
@@ -305,8 +304,7 @@ def offset_cube(table1, cascade):
     cfg = dataclasses.replace(table1, n_frames=8)
     motion = SinusoidMotion(direction=(0.6, 0.8, 0.0), amplitude=3e-4,
                             frequency=1.0)
-    scene = Scene(points=(ScatterPoint((3.0, 4.0, 0.0), motion),),
-                  mode="plane-wave")
+    scene = Scene(points=(ScatterPoint((3.0, 4.0, 0.0), motion),))
     return simulate(scene, cfg, cascade)
 
 
@@ -322,7 +320,7 @@ def _steered(cube, cascade, ula, calibrate=True):
 def test_select_region_signal_recovers_motion(table1, cascade, ula, offset_cube):
     wl = derive_waveform(table1).wavelength
     phi = np.arctan2(3.0, 4.0)
-    bf, y = _steered(offset_cube, cascade, ula, calibrate=False)
+    bf, y = _steered(offset_cube, cascade, ula)
     signals = select_region_signal(bf, y, {"A": (phi, 0.0)})
     assert len(signals) == 1
     phase = np.unwrap(np.angle(signals[0].slowtime))
@@ -348,9 +346,9 @@ def test_angle_map_peak(table1, cascade, ula):
     u, v = 0.3, -0.2
     r = 5.0
     y = r * np.sqrt(1 - u * u - v * v)
-    scene = Scene(points=(ScatterPoint((u * r, y, v * r)),), mode="plane-wave")
+    scene = Scene(points=(ScatterPoint((u * r, y, v * r)),))
     cube = simulate(scene, cfg, cascade)
-    am = angle_map(*_steered(cube, cascade, ula, calibrate=False))
+    am = angle_map(*_steered(cube, cascade, ula))
     az_i, el_i = np.unravel_index(np.argmax(am.power), am.power.shape)
     assert np.degrees(am.azimuth_grid[az_i]) == pytest.approx(
         np.degrees(np.arcsin(u)), abs=0.35)

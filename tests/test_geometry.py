@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from multivital.errors import ConfigError, ProcessingError
 from multivital.geometry import (
     ArrayGeometry,
     build_virtual_array,
     element_positions_m,
-    scene_direction_cosines,
     select_azimuth_ula,
-    steering_from_cosines,
 )
 
 # The azimuth ULA partition of the cascade board is fixed by its geometry;
@@ -100,52 +97,3 @@ def test_ula_gap_raises():
 def test_empty_geometry_raises():
     with pytest.raises(ConfigError):
         ArrayGeometry(tx_elements=(), rx_elements=((0, 0),)).validate()
-
-
-@given(u=st.floats(-1.0, 1.0), v=st.floats(-1.0, 1.0))
-def test_steering_unit_modulus(u, v):
-    geom = ArrayGeometry.ti_cascade()
-    a, b = steering_from_cosines(geom, u, v)
-    assert np.allclose(np.abs(a), 1.0)
-    assert np.allclose(np.abs(b), 1.0)
-
-
-def test_steering_boresight_is_ones(cascade):
-    a, b = steering_from_cosines(cascade, 0.0, 0.0)
-    assert np.allclose(a, 1.0)
-    assert np.allclose(b, 1.0)
-
-
-def test_steering_channel_phase(cascade):
-    # The conj(a) * b channel factor must advance by -pi u per half
-    # wavelength of virtual azimuth position.
-    u = 0.37
-    a, b = steering_from_cosines(cascade, u, 0.0)
-    for ti, (ta, _) in enumerate(cascade.tx_elements):
-        for ri, (ra, _) in enumerate(cascade.rx_elements):
-            got = np.conj(a[ti]) * b[ri]
-            want = np.exp(-1j * np.pi * (ta + ra) * u)
-            assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_steering_elevation_phase(cascade):
-    v = -0.21
-    a, b = steering_from_cosines(cascade, 0.0, v)
-    for ti, (_, te) in enumerate(cascade.tx_elements):
-        got = np.conj(a[ti]) * b[0]
-        want = np.exp(-1j * np.pi * te * v)
-        assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_direction_cosines():
-    u, v = scene_direction_cosines(np.array([3.0, 4.0, 0.0]))
-    assert u == pytest.approx(0.6)
-    assert v == pytest.approx(0.0)
-    u, v = scene_direction_cosines(np.array([0.0, 4.0, -3.0]))
-    assert u == pytest.approx(0.0)
-    assert v == pytest.approx(-0.6)
-
-
-def test_direction_cosines_origin_raises():
-    with pytest.raises(ProcessingError):
-        scene_direction_cosines(np.zeros(3))

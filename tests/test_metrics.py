@@ -50,6 +50,17 @@ def test_layout_validation():
         SensorLayout(positions={"A": (0.0, 0.0)}, z_a=0.0).validate()
 
 
+@pytest.mark.parametrize("layout", [
+    pytest.param(SensorLayout(positions={"A": (0.0, 0.0)}, z_a=math.inf), id="z_a"),
+    pytest.param(SensorLayout(positions={"A": (0.0, 0.0), "P": (math.nan, 0.0)}, z_a=0.5),
+                 id="positions"),
+])
+def test_non_finite_layout_value_is_a_config_error(layout):
+    # An infinite z_a used to put every region at angle (0, 0), on A.
+    with pytest.raises(ConfigError, match="finite"):
+        layout.validate()
+
+
 def test_rho_self_is_exactly_one():
     x = _smooth_noise()
     rho, lag = normalized_xcorr_max(x, x)

@@ -155,7 +155,7 @@ def _elevated_cube(r, theta_deg, phi_deg=0.0):
     point = dataclasses.replace(
         cfg.scene.points[0], position0=(r * u, r * np.sqrt(1.0 - u * u - v * v), r * v)
     )
-    scene = dataclasses.replace(cfg.scene, points=(point,), mode="exact-path", snr_db=None)
+    scene = dataclasses.replace(cfg.scene, points=(point,), snr_db=None)
     return cfg, simulate(scene, dataclasses.replace(cfg.chirp, n_frames=16), cfg.geometry)
 
 

@@ -20,7 +20,7 @@ from multivital.simulate import ScatterPoint, Scene, simulate
 @pytest.fixture(scope="module")
 def cube5m(table1, cascade):
     cfg = dataclasses.replace(table1, n_frames=3)
-    scene = Scene(points=(ScatterPoint((0.0, 5.0, 0.0)),), mode="plane-wave")
+    scene = Scene(points=(ScatterPoint((0.0, 5.0, 0.0)),))
     return simulate(scene, cfg, cascade)
 
 

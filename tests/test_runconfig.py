@@ -57,7 +57,6 @@ def test_load_bundled_single_target():
     assert isinstance(point.motion, SinusoidMotion)
     assert point.motion.amplitude == 1.0e-3
     assert point.motion.frequency == 1.0
-    assert cfg.scene.mode == "exact-path"
     assert cfg.scene.snr_db is None
     assert cfg.pipeline.band == (0.5, 3.0)
     assert cfg.layout is None
@@ -68,7 +67,6 @@ def test_load_bundled_phantom():
     assert len(cfg.scene.points) == 5
     assert cfg.chirp.n_frames == 600
     assert cfg.scene.snr_db == 30.0
-    assert cfg.scene.mode == "exact-path"
     assert cfg.layout is not None
     assert set(cfg.layout.positions) == {"A", "P", "T", "E", "M"}
     assert cfg.layout.z_a == 0.5
@@ -257,10 +255,12 @@ def test_unknown_motion_kind():
         parse_run_config(doc)
 
 
-def test_bad_scene_mode():
+@pytest.mark.parametrize("mode", ["auto", "plane-wave", "exact-path"])
+def test_retired_scene_mode_key_is_unknown(mode):
+    """Every scene is simulated along exact paths: scene.mode is gone."""
     doc = minimal_doc()
-    doc["scene"]["mode"] = "fast"
-    with pytest.raises(ConfigError, match="mode"):
+    doc["scene"]["mode"] = mode
+    with pytest.raises(ConfigError, match=r"unknown key config\.scene\.mode"):
         parse_run_config(doc)
 
 

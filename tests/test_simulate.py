@@ -7,11 +7,7 @@ import pytest
 
 from multivital.config import SPEED_OF_LIGHT, derive_waveform
 from multivital.errors import ConfigError
-from multivital.geometry import (
-    element_positions_m,
-    scene_direction_cosines,
-    steering_from_cosines,
-)
+from multivital.geometry import element_positions_m
 from multivital.simulate import (
     RawDataCube,
     SampledMotion,
@@ -20,29 +16,29 @@ from multivital.simulate import (
     SinusoidMotion,
     _add_noise,
     _plan,
-    _resolve_mode,
-    far_field_distance,
     simulate,
     synthesize_frame,
 )
 
 
-def _static_scene(position, mode="plane-wave", snr_db=None, seed=0):
-    return Scene(points=(ScatterPoint(position0=position),),
-                 snr_db=snr_db, seed=seed, mode=mode)
+def _static_scene(position, snr_db=None, seed=0):
+    return Scene(points=(ScatterPoint(position0=position),), snr_db=snr_db, seed=seed)
 
 
-def _reference_frame(scene, cfg, geom, m):
-    """Noise-free frame summed point by point with a direct exp per sample."""
+def _reference_frame(scene, cfg, geom, m, steering=None):
+    """Noise-free frame summed point by point with a direct exp per sample:
+    along each channel's exact path, or, given the steering fixture, as
+    plane waves with the two-way delay of |P| steered per channel."""
     wl = derive_waveform(cfg).wavelength
     t_m = m * cfg.t_frame
     ts = (np.arange(cfg.n_adc) - (cfg.n_adc - 1) / 2.0) / cfg.fs  # s
     frame = np.zeros((geom.n_tx, geom.n_rx, cfg.n_adc), dtype=np.complex128)
-    if _resolve_mode(scene, geom, wl) == "plane-wave":
+    if steering is not None:
         for p in scene.points:
             pos = p.position_at(t_m)
-            tau = 2.0 * float(np.linalg.norm(pos)) / SPEED_OF_LIGHT
-            a, b = steering_from_cosines(geom, *scene_direction_cosines(pos))
+            r = float(np.linalg.norm(pos))
+            tau = 2.0 * r / SPEED_OF_LIGHT
+            a, b = steering(geom, pos[0] / r, pos[2] / r)
             tone = np.exp(1j * (2.0 * np.pi * cfg.k_chirp * tau * ts
                                 + 2.0 * np.pi * cfg.fc * tau))
             frame += p.reflectivity * (
@@ -62,9 +58,8 @@ def _reference_frame(scene, cfg, geom, m):
 
 
 @pytest.mark.parametrize("n_adc", [64, 250, 512])
-@pytest.mark.parametrize("n_points", [1, 5])
-@pytest.mark.parametrize("mode", ["plane-wave", "exact-path"])
-def test_frame_matches_point_by_point_reference(table1, cascade, mode, n_points, n_adc):
+@pytest.mark.parametrize("n_points", [1, 5], ids=lambda n: f"exact-path-{n}")
+def test_frame_matches_point_by_point_reference(table1, cascade, n_points, n_adc):
     # The factored tones and the single point sum change only the rounding:
     # square (64) and non-square (250, 512) sample counts, one reflectivity
     # off unity, moving points at a frame past the first.
@@ -78,7 +73,7 @@ def test_frame_matches_point_by_point_reference(table1, cascade, mode, n_points,
         )
         for i in range(n_points)
     )
-    scene = Scene(points=points, mode=mode)
+    scene = Scene(points=points)
     want = _reference_frame(scene, cfg, cascade, 5)
     got = synthesize_frame(scene, cfg, cascade, 5)
     assert got.shape == want.shape
@@ -134,8 +129,6 @@ def test_invalid_scene_raises_after_a_valid_plan_is_cached(table2, cascade):
     for _ in range(2):
         with pytest.raises(ConfigError):
             synthesize_frame(bad, cfg, cascade, 0)
-    with pytest.raises(ConfigError):
-        synthesize_frame(dataclasses.replace(good, mode="warp"), cfg, cascade, 0)
 
 
 def test_range_peak_bin(table1, cascade):
@@ -155,8 +148,7 @@ def test_slowtime_phase_tracks_range(table2, cascade):
     delta = 1e-4  # m
     motion = SampledMotion(direction=(0.0, 1.0, 0.0),
                            displacement_m=(0.0, delta), rate_hz=cfg.frame_rate)
-    scene = Scene(points=(ScatterPoint((0.0, 0.7, 0.0), motion),),
-                  mode="plane-wave")
+    scene = Scene(points=(ScatterPoint((0.0, 0.7, 0.0), motion),))
     cube = simulate(scene, cfg, cascade)
     bins = np.fft.fft(cube.samples.astype(np.complex128), n=256, axis=-1)
     peak = int(np.argmax(np.abs(bins[0, 0, 12, :128])))
@@ -166,50 +158,27 @@ def test_slowtime_phase_tracks_range(table2, cascade):
     assert phase[1] - phase[0] == pytest.approx(expected, rel=1e-6)
 
 
-def test_plane_wave_channel_phases(table2, cascade):
-    # Plane-wave data advance by -pi * p * u across virtual azimuth position p.
-    cfg = dataclasses.replace(table2, n_frames=1)
-    u = 0.6
-    r = 5.0
-    frame = synthesize_frame(
-        _static_scene((u * r, r * 0.8, 0.0)), cfg, cascade, 0
-    )
-    x = frame[:, :, 0]
-    tx_az = [a for a, _ in cascade.tx_elements]
-    rx_az = [a for a, _ in cascade.rx_elements]
-    ref = x[0, 12]  # virtual position 0
-    for ti in range(3):
-        for ri in (12, 13, 14, 15):
-            p = tx_az[ti] + rx_az[ri]
-            got = np.angle(x[ti, ri] * np.conj(ref))
-            err = np.angle(np.exp(1j * (got + np.pi * p * u)))  # wrapped residual
-            assert err == pytest.approx(0.0, abs=1e-5)
-
-
-def test_modes_agree_far_out(table2, cascade):
-    # Far beyond the aperture's far-field distance the exact per-antenna
-    # paths and the plane-wave factorization give the same channel phases.
-    cfg = dataclasses.replace(table2, n_frames=1)
-    pos = (0.0, 2.0e4, 0.0)
-    pw = synthesize_frame(_static_scene(pos, "plane-wave"), cfg, cascade, 0)
-    ep = synthesize_frame(_static_scene(pos, "exact-path"), cfg, cascade, 0)
-    dphi = np.angle(pw.astype(np.complex128) * np.conj(ep.astype(np.complex128)))
-    assert float(np.max(np.abs(dphi))) < 1e-3
-
-
-def test_far_field_distance(cascade):
-    wl = 3.8934e-3
-    d = far_field_distance(cascade, wl)
-    assert d == pytest.approx(2 * (85 * wl / 2) ** 2 / wl)
-    assert d == pytest.approx(14.06, abs=0.05)
-
-
-def test_mode_auto_switches(table2, cascade):
-    wl = derive_waveform(table2).wavelength
-    near = Scene(points=(ScatterPoint((0.0, 0.5, 0.0)),), mode="auto")
-    far = Scene(points=(ScatterPoint((0.0, 20.0, 0.0)),), mode="auto")
-    assert _resolve_mode(near, cascade, wl) == "exact-path"
-    assert _resolve_mode(far, cascade, wl) == "plane-wave"
+def test_plane_wave_channel_phases(table2, cascade, steering):
+    # 2e4 m out, far past the ~14 m far-field distance 2 D^2 / lambda of
+    # the cascade's aperture, exact-path channels carry the plane-wave
+    # reference's phases, whose steering advances by -pi (p u + e v)
+    # across virtual position (p, e). On boresight every channel has the
+    # same delay, so all samples agree. Off it the delays differ and the
+    # reference's carrier-only steering holds where the sweep is at fc:
+    # the centre sample of an odd n_adc window, at fast time 0.
+    u, v = 0.6, -0.2
+    a, b = steering(cascade, u, v)
+    for ti, (ta, te) in enumerate(cascade.tx_elements):
+        for ri, (ra, re) in enumerate(cascade.rx_elements):
+            want = np.exp(-1j * np.pi * ((ta + ra) * u + (te + re) * v))
+            assert np.conj(a[ti]) * b[ri] == pytest.approx(want, abs=1e-12)
+    cfg = dataclasses.replace(table2, n_adc=255, n_frames=1)
+    r = 2.0e4
+    for u, v, samples in ((0.0, 0.0, slice(None)), (u, v, (cfg.n_adc - 1) // 2)):
+        scene = _static_scene((u * r, r * math.sqrt(1.0 - u * u - v * v), v * r))
+        want = _reference_frame(scene, cfg, cascade, 0, steering)[..., samples]
+        got = synthesize_frame(scene, cfg, cascade, 0)[..., samples].astype(np.complex128)
+        assert float(np.max(np.abs(np.angle(got * np.conj(want))))) < 1e-3
 
 
 def test_simulate_deterministic(table2, cascade):
@@ -248,7 +217,7 @@ def test_simulate_reuses_one_product_buffer_per_worker(table2, cascade, monkeypa
     equal those made alone, whose product is freshly allocated."""
     sim = importlib.import_module("multivital.simulate")  # the package's .simulate is the function
     cfg = dataclasses.replace(table2, n_frames=6)
-    scene = _static_scene((0.0, 0.8, 0.0), mode="exact-path", snr_db=10.0, seed=5)
+    scene = _static_scene((0.0, 0.8, 0.0), snr_db=10.0, seed=5)
     buffers = {}
     original = sim.synthesize_frame
 
@@ -270,7 +239,7 @@ def test_simulate_reuses_one_product_buffer_per_worker(table2, cascade, monkeypa
 def test_synthesize_frame_overwrites_its_work_buffer(table1, cascade):
     # n_adc 250 leaves 6 of the 16 x 16 product cells unused per channel
     cfg = dataclasses.replace(table1, n_adc=250, n_frames=1)
-    scene = _static_scene((0.3, 2.0, 0.1), mode="plane-wave", snr_db=None)
+    scene = _static_scene((0.3, 2.0, 0.1))
     work = np.full((cascade.n_tx, cascade.n_rx, 16, 16), np.nan, dtype=np.complex128)
     frame = synthesize_frame(scene, cfg, cascade, 0, work=work)
     assert np.array_equal(frame, synthesize_frame(scene, cfg, cascade, 0))
@@ -320,13 +289,37 @@ def test_scene_validation_errors():
     with pytest.raises(ConfigError):
         Scene(points=()).validate()
     with pytest.raises(ConfigError):
-        Scene(points=(ScatterPoint((0.0, 1.0, 0.0)),), mode="warp").validate()
-    with pytest.raises(ConfigError):
         Scene(points=(ScatterPoint((0.0, 1.0, 0.0)),), snr_db=math.inf).validate()
     bad_dir = SinusoidMotion(direction=(0.0, 2.0, 0.0), amplitude=1e-3,
                              frequency=1.0)
     with pytest.raises(ConfigError, match="unit"):
         Scene(points=(ScatterPoint((0.0, 1.0, 0.0), bad_dir),)).validate()
+
+
+_SINE = SinusoidMotion(direction=(0.0, 1.0, 0.0), amplitude=1e-3, frequency=1.0)
+_SERIES = SampledMotion(direction=(0.0, 1.0, 0.0), displacement_m=(0.0, 1e-4), rate_hz=20.0)
+
+
+@pytest.mark.parametrize("field, point", [
+    ("position0", ScatterPoint((0.0, math.nan, 0.0))),
+    ("reflectivity", ScatterPoint((0.0, 1.0, 0.0), reflectivity=math.inf)),
+    ("direction", ScatterPoint(
+        (0.0, 1.0, 0.0), dataclasses.replace(_SINE, direction=(math.nan, 1.0, 0.0)))),
+    ("amplitude", ScatterPoint((0.0, 1.0, 0.0), dataclasses.replace(_SINE, amplitude=math.nan))),
+    ("frequency", ScatterPoint((0.0, 1.0, 0.0), dataclasses.replace(_SINE, frequency=math.inf))),
+    ("phase", ScatterPoint((0.0, 1.0, 0.0), dataclasses.replace(_SINE, phase=math.inf))),
+    ("direction", ScatterPoint(
+        (0.0, 1.0, 0.0), dataclasses.replace(_SERIES, direction=(0.0, math.nan, 0.0)))),
+    ("displacement_m", ScatterPoint(
+        (0.0, 1.0, 0.0), dataclasses.replace(_SERIES, displacement_m=(math.nan, 0.0)))),
+    ("rate_hz", ScatterPoint((0.0, 1.0, 0.0), dataclasses.replace(_SERIES, rate_hz=math.inf))),
+], ids=["position0", "reflectivity", "sinusoid-direction", "amplitude", "frequency", "phase",
+        "sampled-direction", "displacement_m", "rate_hz"])
+def test_non_finite_scene_value_is_a_config_error(table2, cascade, field, point):
+    # These used to give an all-NaN cube, or a bare ValueError from math.
+    cfg = dataclasses.replace(table2, n_frames=2)
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        simulate(Scene(points=(point,)), cfg, cascade)
 
 
 def test_frame_index_out_of_range(table2, cascade):
