@@ -174,8 +174,8 @@ def test_plane_wave_channel_phases(table2, cascade, steering):
             assert np.conj(a[ti]) * b[ri] == pytest.approx(want, abs=1e-12)
     cfg = dataclasses.replace(table2, n_adc=255, n_frames=1)
     r = 2.0e4
-    for u, v, samples in ((0.0, 0.0, slice(None)), (u, v, (cfg.n_adc - 1) // 2)):
-        scene = _static_scene((u * r, r * math.sqrt(1.0 - u * u - v * v), v * r))
+    for pu, pv, samples in ((0.0, 0.0, slice(None)), (u, v, (cfg.n_adc - 1) // 2)):
+        scene = _static_scene((pu * r, r * math.sqrt(1.0 - pu * pu - pv * pv), pv * r))
         want = _reference_frame(scene, cfg, cascade, 0, steering)[..., samples]
         got = synthesize_frame(scene, cfg, cascade, 0)[..., samples].astype(np.complex128)
         assert float(np.max(np.abs(np.angle(got * np.conj(want))))) < 1e-3
