@@ -7,7 +7,6 @@ Exit codes: 0 on success, 1 for data/processing errors (a JSON object with
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -15,7 +14,7 @@ import sys
 import numpy as np
 
 from .config import derive_waveform
-from .errors import ConfigError, MultivitalError
+from .errors import MultivitalError
 from .io import (
     export_angle_map,
     export_scg_traces,
@@ -46,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize a raw data cube from a scene config")
     p.add_argument("--config", required=True, help="config file path or bundled name")
     p.add_argument("--out", required=True, help="output cube path (.mvdc)")
-    p.add_argument("--seed", type=int, default=None, help="override the scene seed")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("process", help="recover per-region displacement traces from a cube")
@@ -60,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scg", help="integrate accelerometer channels to displacement")
     p.add_argument("--in", dest="infile", required=True, help="accelerometer CSV")
     p.add_argument("--out", required=True, help="output displacement CSV path")
-    p.add_argument("--cutoff", type=float, default=0.5,
-                   help="high-pass cutoff in Hz (default 0.5)")
     p.set_defaults(func=_cmd_scg)
 
     p = sub.add_parser("compare", help="correlation and frequency metrics between trace tables")
@@ -103,10 +99,7 @@ def _fail(code: str, message: str) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
-    scene = cfg.scene
-    if args.seed is not None:
-        scene = dataclasses.replace(scene, seed=args.seed)
-    chirp, geom = cfg.chirp, cfg.geometry
+    scene, chirp, geom = cfg.scene, cfg.chirp, cfg.geometry
     # One chunk of frames at a time: each is written before the next is made.
     step = frames_per_chunk(8 * geom.n_tx * geom.n_rx * chirp.n_adc)
     write_cube(args.out, chirp, geom, scene.seed, simulate_chunks(scene, chirp, geom, step))
@@ -130,7 +123,7 @@ def _cmd_process(args) -> int:
 
 def _cmd_scg(args) -> int:
     channels, ecg, _ = load_scg_csv(args.infile)
-    traces = [tr for ch in channels for tr in scg_to_displacement(ch, args.cutoff)]
+    traces = [tr for ch in channels for tr in scg_to_displacement(ch)]
     export_scg_traces(traces, ecg, args.out)
     print(f"wrote {len(traces)} trace(s) to {args.out}")
     return 0
@@ -189,16 +182,7 @@ def _cmd_e2e(args) -> int:
     cfg = load_run_config(args.config)
     names = {"cube": "cube.mvdc", "traces": "traces.csv",
              "truth": "truth.csv", "report": "report.json"}
-    names.update(cfg.outputs)
     paths = {k: os.path.join(args.out, v) for k, v in names.items()}
-    owner: dict = {}
-    for key, path in paths.items():
-        other = owner.setdefault(os.path.normpath(path), key)
-        if other != key:
-            raise ConfigError(
-                f"config.outputs.{other} and config.outputs.{key} both name "
-                f"{names[key]!r}"
-            )
     os.makedirs(args.out, exist_ok=True)
 
     cube = simulate(cfg.scene, cfg.chirp, cfg.geometry)
@@ -219,7 +203,7 @@ def _cmd_e2e(args) -> int:
     }
     for tr in result.traces:
         doc["regions"][tr.region] = {
-            "dominant_frequency_hz": dominant_frequency(tr, cfg.pipeline.band),
+            "dominant_frequency_hz": dominant_frequency(tr),
             "peak_to_peak_phase_rad": float(np.ptp(tr.phase)),
             "peak_to_peak_displacement_mm": float(np.ptp(tr.displacement)),
         }
@@ -231,7 +215,7 @@ def _cmd_e2e(args) -> int:
         frame_rate = cfg.chirp.frame_rate
         radar_m = {t.region: (t.displacement, frame_rate) for t in result.traces}
         ref_m = {t.region: (t.displacement, frame_rate) for t in truth}
-        report = compare_traces(radar_m, ref_m, cfg.pipeline.band)
+        report = compare_traces(radar_m, ref_m)
         for rid, rc in report.to_dict().items():
             doc["regions"][rid].update(rc)
 

@@ -111,13 +111,17 @@ class AzimuthUlaSelection:
 
     chosen maps ULA index (equal to azimuth position minus the base offset)
     to a (tx, rx) index pair. blocks are maximal runs sharing one Tx and one
-    contiguous Rx cluster; junctions are the ULA indices that open every
-    block after the first, where near-field phase steps appear.
+    contiguous Rx cluster.
     """
 
     chosen: tuple[tuple[int, int], ...]
     blocks: tuple[tuple[int, int], ...]  # (start, stop) ULA indices, stop inclusive
-    junctions: tuple[int, ...]
+
+    @property
+    def junctions(self) -> tuple[int, ...]:
+        """ULA indices that open every block after the first, where
+        near-field phase steps appear."""
+        return tuple(start for start, _ in self.blocks[1:])
 
 
 @functools.lru_cache(maxsize=8)
@@ -131,7 +135,7 @@ def select_azimuth_ula(va: VirtualArray) -> AzimuthUlaSelection:
     Walks positions left to right, preferring to stay on the current
     (Tx, Rx-cluster) pair so runs stay long; when a run cannot continue,
     the candidate with the lowest Tx index (then lowest Rx index) starts a
-    new block and the boundary is recorded as a junction.
+    new block, whose start is a junction.
 
     Parameters
     ----------
@@ -167,7 +171,6 @@ def select_azimuth_ula(va: VirtualArray) -> AzimuthUlaSelection:
 
     chosen: list[tuple[int, int]] = []
     blocks: list[tuple[int, int]] = []
-    junctions: list[int] = []
     state: tuple[int, int] | None = None  # (tx index, rx cluster id)
     block_start = 0
     for pos in range(lo, hi + 1):
@@ -183,14 +186,11 @@ def select_azimuth_ula(va: VirtualArray) -> AzimuthUlaSelection:
             pick = candidates[0]
             if state is not None:
                 blocks.append((block_start, idx - 1))
-                junctions.append(idx)
                 block_start = idx
             state = (pick[0], clusters[pick[1]])
         chosen.append(pick)
     blocks.append((block_start, hi - lo))
-    return AzimuthUlaSelection(
-        chosen=tuple(chosen), blocks=tuple(blocks), junctions=tuple(junctions)
-    )
+    return AzimuthUlaSelection(chosen=tuple(chosen), blocks=tuple(blocks))
 
 
 def _clusters_from_positions(rx_pos: dict[int, int]) -> dict[int, int]:

@@ -113,15 +113,11 @@ def normalized_xcorr_max(r: np.ndarray, x: np.ndarray) -> tuple[float, int]:
 
 
 def max_freq_difference(
-    r: np.ndarray,
-    rate_r: float,
-    x: np.ndarray,
-    rate_x: float,
-    band: tuple[float, float] = (0.5, 3.0),
+    r: np.ndarray, rate_r: float, x: np.ndarray, rate_x: float
 ) -> float:
     """Absolute difference of the two traces' dominant frequencies, Hz."""
-    fr = spectral_peak_frequency(r, rate_r, band)
-    fx = spectral_peak_frequency(x, rate_x, band)
+    fr = spectral_peak_frequency(r, rate_r)
+    fx = spectral_peak_frequency(x, rate_x)
     return abs(fr - fx)
 
 
@@ -155,15 +151,12 @@ def align_rates(
 def compare_traces(
     radar: Mapping[str, tuple[np.ndarray, float]],
     reference: Mapping[str, tuple[np.ndarray, float]],
-    band: tuple[float, float] = (0.5, 3.0),
 ) -> ComparisonReport:
     """Build a ComparisonReport for every region present in both inputs.
 
     Parameters
     ----------
     radar, reference : mapping region -> (displacement trace, rate_hz)
-    band : Hz
-        Search band for the dominant-frequency metric.
     """
     regions: dict[str, RegionComparison] = {}
     for rid, (trace, rate) in radar.items():
@@ -172,7 +165,7 @@ def compare_traces(
         ref_trace, ref_rate = reference[rid]
         a, b, common = align_rates(trace, rate, ref_trace, ref_rate)
         rho, lag = normalized_xcorr_max(a, b)
-        delta_f = max_freq_difference(a, common, b, common, band)
+        delta_f = max_freq_difference(a, common, b, common)
         regions[rid] = RegionComparison(
             rho=rho, lag=lag, delta_f_max=delta_f, rate_hz=common
         )

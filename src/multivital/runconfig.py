@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .config import W_BAND_HZ, ChirpConfig
@@ -26,7 +26,6 @@ class PipelineConfig:
 
     n_fft_range: int
     n_fft_azimuth: int
-    band: tuple[float, float] = (0.5, 3.0)  # Hz
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class RunConfig:
     scene: Scene
     pipeline: PipelineConfig
     layout: SensorLayout | None = None
-    outputs: dict = field(default_factory=dict)
 
 
 def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> None:
@@ -185,21 +183,15 @@ def _parse_scene(obj: dict, path: str) -> Scene:
 
 
 def _parse_pipeline(obj: dict, path: str) -> PipelineConfig:
-    _check_keys(obj, path, required=("n_fft_range", "n_fft_azimuth"),
-                optional=("band_hz",))
+    _check_keys(obj, path, required=("n_fft_range", "n_fft_azimuth"))
     def fft_size(key):
         n = _integer(obj, path, key)
         if n < 2 or n & (n - 1):
             raise ConfigError(f"{path}.{key} must be a power of two, got {n}")
         return n
-    band = obj.get("band_hz", [0.5, 3.0])
-    lo, hi = _vector(band, f"{path}.band_hz", 2)
-    if not 0 <= lo < hi:
-        raise ConfigError(f"{path}.band_hz must be an increasing pair, got {band}")
     return PipelineConfig(
         n_fft_range=fft_size("n_fft_range"),
         n_fft_azimuth=fft_size("n_fft_azimuth"),
-        band=(lo, hi),
     )
 
 
@@ -237,19 +229,10 @@ def _parse_layout(obj: dict, path: str) -> SensorLayout:
     return SensorLayout(positions=positions, z_a=_number(obj, path, "z_a_m")).validate()
 
 
-def _parse_outputs(obj: dict, path: str) -> dict:
-    _check_keys(obj, path, required=(),
-                optional=("cube", "traces", "report", "truth"))
-    for key, value in obj.items():
-        if not isinstance(value, str) or not value:
-            raise ConfigError(f"{path}.{key} must be a non-empty path string")
-    return dict(obj)
-
-
 def parse_run_config(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
     _check_keys(doc, "config", required=("chirp", "geometry", "scene", "pipeline"),
-                optional=("layout", "outputs"))
+                optional=("layout",))
     chirp = _parse_chirp(doc["chirp"], "config.chirp")
     geometry, is_cascade = _parse_geometry(doc["geometry"], "config.geometry")
     if is_cascade and not W_BAND_HZ[0] <= chirp.fc <= W_BAND_HZ[1]:
@@ -267,8 +250,6 @@ def parse_run_config(doc: dict) -> RunConfig:
         pipeline=pipeline,
         layout=(_parse_layout(doc["layout"], "config.layout")
                 if "layout" in doc else None),
-        outputs=(_parse_outputs(doc["outputs"], "config.outputs")
-                 if "outputs" in doc else {}),
     )
 
 

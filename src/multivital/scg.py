@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, ProcessingError
 
 FILTER_ORDER = 4  # Butterworth (maximally flat) high-pass used throughout the chain
+CUTOFF_HZ = 0.5  # of that high-pass, below resting heart rates
 TRANSIENT_S = 2.0  # s flagged as filter transient, and tapered, at each record end
 
 
@@ -72,7 +73,7 @@ def detrend(x: np.ndarray) -> np.ndarray:
     return signal.detrend(x, type="linear")
 
 
-def _highpass_design(fs: float, cutoff: float, n: int):
+def _highpass_design(fs: float, n: int):
     """The chain's zero-phase high-pass for n-sample arrays, as a function.
 
     The Butterworth SOS and the pad length are worked out here once, so the
@@ -80,10 +81,10 @@ def _highpass_design(fs: float, cutoff: float, n: int):
     """
     from scipy import signal  # deferred: only the SCG chain pays its import
 
-    sos = signal.butter(FILTER_ORDER, cutoff, btype="highpass", fs=fs, output="sos")
+    sos = signal.butter(FILTER_ORDER, CUTOFF_HZ, btype="highpass", fs=fs, output="sos")
     # the default pad is a few dozen samples; at sub-Hz cutoffs the filter
     # memory is seconds, so pad three cutoff periods
-    padlen = min(n - 1, int(round(3.0 * fs / cutoff)))
+    padlen = min(n - 1, int(round(3.0 * fs / CUTOFF_HZ)))
     return lambda x: signal.sosfiltfilt(sos, x, padlen=padlen)
 
 
@@ -97,18 +98,14 @@ def _end_taper(n: int, transient: int) -> np.ndarray:
     return wnd
 
 
-def scg_to_displacement(ch: ScgChannel, cutoff: float = 0.5) -> list[ScgTrace]:
+def scg_to_displacement(ch: ScgChannel) -> list[ScgTrace]:
     """Calibrate a triaxial acceleration record into displacement, mm.
 
     The first and last TRANSIENT_S seconds are flagged as filter transient;
     the same span is cosine-tapered before filtering so edge effects stay
     inside it.
 
-    Parameters
-    ----------
-    ch : ScgChannel
-    cutoff : float
-        Hz, of the high-pass applied three times along the chain.
+    The high-pass at CUTOFF_HZ is applied three times along the chain.
 
     Returns
     -------
@@ -117,7 +114,8 @@ def scg_to_displacement(ch: ScgChannel, cutoff: float = 0.5) -> list[ScgTrace]:
     Raises
     ------
     ConfigError
-        If the cutoff does not lie in (0, fs/2).
+        If CUTOFF_HZ does not lie in (0, fs/2): a record sampled at 1 Hz or
+        slower.
     ProcessingError
         If the record is shorter than 10 filter time constants.
     """
@@ -126,20 +124,20 @@ def scg_to_displacement(ch: ScgChannel, cutoff: float = 0.5) -> list[ScgTrace]:
 
     ch.validate()
     fs = ch.fs
-    if not 0 < cutoff < fs / 2:
-        raise ConfigError(f"cutoff {cutoff} Hz must lie in (0, fs/2) = (0, {fs / 2}) Hz")
+    if fs / 2 <= CUTOFF_HZ:
+        raise ConfigError(f"cutoff {CUTOFF_HZ} Hz must lie in (0, fs/2) = (0, {fs / 2}) Hz")
     n = len(ch.ax)
     duration = n / fs  # s
-    min_duration = 10.0 / (2.0 * np.pi * cutoff)  # 10 time constants
+    min_duration = 10.0 / (2.0 * np.pi * CUTOFF_HZ)  # 10 time constants
     if duration < min_duration:
         raise ProcessingError(
             f"record of {duration:.2f} s is shorter than 10 filter time "
-            f"constants ({min_duration:.2f} s at {cutoff} Hz cutoff)"
+            f"constants ({min_duration:.2f} s at {CUTOFF_HZ} Hz cutoff)"
         )
     dt = 1.0 / fs
     transient = int(round(TRANSIENT_S * fs))
     wnd = _end_taper(n, transient)
-    highpass = _highpass_design(fs, cutoff, n)
+    highpass = _highpass_design(fs, n)
     out = []
     for axis, acc in (("x", ch.ax), ("y", ch.ay), ("z", ch.az)):
         a = detrend(np.asarray(acc, dtype=np.float64))

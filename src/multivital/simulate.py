@@ -133,6 +133,12 @@ class ScatterPoint:
         )
 
 
+def _check_seed(seed, owner: str) -> None:
+    # the noise key and the MVDC header hold the seed as an integer
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"{owner} seed must be an integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class Scene:
     """Scatterers plus acquisition-level noise and reproducibility settings."""
@@ -148,6 +154,7 @@ class Scene:
             p.validate()
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ConfigError("scene snr_db must be finite (use null/None to disable)")
+        _check_seed(self.seed, "scene")
         return self
 
 
@@ -162,6 +169,7 @@ class RawDataCube:
 
     def validate(self) -> "RawDataCube":
         self.chirp.validate()
+        _check_seed(self.seed, "cube")
         expected = (
             self.chirp.n_frames,
             self.geometry.n_tx,

@@ -9,6 +9,8 @@ import numpy as np
 from .doa import RegionSignal
 from .errors import ProcessingError
 
+HEART_BAND_HZ = (0.5, 3.0)  # Hz, resting heart rates: the dominant-frequency search band
+
 
 @dataclass(frozen=True)
 class DisplacementTrace:
@@ -90,7 +92,7 @@ def region_signal_to_trace(
 
 
 def spectral_peak_frequency(
-    x: np.ndarray, rate_hz: float, band: tuple[float, float] = (0.5, 3.0)
+    x: np.ndarray, rate_hz: float, band: tuple[float, float] = HEART_BAND_HZ
 ) -> float:
     """Frequency of the largest spectral peak of mean-removed x inside band.
 
@@ -127,15 +129,6 @@ def spectral_peak_frequency(
     return (k + delta) * rate_hz / x.size
 
 
-def dominant_frequency(
-    trace: DisplacementTrace, band: tuple[float, float] = (0.5, 3.0)
-) -> float:
-    """Dominant oscillation frequency of a displacement trace, Hz.
-
-    Parameters
-    ----------
-    trace : DisplacementTrace
-    band : (low, high) Hz
-        Search band; the default covers resting heart rates.
-    """
-    return spectral_peak_frequency(trace.displacement, trace.frame_rate, band)
+def dominant_frequency(trace: DisplacementTrace) -> float:
+    """Dominant oscillation frequency of a displacement trace in HEART_BAND_HZ, Hz."""
+    return spectral_peak_frequency(trace.displacement, trace.frame_rate)

@@ -53,7 +53,7 @@ def test_a1_single_target_end_to_end(capsys):
     u_err = abs(math.sin(result.azimuth_peak_rad) - 0.6)
     trace = result.traces[0]
     p2p = float(np.ptp(trace.phase))
-    freq = dominant_frequency(trace, cfg.pipeline.band)
+    freq = dominant_frequency(trace)
     freq_tol = 1.0 / (cfg.chirp.n_frames * cfg.chirp.t_frame)
 
     ok = (
@@ -206,7 +206,7 @@ def test_a6_five_point_phantom(capsys):
     for tr, point in zip(result.traces, cfg.scene.points):
         truth = point.radial_displacement(times)
         rhos[tr.region], _ = normalized_xcorr_max(tr.displacement, truth)
-        freqs[tr.region] = dominant_frequency(tr, cfg.pipeline.band)
+        freqs[tr.region] = dominant_frequency(tr)
     spread = max(freqs.values()) - min(freqs.values())
     bin_hz = cfg.chirp.frame_rate / cfg.chirp.n_frames
     ok = min(rhos.values()) >= 0.8 and spread <= bin_hz + 1e-12
@@ -356,7 +356,7 @@ def test_a10_five_frequency_phantom(five_frequency_phantom, layout_error, capsys
     for tr, point in zip(result.traces, scene.points):
         truth = point.radial_displacement(times)
         rho, _ = normalized_xcorr_max(tr.displacement, truth)
-        f_est = dominant_frequency(tr, cfg.pipeline.band)
+        f_est = dominant_frequency(tr)
         # normalized_xcorr_max ignores sign (A9); the trace must also move
         # the same way as its point.
         same_sign = float(np.dot(tr.displacement - tr.displacement.mean(),

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "sim-single-target", "--out", "c.mvdc", "--seed", "1"],
+    ["scg", "--in", "accel.csv", "--out", "disp.csv", "--cutoff", "0.8"],
+], ids=["simulate--seed", "scg--cutoff"])
+def test_retired_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    """The scene seed is set in the config and the SCG high-pass is fixed."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_retired_near_field_flag_is_a_usage_error(workdir, tmp_path, capsys):
     """Junction compensation is always on: process has no --near-field."""
     out = tmp_path / "t.csv"
@@ -126,7 +139,11 @@ def test_simulate_deterministic_unless_reseeded(workdir, tmp_path, capsys):
     cfg = str(workdir["cfg"])
     assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
     assert main(["simulate", "--config", cfg, "--out", str(b)]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(c), "--seed", "99"]) == 0
+    doc = json.loads(workdir["cfg"].read_text())
+    doc["scene"]["seed"] = 99
+    reseeded = tmp_path / "reseeded.json"
+    reseeded.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(reseeded), "--out", str(c)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
     assert "wrote" in capsys.readouterr().out
@@ -616,29 +633,6 @@ def test_short_fft_is_rejected_before_simulating(workdir, tmp_path, key, value):
     assert not (tmp_path / "run" / "cube.mvdc").exists()
 
 
-@pytest.mark.parametrize("outputs,keys", [
-    ({"traces": "same.csv", "truth": "same.csv"}, ("traces", "truth")),
-    ({"traces": "report.json"}, ("traces", "report")),
-    ({"cube": "sub/../traces.csv"}, ("cube", "traces")),
-])
-def test_e2e_outputs_naming_one_file_are_rejected(workdir, tmp_path, capsys, outputs, keys):
-    """Two outputs that resolve to one file (a default name counts) fail as
-    a config error naming both keys, before anything is simulated."""
-    doc = json.loads(workdir["cfg"].read_text())
-    doc["outputs"] = outputs
-    cfg = tmp_path / "clash.json"
-    cfg.write_text(json.dumps(doc))
-    out = tmp_path / "run"
-    assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = json.loads(captured.err)  # one object, nothing else
-    assert err["error"] == "config"
-    for key in keys:
-        assert f"config.outputs.{key}" in err["message"]
-    assert not out.exists()
-
-
 def test_scg_subcommand(workdir, tmp_path, capsys):
     accel = tmp_path / "accel.csv"
     out = tmp_path / "disp.csv"
@@ -752,25 +746,15 @@ def test_scg_without_acceleration_columns_reports_processing_error(tmp_path, cap
     assert not out.exists()
 
 
-def test_scg_cutoff_override(tmp_path, capsys):
+def test_scg_recording_too_slow_for_cutoff_reports_config_error(tmp_path, capsys):
+    """A recording sampled at 1 Hz puts the 0.5 Hz high-pass at Nyquist:
+    scg fails as one JSON config error, and no output is written."""
     accel = tmp_path / "accel.csv"
     out = tmp_path / "disp.csv"
-    _write_accel_csv(accel)
-    assert main(["scg", "--in", str(accel), "--out", str(out),
-                 "--cutoff", "0.8"]) == 0
-    assert out.exists()
+    accel.write_text("time_s,A_ax,A_ay,A_az,ecg\n" + "".join(
+        f"{float(i)!r},{0.1 * math.sin(i)!r},0.0,0.0,0.0\n" for i in range(30)))
     capsys.readouterr()
-
-
-@pytest.mark.parametrize("cutoff", ["0", "nan", "inf", str(RATE / 2)])
-def test_scg_bad_cutoff_reports_config_error(tmp_path, capsys, cutoff):
-    """A cutoff outside (0, fs/2) fails scg as one JSON config error, and
-    no output is written."""
-    accel = tmp_path / "accel.csv"
-    out = tmp_path / "disp.csv"
-    _write_accel_csv(accel)
-    capsys.readouterr()
-    assert main(["scg", "--in", str(accel), "--out", str(out), "--cutoff", cutoff]) == 1
+    assert main(["scg", "--in", str(accel), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)  # one object, nothing else
@@ -848,6 +832,33 @@ def test_compare_rate_extremes_report_processing_error(tmp_path, capsys, radar_s
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "processing"  # one object, nothing else
     assert not report.exists()
+
+
+def test_compare_scores_like_e2e(tmp_path, capsys):
+    """compare of e2e's traces against its truth gives e2e's own scores:
+    both use the one fixed heart band, so no command can score a trace
+    differently. compare reads the rate off the time column, 20 Hz to
+    within rounding, which moves delta_f by far less than 1e-12 Hz."""
+    bundled = resources.files("multivital") / "configs" / "phantom-five-point.json"
+    doc = json.loads(bundled.read_text())
+    doc["chirp"].update(n_frames=100, n_adc=64)
+    doc["pipeline"]["n_fft_range"] = 64
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["compare", "--radar", str(out / "traces.csv"), "--ref", str(out / "truth.csv"),
+                 "--out", str(tmp_path / "compare.json")]) == 0
+    scored = json.loads((out / "report.json").read_text())["regions"]
+    compared = json.loads((tmp_path / "compare.json").read_text())["regions"]
+    assert list(compared) == list(scored) == ["A", "P", "T", "E", "M"]
+    for rid, got in compared.items():
+        want = scored[rid]
+        assert got["rho"] == want["rho"]
+        assert got["lag_samples"] == want["lag_samples"]
+        assert got["delta_f_max_hz"] == pytest.approx(want["delta_f_max_hz"], rel=0, abs=1e-12)
+        assert got["rate_hz"] == pytest.approx(want["rate_hz"], rel=1e-9)
+    capsys.readouterr()
 
 
 def test_e2e_writes_expected_files(workdir, tmp_path, capsys):

@@ -134,7 +134,7 @@ def test_junction_step_two_element_example():
     # sqrt(z^2 + (2 lambda)^2) - z, scaled by 2 pi / lambda.
     geom = ArrayGeometry(tx_elements=((0, 0), (4, 0)), rx_elements=((0, 0),))
     sel = AzimuthUlaSelection(chosen=((0, 0), (1, 0)),
-                              blocks=((0, 0), (1, 1)), junctions=(1,))
+                              blocks=((0, 0), (1, 1)))
     dphi = junction_phase_error(sel, geom, WL77, 0.5, 0.0)
     assert dphi.shape == (1,)
     assert dphi[0] == pytest.approx(0.097846, abs=1e-5)
@@ -149,7 +149,7 @@ def test_junction_step_mirror_symmetry():
     geom = ArrayGeometry(tx_elements=((-4, 0), (4, 0)),
                          rx_elements=((-4, 0), (4, 0)))
     sel = AzimuthUlaSelection(chosen=((0, 0), (1, 1)),
-                              blocks=((0, 0), (1, 1)), junctions=(1,))
+                              blocks=((0, 0), (1, 1)))
     assert junction_phase_error(sel, geom, WL77, 0.5, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
     theta = np.deg2rad(23.0)
     plus = junction_phase_error(sel, geom, WL77, 0.5, theta)[0]

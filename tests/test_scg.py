@@ -78,8 +78,10 @@ def test_short_record_raises():
 
 
 def test_cutoff_validation():
-    with pytest.raises(ConfigError, match=re.escape("cutoff 300.0 Hz must lie in (0, fs/2)")):
-        scg_to_displacement(_tone_channel(fs=500.0), cutoff=300.0)
+    # At 1 Hz the 0.5 Hz high-pass sits at Nyquist: no filter to design.
+    with pytest.raises(ConfigError,
+                       match=re.escape("cutoff 0.5 Hz must lie in (0, fs/2) = (0, 0.5) Hz")):
+        scg_to_displacement(_tone_channel(fs=1.0, freq=0.2))
 
 
 def test_channel_validation():

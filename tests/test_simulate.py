@@ -8,6 +8,7 @@ import pytest
 from multivital.config import SPEED_OF_LIGHT, derive_waveform
 from multivital.errors import ConfigError
 from multivital.geometry import element_positions_m
+from multivital.io import save_cube
 from multivital.simulate import (
     RawDataCube,
     SampledMotion,
@@ -326,6 +327,21 @@ def test_frame_index_out_of_range(table2, cascade):
     cfg = dataclasses.replace(table2, n_frames=2)
     with pytest.raises(ConfigError):
         synthesize_frame(_static_scene((0.0, 1.0, 0.0)), cfg, cascade, 2)
+
+
+@pytest.mark.parametrize("route", ["noisy-simulate", "noiseless-simulate-save", "cube"])
+def test_non_integer_seed_is_a_config_error(table2, cascade, tmp_path, route):
+    # These used to die with a bare TypeError from the noise key or the
+    # MVDC header, or pass unchecked.
+    cfg = dataclasses.replace(table2, n_frames=2)
+    with pytest.raises(ConfigError, match="seed must be an integer, got 1.5"):
+        if route == "cube":
+            samples = np.zeros((2, 12, 16, 256), dtype=np.complex64)
+            RawDataCube(samples=samples, chirp=cfg, geometry=cascade, seed=1.5).validate()
+        else:
+            snr_db = 10.0 if route == "noisy-simulate" else None
+            cube = simulate(_static_scene((0.0, 1.0, 0.0), snr_db, seed=1.5), cfg, cascade)
+            save_cube(cube, str(tmp_path / "cube.mvdc"))
 
 
 def test_cube_shape_validation(table2, cascade):
