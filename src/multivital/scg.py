@@ -124,7 +124,7 @@ def scg_to_displacement(ch: ScgChannel) -> list[ScgTrace]:
 
     ch.validate()
     fs = ch.fs
-    if fs / 2 <= CUTOFF_HZ:
+    if not 0 < CUTOFF_HZ < fs / 2:
         raise ConfigError(f"cutoff {CUTOFF_HZ} Hz must lie in (0, fs/2) = (0, {fs / 2}) Hz")
     n = len(ch.ax)
     duration = n / fs  # s

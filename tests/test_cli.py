@@ -18,6 +18,7 @@ import pytest
 import multivital.cli as cli
 import multivital.doa as doa
 import multivital.pipeline as pipeline
+import multivital.scg as scg
 from multivital.cli import main
 from multivital.geometry import select_azimuth_ula
 from multivital.io import load_cube, load_scg_csv, read_trace_table, save_cube
@@ -753,6 +754,24 @@ def test_scg_recording_too_slow_for_cutoff_reports_config_error(tmp_path, capsys
     out = tmp_path / "disp.csv"
     accel.write_text("time_s,A_ax,A_ay,A_az,ecg\n" + "".join(
         f"{float(i)!r},{0.1 * math.sin(i)!r},0.0,0.0,0.0\n" for i in range(30)))
+    capsys.readouterr()
+    assert main(["scg", "--in", str(accel), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one object, nothing else
+    assert err["error"] == "config"
+    assert "cutoff" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cutoff", ["0", "nan", "inf", str(RATE / 2)])
+def test_scg_bad_cutoff_reports_config_error(tmp_path, capsys, monkeypatch, cutoff):
+    """A high-pass cutoff outside (0, fs/2) fails scg as one JSON config
+    error, and no output is written."""
+    monkeypatch.setattr(scg, "CUTOFF_HZ", float(cutoff))
+    accel = tmp_path / "accel.csv"
+    out = tmp_path / "disp.csv"
+    _write_accel_csv(accel)
     capsys.readouterr()
     assert main(["scg", "--in", str(accel), "--out", str(out)]) == 1
     captured = capsys.readouterr()
