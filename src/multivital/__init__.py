@@ -54,7 +54,6 @@ from .rangeproc import (
     SubjectLocation,
     extract_range_bin,
     locate_subject,
-    range_bin_dft,
     range_fft,
 )
 from .runconfig import PipelineConfig, RunConfig, load_run_config
@@ -119,7 +118,6 @@ __all__ = [
     "SubjectLocation",
     "extract_range_bin",
     "locate_subject",
-    "range_bin_dft",
     "range_fft",
     "PipelineConfig",
     "RunConfig",

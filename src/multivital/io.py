@@ -35,7 +35,7 @@ from .doa import AngleMap
 from .errors import ConfigError, CubeFormatError, ProcessingError
 from .geometry import ArrayGeometry
 from .scg import ScgChannel, ScgTrace
-from .simulate import RawDataCube
+from .simulate import RawDataCube, _check_seed
 from .vitals import DisplacementTrace
 
 _CHUNK_CELLS = 32768  # CSV cells converted at a time: 8192 rows of a 4-column trace CSV
@@ -47,7 +47,14 @@ _HEADER = struct.Struct("<4s5I5dQ")  # 72 bytes
 
 
 def save_cube(cube: RawDataCube, path: str) -> None:
-    """Write a RawDataCube to an MVDC file (atomic replace)."""
+    """Write a RawDataCube to an MVDC file (atomic replace).
+
+    Raises
+    ------
+    ConfigError
+        a cube that does not validate; no file is written.
+    """
+    cube.validate()
     write_cube(path, cube.chirp, cube.geometry, cube.seed, [cube.samples])
 
 
@@ -65,18 +72,19 @@ def write_cube(
     Raises
     ------
     ConfigError
-        a chunk whose channels or samples do not match geometry and chirp,
-        or chunks whose frames do not add up to chirp.n_frames; the file at
-        path is then left as it was.
+        a seed that is not an integer in [0, 2**64), a chunk whose channels
+        or samples do not match geometry and chirp, or chunks whose frames
+        do not add up to chirp.n_frames; the file at path is then left as
+        it was.
     """
     chirp.validate()
+    _check_seed(seed, "cube")
     shape = (geometry.n_tx, geometry.n_rx, chirp.n_adc)
 
     def payload():
         yield _HEADER.pack(
             MVDC_MAGIC, MVDC_VERSION, chirp.n_frames, *shape,
-            chirp.fc, chirp.fs, chirp.k_chirp, chirp.prt, chirp.t_frame,
-            seed & 0xFFFFFFFFFFFFFFFF,
+            chirp.fc, chirp.fs, chirp.k_chirp, chirp.prt, chirp.t_frame, seed,
         )
         frames = 0
         for chunk in chunks:

@@ -17,7 +17,7 @@ from .doa import build_phase_error_table  # noqa: F401
 from .errors import ProcessingError
 from .geometry import build_virtual_array, select_azimuth_ula
 from .metrics import SensorLayout, compute_alignment
-from .rangeproc import extract_range_bin, locate_subject, range_bin_dft, range_fft
+from .rangeproc import extract_range_bin, locate_subject, range_fft
 from .runconfig import PipelineConfig
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace, region_signal_to_trace
@@ -87,11 +87,13 @@ def _steered_subject(cube, pcfg, layout):
     slab for one cube, focused at the layout's z_a with its chest-plane
     region angles, else at the subject's range (an error at 0 m).
 
-    Both passes over the cube go a frame chunk at a time: range_fft of each
-    chunk is folded into locate_subject's profile before the next is made,
-    then the subject-bin slab is the one-bin DFT of each chunk, joined along
-    frames. No full-size range cube exists, and of a loaded cube one
-    chunk's pages are resident at a time.
+    The cube is range-transformed a frame chunk at a time, and each chunk is
+    folded into locate_subject's profile before the next is made, keeping
+    its slow-time matrix at the bin leading the profile so far. The slab
+    joins those matrices along frames. Only a chunk whose lead was not the
+    final bin is transformed again, to take its matrix at that bin. No
+    full-size range cube exists, and of a loaded cube one chunk's pages are
+    resident at a time.
     """
     wavelength = derive_waveform(cube.chirp).wavelength
     geom = cube.geometry
@@ -102,8 +104,10 @@ def _steered_subject(cube, pcfg, layout):
         raise ProcessingError(
             f"subject located at {loc.range_m} m (range bin {loc.bin}): no range to focus at"
         )
-    slab = np.concatenate([range_bin_dft(chunk, n_fft, loc.bin) for chunk in _chunks(cube, n_fft)],
-                          axis=1)
+    slab = np.concatenate([
+        column if lead == loc.bin else extract_range_bin(range_fft(chunk, n_fft), loc.bin)
+        for (lead, column), chunk in zip(loc.columns, _chunks(cube, n_fft))
+    ], axis=1)
     range_z = layout.z_a if layout is not None else loc.range_m
     bf = Beamformer.build(sel, geom, pcfg.n_fft_azimuth, range_z / wavelength, layout is not None)
     return loc, wavelength, bf, slab.astype(np.complex128)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from .config import derive_waveform
 from .errors import ConfigError, ProcessingError
 from .simulate import RawDataCube
 
-_ABS_CELLS = 1 << 20  # range cells locate_subject takes |.| of at a time: a 4 MiB float32 buffer
+_ABS_CELLS = 1 << 15  # range cells locate_subject sums |.| of at a time: a 128 KiB float32 buffer
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,18 @@ class RangeCube:
 
 @dataclass(frozen=True)
 class SubjectLocation:
-    """Range bin holding the subject, with its metric range."""
+    """Range bin holding the subject, with its metric range.
+
+    columns has one (lead, matrix) pair per non-empty frame chunk that was
+    located from, in order: lead is the bin that led the profile once the
+    chunk was folded in, and matrix is extract_range_bin(chunk, lead), a
+    copy. A chunk whose lead is bin already holds its share of the subject
+    bin's slow-time matrix. columns takes no part in equality.
+    """
 
     bin: int
     range_m: float
+    columns: tuple[tuple[int, np.ndarray], ...] = field(default=(), compare=False, repr=False)
 
 
 def range_fft(cube: RawDataCube, n_fft_range: int) -> RangeCube:
@@ -68,11 +76,14 @@ def locate_subject(rc: RangeCube | Iterable[RangeCube]) -> SubjectLocation:
 
     rc is a range cube, or consecutive frame chunks of one as an iterable
     (run_pipeline passes a generator, so only one chunk is held at a time).
-    Each chunk is reduced a chunk of channel rows at a time: the rows'
-    magnitudes go into one reused float32 buffer of _ABS_CELLS cells and
-    their column sums into a float64 profile, so no full-size |bins| is
-    made. The checks and the argmax run once, on the summed profile. Ties
-    resolve to the lowest bin (argmax returns the first maximum).
+    Each chunk is reduced a block of channel rows at a time: the rows'
+    magnitudes go into one reused float32 buffer of _ABS_CELLS cells, each
+    block is summed in float32, and the block sums go into a float64
+    profile, so no full-size |bins| is made. Before the next chunk is taken,
+    the chunk's slow-time matrix at the bin leading the profile so far is
+    copied into columns. The checks and the argmax run once, on the summed
+    profile. Ties resolve to the lowest bin (argmax returns the first
+    maximum).
 
     Raises
     ------
@@ -83,6 +94,7 @@ def locate_subject(rc: RangeCube | Iterable[RangeCube]) -> SubjectLocation:
         profile catches any non-finite input in any chunk.
     """
     profile = None
+    columns = []
     for chunk in (rc,) if isinstance(rc, RangeCube) else rc:
         if chunk.bins.size:
             if profile is None:
@@ -92,6 +104,8 @@ def locate_subject(rc: RangeCube | Iterable[RangeCube]) -> SubjectLocation:
                 buf = np.empty((n_rows, n_bins), dtype=np.float32)
                 bin_width_m = chunk.bin_width_m
             _add_magnitudes(profile, chunk.bins, buf)
+            lead = int(np.argmax(profile))
+            columns.append((lead, extract_range_bin(chunk, lead)))
         del chunk  # freed before a generator makes the next chunk
     if profile is None:
         raise ProcessingError("empty range cube")
@@ -100,7 +114,7 @@ def locate_subject(rc: RangeCube | Iterable[RangeCube]) -> SubjectLocation:
     if not profile.any():
         raise ProcessingError("range profile is all zero: the cube holds no return")
     bin_idx = int(np.argmax(profile))
-    return SubjectLocation(bin=bin_idx, range_m=bin_idx * bin_width_m)
+    return SubjectLocation(bin=bin_idx, range_m=bin_idx * bin_width_m, columns=tuple(columns))
 
 
 def extract_range_bin(rc: RangeCube, bin_idx: int) -> np.ndarray:
@@ -117,45 +131,31 @@ def extract_range_bin(rc: RangeCube, bin_idx: int) -> np.ndarray:
     return slab.reshape(frames, n_tx * n_rx).T.copy()
 
 
-def range_bin_dft(cube: RawDataCube, n_fft_range: int, bin_idx: int) -> np.ndarray:
-    """extract_range_bin(range_fft(cube, n_fft_range), bin_idx) without the
-    range cube.
-
-    Bin k of the zero-padded FFT is each fast-time vector's dot product with
-    the n_adc twiddles exp(-2 pi j k i / n_fft_range), i < n_adc: one
-    complex64 matrix-vector product over the raw cube, whose result is the
-    only allocation (the cube is copied first only if it is not contiguous).
-    It agrees with the FFT bin to single precision.
-
-    Returns
-    -------
-    ndarray, complex64, shape (n_tx * n_rx, n_frames)
-        Channel axis is row-major over (tx, rx).
-
-    Raises
-    ------
-    ConfigError
-        n_fft_range smaller than n_adc or not a power of two.
-    ProcessingError
-        bin_idx outside 0..n_fft_range - 1.
-    """
-    n_adc = cube.chirp.n_adc
-    _check_fft_size(n_fft_range, n_adc)
-    _check_bin(bin_idx, n_fft_range)
-    k_i = (bin_idx * np.arange(n_adc)) % n_fft_range  # reduced in integers: exact phases
-    twiddle = np.exp(-2j * np.pi / n_fft_range * k_i).astype(np.complex64)
-    frames = cube.samples.shape[0]
-    slab = cube.samples.reshape(-1, n_adc) @ twiddle  # (frame * tx * rx,)
-    return slab.reshape(frames, -1).T.copy()
-
-
 def _add_magnitudes(profile: np.ndarray, bins: np.ndarray, buf: np.ndarray) -> None:
     """profile += |bins| summed over every axis but the last, len(buf) rows
-    at a time through buf."""
+    at a time through buf.
+
+    Each block of rows is summed in float32 and the block sums in float64.
+    If that total is not finite, a float32 block sum may have overflowed
+    where a float64 one would not, so bins is summed again with float64
+    block sums: the result is finite whenever the float64 fold is.
+    """
     rows = bins.reshape(-1, bins.shape[-1])
+    with np.errstate(over="ignore"):
+        total = _block_sums(rows, buf, np.float32)
+    if not np.all(np.isfinite(total)):
+        total = _block_sums(rows, buf, np.float64)
+    profile += total
+
+
+def _block_sums(rows: np.ndarray, buf: np.ndarray, dtype) -> np.ndarray:
+    """|rows| summed along axis 0 into float64, each len(buf)-row block
+    summed in dtype first."""
+    total = np.zeros(rows.shape[-1])
     for start in range(0, len(rows), len(buf)):
         part = rows[start:start + len(buf)]
-        profile += np.abs(part, out=buf[:len(part)]).sum(axis=0, dtype=np.float64)
+        total += np.abs(part, out=buf[:len(part)]).sum(axis=0, dtype=dtype)
+    return total
 
 
 def _check_fft_size(n_fft_range: int, n_adc: int) -> None:

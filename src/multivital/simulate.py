@@ -134,9 +134,11 @@ class ScatterPoint:
 
 
 def _check_seed(seed, owner: str) -> None:
-    # the noise key and the MVDC header hold the seed as an integer
+    # the noise key and the MVDC header hold the seed as an unsigned 64-bit integer
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"{owner} seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{owner} seed must be in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,7 @@ def _add_noise(frame: np.ndarray, power: float, seed: int, m: int) -> None:
     power-of-two scalings of the same products.
     """
     n = frame.size
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, m], dtype=np.uint64)
+    key = np.array([seed, m], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(n)
     words = raw.astype("<u8", copy=False).view("<u4")  # low half first on any host
     words &= np.uint32(0xFFFFFF00)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multivital.errors import CubeFormatError, MultivitalError, ProcessingError
+from multivital.errors import ConfigError, CubeFormatError, MultivitalError, ProcessingError
 from multivital.geometry import ArrayGeometry
 from multivital.io import (
     export_angle_map,
@@ -53,6 +53,16 @@ def test_cube_round_trip(tmp_path, table2, cascade):
     assert (c.prt, c.t_frame) == (table2.prt, table2.t_frame)
     assert c.n_adc == 256
     assert c.n_frames == 2
+
+
+def test_save_cube_validates_the_cube(tmp_path, table2, cascade):
+    # A cube built by hand and never validated used to die in the MVDC
+    # header with a bare TypeError.
+    import dataclasses
+    cube = dataclasses.replace(_small_cube(table2, cascade), seed=1.5)
+    with pytest.raises(ConfigError, match="cube seed must be an integer, got 1.5"):
+        save_cube(cube, str(tmp_path / "cube.mvdc"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cube_header_layout(tmp_path, table2, cascade):

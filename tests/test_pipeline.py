@@ -1,4 +1,5 @@
-"""run_pipeline: one steering pass, the range stage streamed in frame chunks,
+"""run_pipeline: one steering pass, the range stage streamed in frame chunks
+each transformed once (again only when its lead bin was not the final one),
 non-finite cubes refused, known elevations found; make_angle_map: frame 0
 only, steered by the run's subject bin and Beamformer."""
 
@@ -15,7 +16,7 @@ from multivital.errors import ProcessingError
 from multivital.geometry import build_virtual_array, select_azimuth_ula
 from multivital.rangeproc import extract_range_bin, locate_subject, range_fft
 from multivital.runconfig import load_run_config
-from multivital.simulate import simulate
+from multivital.simulate import RawDataCube, simulate
 
 
 @pytest.fixture(scope="module")
@@ -74,16 +75,15 @@ def _three_chunks(cube, pcfg, monkeypatch):
     ("phantom", True), ("phantom", False), ("single_target", False),
 ])
 def test_streamed_range_stage_equals_the_full_cube_route(request, monkeypatch, scene, with_layout):
-    """Located from three frame chunks and steered on a one-bin DFT, a run
-    reads the same subject and angles as from one range cube of every frame
-    and extract_range_bin, with every trace within 1e-6 mm."""
+    """Located from three frame chunks, each range-transformed once, a run
+    reads the same subject and angles as from one range cube of every frame,
+    and bit for bit the same traces: both take the subject bin from the
+    same FFT values."""
     cfg, cube = request.getfixturevalue(scene)
     layout = cfg.layout if with_layout else None
     pcfg = cfg.pipeline
     with monkeypatch.context() as m:
         m.setattr(pipeline, "_CHUNK_BYTES", cube.samples.nbytes * pcfg.n_fft_range)
-        m.setattr(pipeline, "range_bin_dft",
-                  lambda c, n_fft, b: extract_range_bin(range_fft(c, n_fft), b))
         full = pipeline.run_pipeline(cube, pcfg, layout=layout)
     calls, chunks = _three_chunks(cube, pcfg, monkeypatch)
     streamed = pipeline.run_pipeline(cube, pcfg, layout=layout)
@@ -95,7 +95,58 @@ def test_streamed_range_stage_equals_the_full_cube_route(request, monkeypatch, s
     assert streamed.region_angles == full.region_angles
     for a, b in zip(streamed.traces, full.traces, strict=True):
         assert a.region == b.region
-        assert np.max(np.abs(a.displacement - b.displacement)) <= 1e-6
+        assert np.array_equal(a.displacement, b.displacement)
+
+
+def _joined_cube():
+    """sim-single-target's point at 2 m for 4 frames, then at its own 5 m
+    for 8 more, joined along frames into one 12-frame cube."""
+    cfg = load_run_config("sim-single-target")
+    far = cfg.scene.points[0]
+    near = dataclasses.replace(far, position0=(1.2, 1.6, 0.0))
+    samples = np.concatenate([
+        simulate(dataclasses.replace(cfg.scene, points=(point,)),
+                 dataclasses.replace(cfg.chirp, n_frames=n), cfg.geometry).samples
+        for point, n in ((near, 4), (far, 8))
+    ])
+    chirp = dataclasses.replace(cfg.chirp, n_frames=12)
+    return cfg, RawDataCube(samples=samples, chirp=chirp, geometry=cfg.geometry).validate()
+
+
+def test_chunk_led_by_another_bin_is_transformed_again(monkeypatch):
+    """The first of three chunks (5, 5, 2 frames) is led by the 2 m bin and
+    the rest by the 5 m bin, which the whole cube locates: only the first
+    chunk is range-transformed again, and the run equals the one-chunk
+    route."""
+    cfg, cube = _joined_cube()
+    pcfg = cfg.pipeline
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_CHUNK_BYTES", cube.samples.nbytes * pcfg.n_fft_range)
+        whole = pipeline.run_pipeline(cube, pcfg)
+    calls, chunks = _three_chunks(cube, pcfg, monkeypatch)
+    located = []
+    locate = pipeline.locate_subject
+
+    def recording(rc):
+        located.append(locate(rc))
+        return located[-1]
+
+    monkeypatch.setattr(pipeline, "locate_subject", recording)
+    streamed = pipeline.run_pipeline(cube, pcfg)
+
+    (loc,) = located
+    bin_width_m = loc.range_m / loc.bin
+    near, far, last = (lead for lead, _ in loc.columns)
+    assert abs(near * bin_width_m - 2.0) < bin_width_m
+    assert abs(far * bin_width_m - 5.0) < bin_width_m
+    assert last == far == loc.bin == streamed.range_bin == whole.range_bin
+    assert [c.samples.shape[0] for c, _ in calls] == chunks + chunks[:1]
+    assert np.shares_memory(calls[-1][0].samples, cube.samples[:chunks[0]])
+    assert streamed.range_m == whole.range_m
+    assert streamed.azimuth_peak_rad == whole.azimuth_peak_rad
+    assert streamed.elevation_peak_rad == whole.elevation_peak_rad
+    for a, b in zip(streamed.traces, whole.traces, strict=True):
+        assert np.array_equal(a.displacement, b.displacement)
 
 
 @pytest.mark.parametrize("bad,match", [

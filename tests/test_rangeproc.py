@@ -11,7 +11,6 @@ from multivital.rangeproc import (
     RangeCube,
     extract_range_bin,
     locate_subject,
-    range_bin_dft,
     range_fft,
 )
 from multivital.simulate import ScatterPoint, Scene, simulate
@@ -63,31 +62,6 @@ def test_range_fft_rejects_bad_sizes(cube5m):
         range_fft(cube5m, 256)  # smaller than n_adc
     with pytest.raises(ConfigError):
         range_fft(cube5m, 600)  # not a power of two
-
-
-@pytest.mark.parametrize("n_fft", [512, 1024])
-def test_range_bin_dft_is_the_fft_bin(cube5m, n_fft):
-    """Every bin, zero-padded or not, within 1e-6 of the subject bin's scale
-    of a complex128 FFT, in extract_range_bin's layout."""
-    ref = np.fft.fft(cube5m.samples.astype(np.complex128), n=n_fft, axis=-1)
-    peak = 154 * n_fft // 512
-    scale = np.linalg.norm(ref[..., peak])
-    for b in (0, 1, peak, n_fft - 1):
-        out = range_bin_dft(cube5m, n_fft, b)
-        assert out.dtype == np.complex64 and out.flags.c_contiguous
-        assert out.shape == (12 * 16, 3)
-        assert np.linalg.norm(out - ref[..., b].reshape(3, -1).T) <= 1e-6 * scale
-
-
-def test_range_bin_dft_bounds(cube5m):
-    with pytest.raises(ProcessingError):
-        range_bin_dft(cube5m, 512, 512)
-    with pytest.raises(ProcessingError):
-        range_bin_dft(cube5m, 512, -1)
-    with pytest.raises(ConfigError):
-        range_bin_dft(cube5m, 256, 0)  # smaller than n_adc
-    with pytest.raises(ConfigError):
-        range_bin_dft(cube5m, 600, 0)  # not a power of two
 
 
 def test_locate_empty_cube():
@@ -179,3 +153,31 @@ def test_locate_subject_folds_frame_chunks(seed, monkeypatch):
     whole = locate_subject(rc)
     assert locate_subject(chunks) == whole
     assert whole.range_m == whole.bin * 0.03
+
+
+def test_locate_subject_refolds_a_chunk_whose_float32_sums_overflow():
+    """Bins near 1e37 are finite, but a float32 sum of 64 of their
+    magnitudes is not: the chunk is summed again in float64 and locates
+    the bin of a complex128 reference."""
+    rc = _random_range_cube((9, 4, 7, 64), seed=0)
+    rc = dataclasses.replace(rc, bins=rc.bins * np.float32(1e37))
+    assert np.all(np.isfinite(rc.bins))
+    with np.errstate(over="ignore"):
+        block = np.abs(rc.bins).reshape(-1, 64)[:64].sum(axis=0, dtype=np.float32)
+    assert not np.all(np.isfinite(block))
+    ref = np.abs(rc.bins.astype(np.complex128)).sum(axis=(0, 1, 2))
+    assert locate_subject(rc).bin == int(np.argmax(ref))
+
+
+def test_locate_subject_keeps_each_chunks_matrix_at_the_running_lead():
+    """Each chunk's column is a copy of its slow-time matrix at the bin that
+    led the profile once that chunk was folded in."""
+    rc = _random_range_cube((9, 4, 7, 64), seed=1)
+    chunks = [dataclasses.replace(rc, bins=rc.bins[a:b]) for a, b in ((0, 4), (4, 8), (8, 9))]
+    loc = locate_subject(iter(chunks))
+    profile = np.zeros(64)
+    for chunk, (lead, column) in zip(chunks, loc.columns, strict=True):
+        profile += np.abs(chunk.bins.astype(np.complex128)).sum(axis=(0, 1, 2))
+        assert lead == int(np.argmax(profile))
+        assert np.array_equal(column, extract_range_bin(chunk, lead))
+        assert not np.shares_memory(column, rc.bins)

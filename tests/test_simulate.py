@@ -1,14 +1,17 @@
 import dataclasses
 import importlib
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from multivital.cli import main
 from multivital.config import SPEED_OF_LIGHT, derive_waveform
 from multivital.errors import ConfigError
 from multivital.geometry import element_positions_m
-from multivital.io import save_cube
+from multivital.io import save_cube, write_cube
 from multivital.simulate import (
     RawDataCube,
     SampledMotion,
@@ -342,6 +345,34 @@ def test_non_integer_seed_is_a_config_error(table2, cascade, tmp_path, route):
             snr_db = 10.0 if route == "noisy-simulate" else None
             cube = simulate(_static_scene((0.0, 1.0, 0.0), snr_db, seed=1.5), cfg, cascade)
             save_cube(cube, str(tmp_path / "cube.mvdc"))
+
+
+@pytest.mark.parametrize("route", ["scene", "cube", "write_cube", "config"])
+def test_seed_outside_u64_is_a_config_error(table2, cascade, tmp_path, capsys, route):
+    # These used to pass: the noise key and the MVDC header kept the seed's
+    # low 64 bits, so seed -1 simulated the cube of seed 2**64 - 1 and read
+    # back as it, and seed 2**64 read back as 0.
+    cfg = dataclasses.replace(table2, n_frames=2)
+    samples = np.zeros((2, 12, 16, 256), dtype=np.complex64)
+    out = tmp_path / "cube.mvdc"
+    for seed in (-1, 2**64):
+        if route == "config":
+            doc = json.loads((resources.files("multivital") / "configs"
+                              / "sim-single-target.json").read_text())
+            doc["scene"]["seed"] = seed
+            path = tmp_path / "seed.json"
+            path.write_text(json.dumps(doc))
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+            assert json.loads(capsys.readouterr().err)["error"] == "config"
+        else:
+            with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+                if route == "scene":
+                    _static_scene((0.0, 1.0, 0.0), 10.0, seed).validate()
+                elif route == "cube":
+                    RawDataCube(samples=samples, chirp=cfg, geometry=cascade, seed=seed).validate()
+                else:
+                    write_cube(str(out), cfg, cascade, seed, [samples])
+        assert not out.exists()
 
 
 def test_cube_shape_validation(table2, cascade):
