@@ -53,6 +53,20 @@ def _shifted_grid(n_fft: int) -> tuple[np.ndarray, np.ndarray]:
     return l, np.arcsin(2.0 * l / n_fft)
 
 
+def _path_excess(e_hat: np.ndarray, rho: np.ndarray, xyz: np.ndarray) -> np.ndarray:
+    """|P - e| - |P|, wavelengths, shape (points, elements), for points
+    P = e_hat / rho (unit directions (points, 3), rho = 1 / |P| as
+    (points, 1); 0 gives plane waves) and element positions xyz
+    (elements, 3), wavelengths. (rho |e|^2 - 2 e_hat . e) / (|e_hat - rho e| + 1)
+    does not cancel at any range."""
+    d = e_hat @ (-2.0 * xyz.T)  # in place from here
+    d += rho * np.sum(xyz * xyz, axis=1)
+    root = rho * d
+    root += 1.0
+    d /= np.sqrt(root, out=root) + 1.0
+    return d
+
+
 @dataclass(frozen=True)
 class Beamformer:
     """Reads one array's azimuth ULA over the grid and focuses the whole array.
@@ -88,11 +102,11 @@ class Beamformer:
 
         The weight of ULA position p at grid index l is
         exp(+2 pi j l p / n_fft). At a finite range_wl the near-field
-        junction table (build_phase_error_table, in wavelength units) is
-        built at the points focus steers to: with plane on the depth plane
-        z = range_wl, else at radial range range_wl, depth
-        range_wl cos(theta_l). It is folded in: the weights of block b are
-        rotated by exp(-j sum of the first b table rows).
+        junction table (build_phase_error_table) is built at the points
+        focus steers to: with plane on the depth plane z = range_wl, else
+        at radial range range_wl, depth range_wl cos(theta_l). It is folded
+        in: the weights of block b are rotated by exp(-j sum of the first b
+        table rows).
         """
         if not range_wl > 0:
             raise ConfigError(f"focus range must be > 0 wavelengths (inf for plane waves), "
@@ -104,7 +118,7 @@ class Beamformer:
         weights = np.exp(2j * np.pi * np.outer(l, np.arange(n_ula)) / n_fft)
         if np.isfinite(range_wl):
             depth = range_wl if plane else range_wl * np.cos(theta)
-            dphi = build_phase_error_table(sel, geom, 1.0, depth, n_fft)
+            dphi = build_phase_error_table(sel, geom, depth, n_fft)
             rot = np.exp(-1j * np.cumsum(dphi, axis=0))
             for (start, stop), r in zip(sel.blocks[1:], rot):
                 weights[:, start:stop + 1] *= r[:, None]
@@ -121,22 +135,16 @@ class Beamformer:
 
         Point P lies at range_wl (wavelengths, one or per point) along the
         direction cosines u (lateral), v (up). Channel (t, r) gets weight
-        exp(-2 pi j (d_t + d_r)), d_e = |P - e| - |P|, factored into Tx and
-        Rx phasors as in the simulator. With rho = 1 / range_wl,
-        d_e = (rho |e|^2 - 2 e_hat . e) / (|e_hat - rho e| + 1) at any
-        range; its phase is at most 2 pi |e| (~170 rad): float32 cos/sin.
+        exp(-2 pi j (d_t + d_r)), d_e = |P - e| - |P| (_path_excess),
+        factored into Tx and Rx phasors as in the simulator. Its phase is
+        at most 2 pi |e| (~170 rad): float32 cos/sin.
         """
         u, v = np.broadcast_arrays(np.asarray(u, dtype=np.float64), v)
         e_hat = np.stack([u, np.sqrt(1.0 - u * u - v * v), v], axis=-1)
         rho = 1.0 / np.broadcast_to(range_wl, u.shape)[:, None]
 
         def phasors(xyz: np.ndarray) -> np.ndarray:
-            d = e_hat @ (-2.0 * xyz.T)  # (points, elements), in place from here
-            d += rho * np.sum(xyz * xyz, axis=1)
-            root = rho * d
-            root += 1.0
-            d /= np.sqrt(root, out=root) + 1.0
-            phase = (2.0 * np.pi * d).astype(np.float32)
+            phase = (2.0 * np.pi * _path_excess(e_hat, rho, xyz)).astype(np.float32)
             out = np.empty(phase.shape, dtype=np.complex128)
             out.real = np.cos(phase)
             out.imag = np.negative(np.sin(phase, out=phase), out=phase)
@@ -157,32 +165,20 @@ class Beamformer:
         return power
 
 
-def _path_difference(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|p - a| - |p - b| without catastrophic cancellation.
-
-    Uses |p-a|^2 - |p-b|^2 = (b-a) . (2p - a - b), accurate even when the
-    two distances agree to many digits (far subjects).
-    """
-    na = np.linalg.norm(p - a, axis=-1)
-    nb = np.linalg.norm(p - b, axis=-1)
-    num = np.sum((b - a) * (2.0 * p - a - b), axis=-1)
-    return num / (na + nb)
-
-
 def junction_phase_error(
     sel: AzimuthUlaSelection,
     geom: ArrayGeometry,
-    wavelength: float,
-    z: float | np.ndarray,
-    theta_l,
+    depth_wl: float | np.ndarray,
+    theta_l: np.ndarray,
 ) -> np.ndarray:
     """Phase step at every block junction for a subject at boresight depth z.
 
     The subject sits at P = (z tan(theta_l), z, 0). Every virtual element
     carries a near-field phase error: its exact two-way (Tx -> P -> Rx)
-    path against the plane-wave phase its ULA position implies,
+    path L_e (wavelengths) against the plane-wave phase its ULA position
+    implies,
 
-        eps_e = (2 pi / lambda) L_e + pi p_e sin(theta_l)  (+ const)
+        eps_e = 2 pi L_e + pi p_e sin(theta_l)  (+ const)
 
     A block's error is the mean of eps over its elements, and the junction
     step is the later block's error minus the earlier block's. Summing the
@@ -196,51 +192,48 @@ def junction_phase_error(
     Parameters
     ----------
     sel, geom : selection and physical geometry
-    wavelength : float, m
-    z : float or array
-        Boresight depth, m, > 0: one, or one per steering angle.
-    theta_l : float or array
-        Steering angle(s), rad.
+    depth_wl : float or array
+        Boresight depth z, wavelengths, > 0: one, or one per steering angle.
+    theta_l : array
+        Steering angles, rad, shape (n_angles,).
 
     Returns
     -------
-    ndarray
-        Shape (n_junctions,) for scalar theta_l, else (n_junctions, len).
+    ndarray, rad, shape (n_junctions, n_angles)
     """
-    if not np.all(np.asarray(z) > 0):
-        raise ConfigError(f"boresight depth z must be > 0, got {z}")
+    if not np.all(np.asarray(depth_wl) > 0):
+        raise ConfigError(f"boresight depth must be > 0 wavelengths, got {depth_wl}")
     theta = np.asarray(theta_l, dtype=np.float64)
-    scalar = theta.ndim == 0
-    th = np.atleast_1d(theta)
-    z = np.broadcast_to(z, th.shape)
-    p = np.stack([z * np.tan(th), z, np.zeros_like(th)], axis=-1)
-    u = np.sin(th)
-    tx_xyz, rx_xyz = element_positions_m(geom, wavelength)
+    if theta.ndim != 1:
+        raise ConfigError(f"steering angles must be a 1-D array, got shape {theta.shape}")
+    u = np.sin(theta)
+    e_hat = np.stack([u, np.cos(theta), np.zeros_like(theta)], axis=-1)  # P / |P|
+    rho = (np.cos(theta) / depth_wl)[:, None]  # 1 / |P|
     tx_az = np.array(geom.tx_elements)[:, 0]
     rx_az = np.array(geom.rx_elements)[:, 0]
 
-    # Path differences once per physical element, (n_elements, len(th)),
-    # then taken per ULA position by its (Tx, Rx) pair.
+    # Path excesses once per physical element, (n_elements, n_angles); each
+    # ULA position's path difference to the first position's pair is taken
+    # from them by its (Tx, Rx) pair.
+    tx_ex, rx_ex = (_path_excess(e_hat, rho, xyz).T for xyz in element_positions_m(geom, 1.0))
     ti, ri = np.array(sel.chosen).T
     tx_0, rx_0 = sel.chosen[0]
-    tx_path = _path_difference(p, tx_xyz[:, None], tx_xyz[tx_0])
-    rx_path = _path_difference(p, rx_xyz[:, None], rx_xyz[rx_0])
+    path = (tx_ex[ti] - tx_ex[tx_0]) + (rx_ex[ri] - rx_ex[rx_0])
     dp = (tx_az[ti] + rx_az[ri]) - (tx_az[tx_0] + rx_az[rx_0])
-    eps = (2.0 * np.pi / wavelength) * (tx_path[ti] + rx_path[ri]) + np.pi * dp[:, None] * u
+    eps = 2.0 * np.pi * path + np.pi * dp[:, None] * u
     block_err = np.stack([eps[s:stop + 1].mean(axis=0) for s, stop in sel.blocks])
-    out = block_err[1:] - block_err[:-1]
-    return out[:, 0] if scalar else out
+    return block_err[1:] - block_err[:-1]
 
 
 def build_phase_error_table(
     sel: AzimuthUlaSelection,
     geom: ArrayGeometry,
-    wavelength: float,
-    z: float | np.ndarray,
+    depth_wl: float | np.ndarray,
     n_fft: int,
 ) -> np.ndarray:
     """Tabulate junction phase errors over the full angular grid, for a
-    subject at boresight depth z (m): one, or one per grid angle.
+    subject at boresight depth depth_wl (wavelengths): one, or one per
+    grid angle.
 
     Returns dphi, rad, shape (n_junctions, n_fft). Grid indices with
     |2l / n_fft| >= 1 have no real steering angle and get zero entries (no
@@ -251,7 +244,7 @@ def build_phase_error_table(
     valid = np.abs(frac) < 1.0
     dphi = np.zeros((len(sel.junctions), n_fft))
     dphi[:, valid] = junction_phase_error(
-        sel, geom, wavelength, np.broadcast_to(z, frac.shape)[valid], np.arcsin(frac[valid])
+        sel, geom, np.broadcast_to(depth_wl, frac.shape)[valid], np.arcsin(frac[valid])
     )
     return dphi
 

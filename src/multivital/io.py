@@ -98,12 +98,11 @@ def write_cube(
     atomic_write_bytes(path, payload())
 
 
-def load_cube(path: str, geometry: ArrayGeometry | None = None) -> RawDataCube:
+def load_cube(path: str, geometry: ArrayGeometry) -> RawDataCube:
     """Read an MVDC file back into a RawDataCube.
 
-    The file carries no antenna positions; pass the geometry used when the
-    cube was simulated. Without one, a 12x16 channel layout is assumed to
-    be the cascade board.
+    The file carries no antenna positions: geometry is the array the cube
+    was recorded or simulated with.
 
     The samples are a read-only view of the file, mapped (mmap.ACCESS_READ)
     rather than read: nothing is copied, pages are read as they are first
@@ -142,13 +141,6 @@ def load_cube(path: str, geometry: ArrayGeometry | None = None) -> RawDataCube:
             raise CubeFormatError(
                 f"{path}: payload is {size} bytes, the header implies {expected}"
             )
-        if geometry is None:
-            if (n_tx, n_rx) != (12, 16):
-                raise CubeFormatError(
-                    f"{path}: no geometry given and {n_tx}x{n_rx} channels do not "
-                    "match the cascade layout"
-                )
-            geometry = ArrayGeometry.ti_cascade()
         if (geometry.n_tx, geometry.n_rx) != (n_tx, n_rx):
             raise CubeFormatError(
                 f"{path}: geometry is {geometry.n_tx}x{geometry.n_rx} but the "
@@ -274,16 +266,7 @@ def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
     for key, g in group_of.items():
         rows = np.flatnonzero(number == g)
         table[key] = entry = {name: v[rows] for name, v in values.items()}
-        increasing = entry["time_s"][1:] > entry["time_s"][:-1]
-        if not increasing.all():
-            k = int(np.argmin(increasing)) + 1
-            col = columns["time_s"]
-            line, row = _data_row(path, int(rows[k]))
-            before = _data_row(path, int(rows[k - 1]))[1][col]
-            raise ProcessingError(
-                f"{path}, line {line}: {key} time_s {row[col]!r} "
-                f"does not increase on the {before!r} before it"
-            )
+        _check_time_increases(path, entry["time_s"], rows, columns["time_s"], f"{key} ")
     return table
 
 
@@ -331,14 +314,7 @@ def load_scg_csv(path: str) -> tuple[list[ScgChannel], np.ndarray, np.ndarray]:
     if n < 2:
         raise ProcessingError(f"{path}: need at least 2 samples")
     time_s, *accel, ecg = map(np.concatenate, parts)
-    increasing = time_s[1:] > time_s[:-1]
-    if not increasing.all():
-        k = int(np.argmin(increasing)) + 1
-        line, row = _data_row(path, k)
-        raise ProcessingError(
-            f"{path}, line {line}: time_s {row[0]!r} does not "
-            f"increase on the {_data_row(path, k - 1)[1][0]!r} before it"
-        )
+    _check_time_increases(path, time_s, range(n), 0)
     try:
         fs = trace_rate_hz(time_s)
     except ProcessingError as exc:
@@ -419,6 +395,23 @@ def _data_row(path: str, k: int) -> tuple[int, list[str]]:
         reader = csv.reader(fh)
         rows = ((reader.line_num, row) for row in reader if row)
         return next(itertools.islice(rows, k + 1, None))
+
+
+def _check_time_increases(
+    path: str, time_s: np.ndarray, rows: np.ndarray | range, col: int, key: str = "",
+) -> None:
+    """Raise ProcessingError naming the line where time_s, read from cell
+    col of data rows rows (one per value), first fails to strictly
+    increase; key prefixes the column name in the message."""
+    increasing = time_s[1:] > time_s[:-1]
+    if not increasing.all():
+        k = int(np.argmin(increasing)) + 1
+        line, row = _data_row(path, int(rows[k]))
+        before = _data_row(path, int(rows[k - 1]))[1][col]
+        raise ProcessingError(
+            f"{path}, line {line}: {key}time_s {row[col]!r} "
+            f"does not increase on the {before!r} before it"
+        )
 
 
 def _finite_column(path: str, cells: list[str] | tuple[str, ...], name: str, first: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from .doa import build_phase_error_table  # noqa: F401
 from .errors import ProcessingError
 from .geometry import build_virtual_array, select_azimuth_ula
 from .metrics import SensorLayout, compute_alignment
-from .rangeproc import extract_range_bin, locate_subject, range_fft
+from .rangeproc import NOT_FINITE, extract_range_bin, locate_subject, range_fft
 from .runconfig import PipelineConfig
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace, region_signal_to_trace
@@ -93,13 +93,24 @@ def _steered_subject(cube, pcfg, layout):
     joins those matrices along frames. Only a chunk whose lead was not the
     final bin is transformed again, to take its matrix at that bin. No
     full-size range cube exists, and of a loaded cube one chunk's pages are
-    resident at a time.
+    resident at a time. Only when the profile is not finite are the samples
+    read again, to name the cause: NaN or inf samples, or finite ones that
+    overflowed the complex64 transform.
     """
     wavelength = derive_waveform(cube.chirp).wavelength
     geom = cube.geometry
     sel = select_azimuth_ula(build_virtual_array(geom))
     n_fft = pcfg.n_fft_range
-    loc = locate_subject(range_fft(chunk, n_fft) for chunk in _chunks(cube, n_fft))
+    try:
+        loc = locate_subject(range_fft(chunk, n_fft) for chunk in _chunks(cube, n_fft))
+    except ProcessingError as err:
+        if str(err) != NOT_FINITE:
+            raise
+        if all(np.isfinite(chunk.samples).all() for chunk in _chunks(cube, n_fft)):
+            cause = "the cube's samples are finite but overflowed the complex64 range transform"
+        else:
+            cause = "the cube holds NaN or inf samples"
+        raise ProcessingError(f"{NOT_FINITE}: {cause}") from err
     if not loc.range_m > 0:
         raise ProcessingError(
             f"subject located at {loc.range_m} m (range bin {loc.bin}): no range to focus at"

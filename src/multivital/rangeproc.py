@@ -13,6 +13,9 @@ from .errors import ConfigError, ProcessingError
 from .simulate import RawDataCube
 
 _ABS_CELLS = 1 << 15  # range cells locate_subject sums |.| of at a time: a 128 KiB float32 buffer
+# locate_subject's message for a non-finite profile; a caller holding the
+# samples can name the cause.
+NOT_FINITE = "range profile is not finite"
 
 
 @dataclass(frozen=True)
@@ -88,10 +91,12 @@ def locate_subject(rc: RangeCube | Iterable[RangeCube]) -> SubjectLocation:
     Raises
     ------
     ProcessingError
-        empty cube, or a non-finite or all-zero range profile. One NaN or
-        inf sample spreads through the FFT to every bin of its channel, and
-        no sum of magnitudes turns it finite again, so checking the summed
-        profile catches any non-finite input in any chunk.
+        empty cube, or a non-finite (message NOT_FINITE) or all-zero range
+        profile. One NaN or inf sample spreads through the FFT to every bin
+        of its channel, and no sum of magnitudes turns it finite again, so
+        checking the summed profile catches any non-finite bin in any
+        chunk. Finite samples too large for complex64 overflow in the
+        transform and are caught the same way.
     """
     profile = None
     columns = []
@@ -110,7 +115,7 @@ def locate_subject(rc: RangeCube | Iterable[RangeCube]) -> SubjectLocation:
     if profile is None:
         raise ProcessingError("empty range cube")
     if not np.all(np.isfinite(profile)):
-        raise ProcessingError("range profile is not finite: the cube holds NaN or inf samples")
+        raise ProcessingError(NOT_FINITE)
     if not profile.any():
         raise ProcessingError("range profile is all zero: the cube holds no return")
     bin_idx = int(np.argmax(profile))

@@ -193,12 +193,17 @@ class _Plan:
     b = ceil(sqrt(n_adc)) coarse steps (row 0) and b fine steps (row 1):
     sample i = q b + s sits at omega[0, q] + omega[1, s]. The arrays are
     read-only because simulate shares one plan across its threads.
+    work_size counts the complex128 cells of synthesize_frame's scratch:
+    the (n_tx, n_rx, b, b) product, the coarse and fine factors of
+    n_points * n_tx * n_rx * b cells each, and one frame of float32 cells
+    for the noise.
     """
 
     omega: np.ndarray  # (2, b) rad/s
     reflectivity: np.ndarray  # (n_points,)
     tx_xyz: np.ndarray  # (n_tx, 3) m
     rx_xyz: np.ndarray  # (n_rx, 3) m
+    work_size: int
 
 
 @functools.lru_cache(maxsize=8)
@@ -224,11 +229,14 @@ def _plan(scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry) -> _Plan:
     reflectivity = np.array([p.reflectivity for p in scene.points])
     for arr in (omega, reflectivity, tx_xyz, rx_xyz):
         arr.setflags(write=False)
+    cells = geom.n_tx * geom.n_rx * b
+    noise_cells = (geom.n_tx * geom.n_rx * cfg.n_adc + 3) // 4  # four float32 per complex128
     return _Plan(
         omega=omega,
         reflectivity=reflectivity,
         tx_xyz=tx_xyz,
         rx_xyz=rx_xyz,
+        work_size=cells * (b + 2 * len(reflectivity)) + noise_cells,
     )
 
 
@@ -237,9 +245,10 @@ def _phasors(delay: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return np.exp(1j * (delay[..., None, None] * omega))
 
 
-def _add_noise(frame: np.ndarray, power: float, seed: int, m: int) -> None:
+def _add_noise(frame: np.ndarray, power: float, seed: int, m: int, buf: np.ndarray) -> None:
     """Add circularly-symmetric complex Gaussian noise of the given power
-    into a complex64 frame, in place.
+    into a complex64 frame, in place, through buf, a float32 array of
+    frame.size cells.
 
     Polar Box-Muller on float32 uniforms u, v from the frame's own Philox
     stream keyed (seed, m): radius sqrt(-power ln(1 - u)), angle 2 pi v.
@@ -253,22 +262,25 @@ def _add_noise(frame: np.ndarray, power: float, seed: int, m: int) -> None:
     gives (x >> 8) 2^-24. u is the first n of them, v the next n. x with
     its low 8 bits cleared converts to float32 exactly, so u is that times
     2^-32 and 2 pi v is that times float32(2 pi) 2^-32, both exact
-    power-of-two scalings of the same products.
+    power-of-two scalings of the same products. The radius is made in
+    buf; the angle then overwrites the u words and its cosine the v words,
+    so no step reads the memory it writes and the raw words are the only
+    allocation.
     """
     n = frame.size
     key = np.array([seed, m], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(n)
     words = raw.astype("<u8", copy=False).view("<u4")  # low half first on any host
     words &= np.uint32(0xFFFFFF00)
-    uniform = words.view("<f4")  # each float overwrites the word it is made from
-    u = np.multiply(words[:n], np.float32(2.0**-32), out=uniform[:n], dtype=np.float32)
+    u = np.multiply(words[:n], np.float32(2.0**-32), out=buf, dtype=np.float32)
     np.subtract(1, u, out=u)
     np.log(u, out=u)
     u *= np.float32(-power)
     radius = np.sqrt(u, out=u)
+    uniform = words.view("<f4")
     angle = np.multiply(words[n:], np.float32(2.0 * np.pi) * np.float32(2.0**-32),
-                        out=uniform[n:], dtype=np.float32)
-    cos = np.cos(angle)
+                        out=uniform[:n], dtype=np.float32)
+    cos = np.cos(angle, out=uniform[n:])
     cos *= radius
     frame.real += cos.reshape(frame.shape)
     sin = np.sin(angle, out=angle)
@@ -292,7 +304,8 @@ def synthesize_frame(
     the Tx side, and one batched matrix product over the points sums every
     channel's tones with fast time innermost. Validation and the
     frame-independent constants are computed once per (scene, cfg, geom)
-    and reused across frames.
+    and reused across frames. Given its scratch, a frame allocates only
+    small per-point arrays and its noise's raw Philox words.
 
     Parameters
     ----------
@@ -305,9 +318,10 @@ def synthesize_frame(
         complex64 array of shape (n_tx, n_rx, n_adc) to write the frame
         into, such as one frame slot of a cube; a new one when omitted.
     work : ndarray, optional
-        complex128 array of shape (n_tx, n_rx, b, b) that receives the
-        coarse @ fine product, so a caller making many frames reuses one
-        buffer; a new one when omitted.
+        complex128 scratch of _plan(scene, cfg, geom).work_size cells that
+        holds the coarse and fine factors, their product and the noise's
+        float32 terms, so a caller making many frames reuses one buffer; a
+        new one when omitted.
 
     Returns
     -------
@@ -326,15 +340,26 @@ def synthesize_frame(
     d_rx = np.linalg.norm(pos[:, None, :] - plan.rx_xyz, axis=-1)  # (P, R) m
     ph_tx = _phasors(d_tx / SPEED_OF_LIGHT, plan.omega)  # (P, T, 2, b)
     ph_rx = _phasors(d_rx / SPEED_OF_LIGHT, plan.omega)  # (P, R, 2, b)
+    n_tx, n_rx, n_pts, b = geom.n_tx, geom.n_rx, len(refl), plan.omega.shape[1]
+    if work is None:
+        work = np.empty(plan.work_size, dtype=np.complex128)
+    n_prod, n_fac = n_tx * n_rx * b * b, n_tx * n_rx * b * n_pts
+    product, coarse = work[:n_prod], work[n_prod:n_prod + n_fac]
+    fine, noise = work[n_prod + n_fac:n_prod + 2 * n_fac], work[n_prod + 2 * n_fac:]
     # coarse[t, r, q, p] = refl[p] ph_tx[p, t, 0, q] ph_rx[p, r, 0, q] and
-    # fine[t, r, p, s] = ph_tx[p, t, 1, s] ph_rx[p, r, 1, s], by broadcasting.
+    # fine[t, r, p, s] = ph_tx[p, t, 1, s] ph_rx[p, r, 1, s], by broadcasting
+    # into points-major scratch: the layout numpy gives these products when
+    # it allocates them, so the product below sums in the same order.
     ctx = (refl[:, None, None] * ph_tx[:, :, 0]).transpose(1, 2, 0)  # (T, b, P)
-    coarse = ctx[:, None] * ph_rx[:, :, 0].transpose(1, 2, 0)
-    fine = ph_tx[:, :, 1].transpose(1, 0, 2)[:, None] * ph_rx[:, :, 1].transpose(1, 0, 2)
+    coarse = np.multiply(ctx[:, None], ph_rx[:, :, 0].transpose(1, 2, 0),
+                         out=coarse.reshape(n_pts, n_tx, n_rx, b).transpose(1, 2, 3, 0))
+    ftx = ph_tx[:, :, 1].transpose(1, 0, 2)  # (T, P, b)
+    fine = np.multiply(ftx[:, None], ph_rx[:, :, 1].transpose(1, 0, 2),
+                       out=fine.reshape(n_pts, n_tx, n_rx, b).transpose(1, 2, 0, 3))
     # One product sums the points: sample q b + s of channel (t, r) is
     # sum_p coarse[t, r, q, p] fine[(t, r,) p, s]; keep the first n_adc.
-    product = np.matmul(coarse, fine, out=work)
-    frame = product.reshape(geom.n_tx, geom.n_rx, -1)[..., :cfg.n_adc]
+    product = np.matmul(coarse, fine, out=product.reshape(n_tx, n_rx, b, b))
+    frame = product.reshape(n_tx, n_rx, -1)[..., :cfg.n_adc]
     if out is None:
         out = np.empty(frame.shape, dtype=np.complex64)
     np.copyto(out, frame, casting="same_kind")
@@ -344,7 +369,7 @@ def synthesize_frame(
         parts = frame.view(np.float64)
         signal_power = np.einsum("tri,tri->", parts, parts) / frame.size
         noise_power = signal_power * 10.0 ** (-scene.snr_db / 10.0)
-        _add_noise(out, noise_power, scene.seed, m)
+        _add_noise(out, noise_power, scene.seed, m, noise.view(np.float32)[:out.size])
     return out
 
 
@@ -383,11 +408,10 @@ def simulate_chunks(
         (min(frames_per_chunk, cfg.n_frames), geom.n_tx, geom.n_rx, cfg.n_adc),
         dtype=np.complex64,
     )
-    b = plan.omega.shape[1]
     workers = min(thread_count(), len(buf))
-    # One product buffer per worker, reused by its frames, so frames do not
+    # One scratch per worker, reused by its frames, so frames do not
     # allocate and fault in their own.
-    work = [np.empty((geom.n_tx, geom.n_rx, b, b), dtype=np.complex128) for _ in range(workers)]
+    work = [np.empty(plan.work_size, dtype=np.complex128) for _ in range(workers)]
 
     with ThreadPoolExecutor(workers) as pool:  # starts no thread until first used
         for start in range(0, cfg.n_frames, len(buf)):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from multivital.config import derive_waveform
 from multivital.doa import (
     Beamformer,
-    _path_difference,
+    _path_excess,
     angle_map,
     build_phase_error_table,
     junction_phase_error,
@@ -76,8 +76,8 @@ def _block_transform(sel, table, x, n_fft):
 @pytest.mark.parametrize("z", [None, 0.5, 5.0])
 def test_weights_match_block_transform(cascade, ula, z):
     # The weight matrix folds the near-field table into the same linear map
-    # as the per-block transforms with junction rotations: the meters table
-    # at depth z with plane, at radial range z (depth z cos(theta_l)) without.
+    # as the per-block transforms with junction rotations: the table at
+    # depth z with plane, at radial range z (depth z cos(theta_l)) without.
     n_fft = 512
     rng = np.random.default_rng(77)
     y = (rng.standard_normal((cascade.n_tx * cascade.n_rx, 16))
@@ -87,9 +87,9 @@ def test_weights_match_block_transform(cascade, ula, z):
         if z is None:
             table, range_wl = np.zeros((len(ula.junctions), n_fft)), np.inf
         else:
-            depth = z if plane else z * np.cos(theta)
-            table = build_phase_error_table(ula, cascade, WL77, depth, n_fft)
             range_wl = z / WL77
+            depth = range_wl if plane else range_wl * np.cos(theta)
+            table = build_phase_error_table(ula, cascade, depth, n_fft)
         bf = Beamformer.build(ula, cascade, n_fft, range_wl, plane)
         got = bf.ula_spectrum(y)
         want = _block_transform(ula, table, y[bf.ula], n_fft)
@@ -135,9 +135,9 @@ def test_junction_step_two_element_example():
     geom = ArrayGeometry(tx_elements=((0, 0), (4, 0)), rx_elements=((0, 0),))
     sel = AzimuthUlaSelection(chosen=((0, 0), (1, 0)),
                               blocks=((0, 0), (1, 1)))
-    dphi = junction_phase_error(sel, geom, WL77, 0.5, 0.0)
-    assert dphi.shape == (1,)
-    assert dphi[0] == pytest.approx(0.097846, abs=1e-5)
+    dphi = junction_phase_error(sel, geom, 0.5 / WL77, np.array([0.0]))
+    assert dphi.shape == (1, 1)
+    assert dphi[0, 0] == pytest.approx(0.097846, abs=1e-5)
 
 
 def test_junction_step_mirror_symmetry():
@@ -150,10 +150,10 @@ def test_junction_step_mirror_symmetry():
                          rx_elements=((-4, 0), (4, 0)))
     sel = AzimuthUlaSelection(chosen=((0, 0), (1, 1)),
                               blocks=((0, 0), (1, 1)))
-    assert junction_phase_error(sel, geom, WL77, 0.5, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
+    z = 0.5 / WL77
     theta = np.deg2rad(23.0)
-    plus = junction_phase_error(sel, geom, WL77, 0.5, theta)[0]
-    minus = junction_phase_error(sel, geom, WL77, 0.5, -theta)[0]
+    zero, plus, minus = junction_phase_error(sel, geom, z, np.array([0.0, theta, -theta]))[0]
+    assert zero == pytest.approx(0.0, abs=1e-12)
     assert plus == pytest.approx(-minus, rel=1e-9)
     assert abs(plus) > 1e-3
 
@@ -161,7 +161,7 @@ def test_junction_step_mirror_symmetry():
 def test_junction_steps_vanish_far_away(cascade, ula):
     thetas = np.arcsin(np.linspace(-0.95, 0.95, 39))
     for z, bound in [(1e4, 1e-3), (1e6, 1e-5), (1e7, 1e-6)]:
-        dphi = junction_phase_error(ula, cascade, WL77, z, thetas)
+        dphi = junction_phase_error(ula, cascade, z / WL77, thetas)
         assert float(np.max(np.abs(dphi))) < bound
 
 
@@ -169,39 +169,44 @@ def test_junction_steps_halve_with_doubled_range(cascade, ula):
     # The residual after removing the plane-wave increment is the quadratic
     # wavefront term, which decays like 1/z.
     thetas = np.arcsin(np.linspace(-0.95, 0.95, 39))
-    m1 = np.max(np.abs(junction_phase_error(ula, cascade, WL77, 2.0, thetas)))
-    m2 = np.max(np.abs(junction_phase_error(ula, cascade, WL77, 4.0, thetas)))
+    m1 = np.max(np.abs(junction_phase_error(ula, cascade, 2.0 / WL77, thetas)))
+    m2 = np.max(np.abs(junction_phase_error(ula, cascade, 4.0 / WL77, thetas)))
     assert m1 / m2 >= 1.9
     assert m1 / m2 <= 2.1
 
 
 def test_junction_rejects_bad_range(cascade, ula):
     with pytest.raises(ConfigError):
-        junction_phase_error(ula, cascade, WL77, 0.0, 0.0)
+        junction_phase_error(ula, cascade, 0.0, np.array([0.0]))
+    with pytest.raises(ConfigError, match="1-D"):
+        junction_phase_error(ula, cascade, 100.0, 0.3)
 
 
-def _junction_by_position(sel, geom, wavelength, z, theta_l):
+def _junction_by_position(sel, geom, depth_wl, theta_l):
     """junction_phase_error by one path-difference pass per ULA position,
     the reference for its per-element form."""
-    th = np.atleast_1d(np.asarray(theta_l, dtype=np.float64))
-    z = np.broadcast_to(z, th.shape)
-    p = np.stack([z * np.tan(th), z, np.zeros_like(th)], axis=-1)
+    th = np.asarray(theta_l, dtype=np.float64)
     u = np.sin(th)
-    tx_xyz, rx_xyz = element_positions_m(geom, wavelength)
+    e_hat = np.stack([u, np.cos(th), np.zeros_like(th)], axis=-1)
+    rho = (np.cos(th) / depth_wl)[:, None]
+    tx_wl, rx_wl = element_positions_m(geom, 1.0)
     tx_az = [a for a, _ in geom.tx_elements]
     rx_az = [a for a, _ in geom.rx_elements]
     tx_0, rx_0 = sel.chosen[0]
+
+    def excess(xyz):
+        return _path_excess(e_hat, rho, xyz[None])[:, 0]
+
     eps = np.empty((len(sel.chosen), len(th)))
     for e, (ti, ri) in enumerate(sel.chosen):
         dp = (tx_az[ti] + rx_az[ri]) - (tx_az[tx_0] + rx_az[rx_0])
         d_path = (
-            _path_difference(p, tx_xyz[ti], tx_xyz[tx_0])
-            + _path_difference(p, rx_xyz[ri], rx_xyz[rx_0])
+            (excess(tx_wl[ti]) - excess(tx_wl[tx_0]))
+            + (excess(rx_wl[ri]) - excess(rx_wl[rx_0]))
         )
-        eps[e] = (2.0 * np.pi / wavelength) * d_path + np.pi * dp * u
+        eps[e] = 2.0 * np.pi * d_path + np.pi * dp * u
     block_err = np.stack([eps[s:stop + 1].mean(axis=0) for s, stop in sel.blocks])
-    out = block_err[1:] - block_err[:-1]
-    return out[:, 0] if np.ndim(theta_l) == 0 else out
+    return block_err[1:] - block_err[:-1]
 
 
 @pytest.mark.parametrize("z", [0.5, 1.0, 5.0])
@@ -212,27 +217,24 @@ def test_phase_table_equals_the_per_position_loop(cascade, ula, z):
     n_fft = 512
     frac = 2.0 * (np.arange(n_fft) - n_fft // 2) / n_fft
     valid = np.abs(frac) < 1.0
-    for depth in (z, z * np.sqrt(1.0 - frac * frac)):
+    range_wl = z / WL77
+    for depth in (range_wl, range_wl * np.sqrt(1.0 - frac * frac)):
         want = np.zeros((len(ula.junctions), n_fft))
         want[:, valid] = _junction_by_position(
-            ula, cascade, WL77, np.broadcast_to(depth, frac.shape)[valid], np.arcsin(frac[valid])
+            ula, cascade, np.broadcast_to(depth, frac.shape)[valid], np.arcsin(frac[valid])
         )
-        assert np.array_equal(build_phase_error_table(ula, cascade, WL77, depth, n_fft), want)
-    theta = np.deg2rad(23.0)
-    got = junction_phase_error(ula, cascade, WL77, z, theta)
-    assert got.shape == (len(ula.junctions),)
-    assert np.array_equal(got, _junction_by_position(ula, cascade, WL77, z, theta))
+        assert np.array_equal(build_phase_error_table(ula, cascade, depth, n_fft), want)
 
 
 def test_phase_table_layout(cascade, ula):
-    table = build_phase_error_table(ula, cascade, WL77, 0.5, 256)
+    table = build_phase_error_table(ula, cascade, 0.5 / WL77, 256)
     assert table.shape == (20, 256)
     l = np.arange(256) - 128
     invalid = np.abs(2.0 * l / 256) >= 1.0
     assert np.all(table[:, invalid] == 0.0)
     # Spot-check one in-grid column against the direct computation.
     col = 128 + 32  # l = 32, sin(theta) = 0.25
-    want = junction_phase_error(ula, cascade, WL77, 0.5, np.arcsin(0.25))
+    want = junction_phase_error(ula, cascade, 0.5 / WL77, np.arcsin([0.25]))[:, 0]
     assert np.allclose(table[:, col], want)
 
 

@@ -44,7 +44,7 @@ def test_cube_round_trip(tmp_path, table2, cascade):
     cube = _small_cube(table2, cascade)
     path = str(tmp_path / "cube.mvdc")
     save_cube(cube, path)
-    back = load_cube(path)
+    back = load_cube(path, cascade)
     assert np.array_equal(back.samples, cube.samples)
     assert back.seed == 42
     assert back.geometry == cascade
@@ -85,7 +85,7 @@ def test_cube_bad_magic(tmp_path, table2, cascade):
     raw[:4] = b"NOPE"
     (tmp_path / "bad.mvdc").write_bytes(bytes(raw))
     with pytest.raises(CubeFormatError, match="magic"):
-        load_cube(str(tmp_path / "bad.mvdc"))
+        load_cube(str(tmp_path / "bad.mvdc"), cascade)
 
 
 def test_cube_bad_version(tmp_path, table2, cascade):
@@ -96,7 +96,7 @@ def test_cube_bad_version(tmp_path, table2, cascade):
     raw[4:8] = struct.pack("<I", 9)
     (tmp_path / "bad.mvdc").write_bytes(bytes(raw))
     with pytest.raises(CubeFormatError, match="version"):
-        load_cube(str(tmp_path / "bad.mvdc"))
+        load_cube(str(tmp_path / "bad.mvdc"), cascade)
 
 
 def test_cube_truncation(tmp_path, table2, cascade):
@@ -106,10 +106,10 @@ def test_cube_truncation(tmp_path, table2, cascade):
     raw = Path(path).read_bytes()
     (tmp_path / "short.mvdc").write_bytes(raw[:40])
     with pytest.raises(CubeFormatError, match="header"):
-        load_cube(str(tmp_path / "short.mvdc"))
+        load_cube(str(tmp_path / "short.mvdc"), cascade)
     (tmp_path / "chopped.mvdc").write_bytes(raw[:-17])
     with pytest.raises(CubeFormatError, match="payload"):
-        load_cube(str(tmp_path / "chopped.mvdc"))
+        load_cube(str(tmp_path / "chopped.mvdc"), cascade)
 
 
 def test_cube_trailing_bytes_rejected(tmp_path, table2, cascade):
@@ -118,7 +118,7 @@ def test_cube_trailing_bytes_rejected(tmp_path, table2, cascade):
     save_cube(cube, str(path))
     (tmp_path / "long.mvdc").write_bytes(path.read_bytes() + b"\0" * 8)
     with pytest.raises(CubeFormatError, match="payload"):
-        load_cube(str(tmp_path / "long.mvdc"))
+        load_cube(str(tmp_path / "long.mvdc"), cascade)
 
 
 def test_loaded_samples_are_a_read_only_contiguous_complex64_view(tmp_path, table2, cascade):
@@ -127,7 +127,7 @@ def test_loaded_samples_are_a_read_only_contiguous_complex64_view(tmp_path, tabl
     path = str(tmp_path / "cube.mvdc")
     cube = _small_cube(table2, cascade)
     save_cube(cube, path)
-    samples = load_cube(path).samples
+    samples = load_cube(path, cascade).samples
     assert samples.dtype == np.complex64 and samples.flags.c_contiguous
     assert np.array_equal(samples, cube.samples)
     with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ def test_cube_non_finite_header_rejected(tmp_path, table2, cascade, field):
     header[field] = float("inf")
     path.write_bytes(_header_bytes(header) + raw[72:])
     with pytest.raises(CubeFormatError, match=f"cube.mvdc: chirp.{field} must be finite"):
-        load_cube(str(path))
+        load_cube(str(path), cascade)
 
 
 def test_cube_header_frame_shorter_than_chirp_rejected(tmp_path, table2, cascade):
@@ -185,7 +185,7 @@ def test_cube_header_frame_shorter_than_chirp_rejected(tmp_path, table2, cascade
     header["t_frame"] = header["prt"] / 2
     path.write_bytes(_header_bytes(header) + raw[72:])
     with pytest.raises(CubeFormatError, match="cube.mvdc: frame duration t_frame"):
-        load_cube(str(path))
+        load_cube(str(path), cascade)
 
 
 _U32 = st.integers(0, 2**32 - 1)
@@ -208,7 +208,7 @@ def test_fuzzed_header_loads_valid_or_fails_as_package_error(tmp_path_factory, f
     path = tmp_path_factory.mktemp("fuzz") / "cube.mvdc"
     path.write_bytes(_header_bytes(header) + bytes(size if size <= 1 << 16 else 8))
     try:
-        cube = load_cube(str(path))
+        cube = load_cube(str(path), ArrayGeometry.ti_cascade())
     except MultivitalError:
         return
     chirp = cube.chirp.validate()

@@ -58,6 +58,18 @@ def test_non_finite_sample_fails_loudly(phantom, bad):
                               cfg.pipeline, layout=cfg.layout)
 
 
+def test_overflowing_finite_cube_is_not_blamed_on_nan():
+    """Every sample of sim-single-target scaled by 1e36 is finite, but the
+    range transform overflows complex64: the error names the overflow."""
+    cfg = load_run_config("sim-single-target")
+    cube = simulate(cfg.scene, dataclasses.replace(cfg.chirp, n_frames=4), cfg.geometry)
+    samples = cube.samples * np.complex64(1e36)
+    assert np.all(np.isfinite(samples))
+    with pytest.raises(ProcessingError, match="not finite") as err:
+        pipeline.run_pipeline(dataclasses.replace(cube, samples=samples), cfg.pipeline)
+    assert "overflowed" in str(err.value) and "NaN" not in str(err.value)
+
+
 def _three_chunks(cube, pcfg, monkeypatch):
     """Set run_pipeline's chunk budget so cube's range stage takes three
     frame chunks, the last one partial. Returns the list that records each

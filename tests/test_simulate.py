@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -94,7 +95,7 @@ def test_noise_is_box_muller_on_float32_uniforms():
     radius = np.sqrt(np.float32(-power) * np.log(np.float32(1.0) - u))
     angle = np.float32(2.0 * np.pi) * v
     frame = np.zeros(shape, dtype=np.complex64)
-    _add_noise(frame, power, 3, 1)
+    _add_noise(frame, power, 3, 1, np.full(frame.size, np.nan, dtype=np.float32))
     assert frame.dtype == np.complex64
     assert np.array_equal(frame.real, (radius * np.cos(angle)).reshape(shape))
     assert np.array_equal(frame.imag, (radius * np.sin(angle)).reshape(shape))
@@ -106,8 +107,9 @@ def test_noise_statistics():
     # 4 of them; the seed is fixed, so the outcome is too.
     power, n = 0.8, 1 << 20
     z = np.zeros((2, n), dtype=np.complex64)
+    buf = np.empty(n, dtype=np.float32)
     for m in range(2):
-        _add_noise(z[m], power, 11, m)
+        _add_noise(z[m], power, 11, m, buf)
     z = z.astype(np.complex128)
     z0 = z[0]
     assert np.mean(np.abs(z0) ** 2) == pytest.approx(power, rel=0.01)
@@ -217,8 +219,11 @@ def test_synthesize_frame_overwrites_its_out_slot(table2, cascade):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_simulate_reuses_one_product_buffer_per_worker(table2, cascade, monkeypatch, threads):
-    """Each worker hands its frames one coarse @ fine buffer; the frames
-    equal those made alone, whose product is freshly allocated."""
+    """Each worker hands its frames one scratch for the coarse and fine
+    factors, their product and the noise's float32 terms; the frames equal
+    those made alone, whose scratch is freshly allocated, and with its
+    scratch and output slot a noisy frame allocates little beyond its raw
+    Philox words (8 bytes per sample)."""
     sim = importlib.import_module("multivital.simulate")  # the package's .simulate is the function
     cfg = dataclasses.replace(table2, n_frames=6)
     scene = _static_scene((0.0, 0.8, 0.0), snr_db=10.0, seed=5)
@@ -233,18 +238,28 @@ def test_simulate_reuses_one_product_buffer_per_worker(table2, cascade, monkeypa
     monkeypatch.setenv("MULTIVITAL_THREADS", threads)
     cube = simulate(scene, cfg, cascade)
     assert sorted(buffers) == list(range(6))
-    b = math.isqrt(cfg.n_adc - 1) + 1
-    assert all(w.shape == (cascade.n_tx, cascade.n_rx, b, b) for w in buffers.values())
+    assert all(w.shape == (_plan(scene, cfg, cascade).work_size,) for w in buffers.values())
     assert len({id(w) for w in buffers.values()}) == int(threads)
     for m in range(6):
         assert np.array_equal(cube.samples[m], original(scene, cfg, cascade, m))
 
+    slot = np.empty_like(cube.samples[0])
+    tracemalloc.start()
+    try:
+        original(scene, cfg, cascade, 3, out=slot, work=buffers[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(slot, cube.samples[3])
+    assert peak < 8 * slot.size + (128 << 10)
+
 
 def test_synthesize_frame_overwrites_its_work_buffer(table1, cascade):
-    # n_adc 250 leaves 6 of the 16 x 16 product cells unused per channel
+    # n_adc 250 leaves 6 of the 16 x 16 product cells unused per channel,
+    # and the noise's terms start out NaN in the scratch too.
     cfg = dataclasses.replace(table1, n_adc=250, n_frames=1)
-    scene = _static_scene((0.3, 2.0, 0.1))
-    work = np.full((cascade.n_tx, cascade.n_rx, 16, 16), np.nan, dtype=np.complex128)
+    scene = _static_scene((0.3, 2.0, 0.1), snr_db=10.0, seed=3)
+    work = np.full(_plan(scene, cfg, cascade).work_size, np.nan, dtype=np.complex128)
     frame = synthesize_frame(scene, cfg, cascade, 0, work=work)
     assert np.array_equal(frame, synthesize_frame(scene, cfg, cascade, 0))
 
