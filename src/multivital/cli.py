@@ -190,7 +190,7 @@ def _cmd_e2e(args) -> int:
     result = run_pipeline(cube, cfg.pipeline, layout=cfg.layout)
     export_traces(result.traces, paths["traces"])
 
-    region_ids = list(result.region_angles)
+    region_ids = list(result.region_points)
     doc: dict = {
         "subject": {
             "range_bin": result.range_bin,

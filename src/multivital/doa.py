@@ -76,8 +76,8 @@ class Beamformer:
     Azimuth lives on the grid u_l = 2 l / n_fft. weights holds the ULA's
     weight at every grid azimuth, junction compensation included, so every
     azimuth read of the ULA is one product with its rows. focus steers
-    regions, elevation and the angle map to scene points at range_wl
-    (wavelengths; inf gives plane waves).
+    to scene points: regions at their own, elevation and the angle map at
+    range_wl (wavelengths; inf gives plane waves).
     """
 
     n_fft: int
@@ -86,7 +86,6 @@ class Beamformer:
     tx_wl: np.ndarray  # (n_tx, 3) element positions, wavelengths
     rx_wl: np.ndarray  # (n_rx, 3)
     range_wl: float
-    plane: bool  # region angles are a layout's chest-plane angles
 
     @classmethod
     def build(
@@ -124,7 +123,7 @@ class Beamformer:
                 weights[:, start:stop + 1] *= r[:, None]
         tx_wl, rx_wl = element_positions_m(geom, 1.0)
         ula = [t * geom.n_rx + r for t, r in sel.chosen]
-        return cls(n_fft, ula, weights, tx_wl, rx_wl, range_wl, plane)
+        return cls(n_fft, ula, weights, tx_wl, rx_wl, range_wl)
 
     def ula_spectrum(self, y: np.ndarray) -> np.ndarray:
         """Matched ULA spectrum of raw data y over the grid, shape (n_fft, n_cols)."""
@@ -252,43 +251,37 @@ def build_phase_error_table(
 def select_region_signal(
     bf: Beamformer,
     y: np.ndarray,
-    regions: Mapping[str, tuple[float, float]],
+    points: Mapping[str, tuple[float, float, float]],
 ) -> list[RegionSignal]:
-    """Slow-time signal per chest region from its (azimuth, elevation) angles.
-
-    Every frame is focused on each region's point: with bf.plane at
-    (z tan(phi), z, z tan(theta)) for z = bf.range_wl, else at range
-    bf.range_wl along the direction cosines (sin(phi), sin(theta)).
+    """Slow-time signal per chest region, every frame focused on its scene
+    point (x lateral, y boresight depth, z up; wavelengths).
 
     Parameters
     ----------
     bf : Beamformer
     y : ndarray
         Raw subject-bin data, shape (channels, frames).
-    regions : mapping region id -> (phi, theta) in rad
+    points : mapping region id -> (x, y, z), finite, with y > 0
 
     Returns
     -------
-    list of RegionSignal, in the order of the regions mapping.
+    list of RegionSignal, in the order of the points mapping.
     """
-    if not 1 <= len(regions) <= 5:
-        raise ProcessingError(f"expected 1..5 regions, got {len(regions)}")
-    for rid in regions:
+    if not 1 <= len(points) <= 5:
+        raise ProcessingError(f"expected 1..5 regions, got {len(points)}")
+    for rid in points:
         if rid not in REGION_IDS:
             raise ConfigError(f"region must be one of {REGION_IDS}, got {rid!r}")
 
-    phi, theta = np.array(list(regions.values()), dtype=np.float64).T
-    u, v, range_wl = np.sin(phi), np.sin(theta), bf.range_wl
-    if bf.plane:
-        norm = np.sqrt(1.0 + np.tan(phi) ** 2 + np.tan(theta) ** 2)
-        u, v, range_wl = np.tan(phi) / norm, np.tan(theta) / norm, range_wl * norm
-    for rid, p, t, uv in zip(regions, phi, theta, u * u + v * v):
-        if not (abs(p) < np.pi / 2 and abs(t) < np.pi / 2 and uv < 1.0):
+    xyz = np.array(list(points.values()), dtype=np.float64)
+    for rid, p in zip(points, xyz):
+        if not (np.isfinite(p).all() and p[1] > 0):
             raise ProcessingError(
-                f"region {rid} angles ({p:.3f}, {t:.3f}) rad outside the field of view"
+                f"region {rid} point {p.tolist()} (wavelengths) must be finite, with depth y > 0"
             )
-    steered = bf.focus(y, u, v, range_wl)
-    return [RegionSignal(region=rid, slowtime=s) for rid, s in zip(regions, steered)]
+    r = np.linalg.norm(xyz, axis=1)
+    steered = bf.focus(y, xyz[:, 0] / r, xyz[:, 2] / r, r)
+    return [RegionSignal(region=rid, slowtime=s) for rid, s in zip(points, steered)]
 
 
 def angle_map(bf: Beamformer, y: np.ndarray) -> AngleMap:

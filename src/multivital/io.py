@@ -171,18 +171,22 @@ def export_traces(traces: list[DisplacementTrace], path: str) -> None:
 
     Rows are region-major in the given trace order; floats use repr
     precision so a reload reproduces them exactly. Each trace's rows are
-    encoded as one chunk, so no more than one trace is held as text.
+    encoded as one chunk and written before the next is made, so no more
+    than one trace is held as text.
     """
     if not traces:
         raise ProcessingError("no traces to export")
-    chunks = [b"time_s,region,phase_rad,displacement_mm\n"]
-    for tr in traces:
-        region = _csv_cells(tr.region)
-        chunks.append("".join([
-            f"{t!r},{region},{ph!r},{d!r}\n"
-            for t, ph, d in zip(tr.times.tolist(), tr.phase.tolist(), tr.displacement.tolist())
-        ]).encode("utf-8"))
-    atomic_write_bytes(path, chunks)
+
+    def chunks():
+        yield b"time_s,region,phase_rad,displacement_mm\n"
+        for tr in traces:
+            region = _csv_cells(tr.region)
+            yield "".join([
+                f"{t!r},{region},{ph!r},{d!r}\n"
+                for t, ph, d in zip(tr.times.tolist(), tr.phase.tolist(), tr.displacement.tolist())
+            ]).encode("utf-8")
+
+    atomic_write_bytes(path, chunks())
 
 
 def export_scg_traces(traces: list[ScgTrace], ecg: np.ndarray, path: str) -> None:
@@ -191,21 +195,24 @@ def export_scg_traces(traces: list[ScgTrace], ecg: np.ndarray, path: str) -> Non
     One block of rows per trace in the given order. Every trace spans the
     recording, so its row i carries ecg[i]. The time cells are formatted
     once per (fs, length), as the traces of one recording share them. Each
-    trace's rows are encoded as one chunk, so no more than one trace is
-    held as text.
+    trace's rows are encoded as one chunk and written before the next is
+    made, so no more than one trace is held as text.
     """
     ecg_cells = [repr(v) for v in ecg.tolist()]
     time_cells: dict[tuple[float, int], list[str]] = {}
-    chunks = [b"time_s,region,axis,displacement_mm,ecg\n"]
-    for tr in traces:
-        n = len(tr.displacement)
-        if (tr.fs, n) not in time_cells:
-            time_cells[tr.fs, n] = [f"{i / tr.fs!r}" for i in range(n)]
-        keys = [_csv_cells(tr.region, tr.axis)] * n
-        rows = zip(time_cells[tr.fs, n], keys, map(repr, tr.displacement.tolist()), ecg_cells,
-                   strict=True)
-        chunks.append(("\n".join(map(",".join, rows)) + "\n").encode("utf-8"))
-    atomic_write_bytes(path, chunks)
+
+    def chunks():
+        yield b"time_s,region,axis,displacement_mm,ecg\n"
+        for tr in traces:
+            n = len(tr.displacement)
+            if (tr.fs, n) not in time_cells:
+                time_cells[tr.fs, n] = [f"{i / tr.fs!r}" for i in range(n)]
+            keys = [_csv_cells(tr.region, tr.axis)] * n
+            rows = zip(time_cells[tr.fs, n], keys, map(repr, tr.displacement.tolist()),
+                       ecg_cells, strict=True)
+            yield ("\n".join(map(",".join, rows)) + "\n").encode("utf-8")
+
+    atomic_write_bytes(path, chunks())
 
 
 def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
@@ -224,9 +231,10 @@ def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
     ------
     ProcessingError
         Naming the file, and the line where there is one, when the file is
-        not UTF-8 CSV, lacks a required column or data rows, has a row too
-        short for the columns read, holds a value that is not a finite
-        number, or has a key whose time_s does not strictly increase.
+        not UTF-8 CSV, lacks a required column or data rows, names a column
+        it reads more than once, has a row too short for the columns read,
+        holds a value that is not a finite number, or has a key whose
+        time_s does not strictly increase.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         chunks = _csv_chunks(path, fh)
@@ -234,6 +242,7 @@ def read_trace_table(path: str) -> dict[str, dict[str, np.ndarray]]:
         missing = {"time_s", "region", "displacement_mm"} - set(header)
         if missing:
             raise ProcessingError(f"{path}: missing columns {sorted(missing)}")
+        _check_unique(path, header, ("time_s", "region", "axis", "displacement_mm", "phase_rad"))
         columns = {name: header.index(name)
                    for name in ("time_s", "displacement_mm", "phase_rad") if name in header}
         region = header.index("region")
@@ -284,12 +293,12 @@ def load_scg_csv(path: str) -> tuple[list[ScgChannel], np.ndarray, np.ndarray]:
     Raises
     ------
     ProcessingError
-        For an empty file, a wrong header or one with no acceleration
-        columns, fewer than 2 rows or time steps that imply no finite
-        rate, and, naming the line, for text that is
-        not UTF-8 CSV, a row whose field count differs from the header's, a
-        cell that is not a finite number or a time_s that does not strictly
-        increase.
+        For an empty file, a wrong header, one that names a column more
+        than once or one with no acceleration columns, fewer than 2 rows or
+        time steps that imply no finite rate, and, naming the line, for
+        text that is not UTF-8 CSV, a row whose field count differs from
+        the header's, a cell that is not a finite number or a time_s that
+        does not strictly increase.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         chunks = _csv_chunks(path, fh)
@@ -298,6 +307,7 @@ def load_scg_csv(path: str) -> tuple[list[ScgChannel], np.ndarray, np.ndarray]:
             raise ProcessingError(
                 f"{path}: expected columns time_s, <region>_a[xyz]..., ecg; got {header}"
             )
+        _check_unique(path, header, header)
         width = len(header)
         parts: list[list[np.ndarray]] = [[] for _ in header]
         n = 0  # data rows read
@@ -397,6 +407,14 @@ def _data_row(path: str, k: int) -> tuple[int, list[str]]:
         return next(itertools.islice(rows, k + 1, None))
 
 
+def _check_unique(path: str, header: list[str], names: Iterable[str]) -> None:
+    """Raise ProcessingError naming the first of names that header holds
+    more than once: which of its columns is meant cannot be told."""
+    for name in names:
+        if header.count(name) > 1:
+            raise ProcessingError(f"{path}: column {name!r} appears more than once")
+
+
 def _check_time_increases(
     path: str, time_s: np.ndarray, rows: np.ndarray | range, col: int, key: str = "",
 ) -> None:
@@ -421,7 +439,7 @@ def _finite_column(path: str, cells: list[str] | tuple[str, ...], name: str, fir
     finite number.
     """
     try:
-        out = np.array(cells, dtype=np.float64)
+        out = np.fromiter(map(float, cells), np.float64, count=len(cells))
     except ValueError:
         out = np.array([_float_or_nan(c) for c in cells])
     bad = np.flatnonzero(~np.isfinite(out))

@@ -57,24 +57,15 @@ class ComparisonReport:
         }
 
 
-def compute_alignment(layout: SensorLayout) -> dict[str, tuple[float, float]]:
-    """Ground-truth radar angles of every sensor from its chest-plane offset.
+def compute_alignment(layout: SensorLayout) -> dict[str, tuple[float, float, float]]:
+    """Scene point of every sensor, m: x lateral, y boresight depth, z up.
 
-    The radar boresight is centered on point A, so A maps to (0, 0) and any
-    other sensor to arctan of its lateral offset over the boresight range:
-    azimuth from the x offset, elevation from the y offset.
-
-    Returns
-    -------
-    dict region -> (phi, theta) rad
+    The radar boresight is centered on point A at depth z_a, so region R
+    sits at (x_R - x_A, z_a, y_R - y_A).
     """
     layout.validate()
     xa, ya = layout.positions["A"]
-    z = abs(layout.z_a)
-    return {
-        rid: (math.atan2(x - xa, z), math.atan2(y - ya, z))
-        for rid, (x, y) in layout.positions.items()
-    }
+    return {rid: (x - xa, layout.z_a, y - ya) for rid, (x, y) in layout.positions.items()}
 
 
 def normalized_xcorr_max(r: np.ndarray, x: np.ndarray) -> tuple[float, int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -33,7 +34,7 @@ class PipelineResult:
     range_m: float
     azimuth_peak_rad: float
     elevation_peak_rad: float
-    region_angles: dict[str, tuple[float, float]]
+    region_points: dict[str, tuple[float, float, float]]  # m, as compute_alignment
     traces: list[DisplacementTrace]
     beamformer: Beamformer
 
@@ -84,8 +85,8 @@ def _chunks(cube: RawDataCube, n_fft: int) -> Iterator[RawDataCube]:
 
 def _steered_subject(cube, pcfg, layout):
     """Subject location, wavelength, Beamformer and complex128 subject-bin
-    slab for one cube, focused at the layout's z_a with its chest-plane
-    region angles, else at the subject's range (an error at 0 m).
+    slab for one cube, focused at the layout's z_a (its junction table on
+    that depth plane), else at the subject's range (an error at 0 m).
 
     The cube is range-transformed a frame chunk at a time, and each chunk is
     folded into locate_subject's profile before the next is made, keeping
@@ -131,19 +132,22 @@ def run_pipeline(
 ) -> PipelineResult:
     """Process a raw cube into per-region displacement traces.
 
-    With a sensor layout, region angles come from the spatial alignment
-    scheme, and the regions are focused on the layout's chest plane.
-    Without one, a single region "A" is focused at the subject's range
-    along the estimated azimuth and elevation peak.
+    With a sensor layout, each region is focused on its scene point from
+    the spatial alignment scheme. Without one, a single region "A" is
+    focused at the subject's range R along the estimated azimuth and
+    elevation peaks: R (sin az, sqrt(1 - sin^2 az - sin^2 el), sin el).
     """
     loc, wavelength, bf, y = _steered_subject(cube, pcfg, layout)
     az_peak, el_peak = estimate_angles(bf, y)
     if layout is not None:
-        regions = compute_alignment(layout)
+        points = compute_alignment(layout)
     else:
-        regions = {"A": (az_peak, el_peak)}
+        u, v, r = math.sin(az_peak), math.sin(el_peak), loc.range_m
+        points = {"A": (r * u, r * math.sqrt(max(0.0, 1.0 - u * u - v * v)), r * v)}
 
-    signals = select_region_signal(bf, y, regions)
+    signals = select_region_signal(
+        bf, y, {rid: np.divide(p, wavelength) for rid, p in points.items()}
+    )
     frame_rate = cube.chirp.frame_rate
     traces = [region_signal_to_trace(s, wavelength, frame_rate) for s in signals]
     return PipelineResult(
@@ -151,7 +155,7 @@ def run_pipeline(
         range_m=loc.range_m,
         azimuth_peak_rad=az_peak,
         elevation_peak_rad=el_peak,
-        region_angles=regions,
+        region_points=points,
         traces=traces,
         beamformer=bf,
     )

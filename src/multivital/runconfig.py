@@ -6,6 +6,7 @@ with its full path, so typos cannot silently change a run.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -259,18 +260,30 @@ def bundled_config_names() -> list[str]:
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
 
+def _unique_keys(source: str, pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict. A key given twice is a
+    ConfigError, where json would keep the last one silently."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"{source}: duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_run_config(source: str) -> RunConfig:
     """Load a RunConfig from a file path or a bundled config name."""
+    unique = functools.partial(_unique_keys, source)
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=unique)
             except ValueError as exc:  # bad syntax, not UTF-8, an integer too long to read
                 raise ConfigError(f"{source}: invalid JSON: {exc}") from None
         return parse_run_config(doc)
     candidate = resources.files("multivital") / "configs" / f"{source}.json"
     if candidate.is_file():
-        doc = json.loads(candidate.read_text())
+        doc = json.loads(candidate.read_text(), object_pairs_hook=unique)
         return parse_run_config(doc)
     raise ConfigError(
         f"config {source!r} is neither a file nor a bundled name "

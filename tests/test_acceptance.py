@@ -169,7 +169,8 @@ def test_a5_two_scatterers_same_bin(table2, cascade, ula, capsys):
     cube = simulate(scene, table2, cascade)
     rc = range_fft(cube, 256)
     loc = locate_subject(rc)
-    regions = {"A": (phi, 0.0), "P": (-phi, 0.0)}
+    regions = {rid: np.array([s * math.sin(phi), math.cos(phi), 0.0]) * z / wl
+               for rid, s in (("A", 1.0), ("P", -1.0))}
     y = extract_range_bin(rc, loc.bin).astype(np.complex128)
     signals = select_region_signal(Beamformer.build(ula, cascade, 512, z / wl), y, regions)
     frame_rate = table2.frame_rate

@@ -289,13 +289,13 @@ def test_focus_matches_direct_matched_sum(cascade, ula, steering, range_m):
 
 
 def test_layout_regions_focus_on_their_chest_plane_points(cascade, ula):
-    # With plane, region angles are a layout's (atan(x / z), atan(y / z)):
-    # the region focuses on (x, z, y), not at range z along those angles.
+    # A layout region's point (x, z, y) is focused there, not at the
+    # beamformer's range z along its direction.
     z, x, h = 0.5, 0.12, -0.15
     rng = np.random.default_rng(8)
     y = rng.standard_normal((192, 2)) + 1j * rng.standard_normal((192, 2))
     bf = Beamformer.build(ula, cascade, 256, range_wl=z / WL77, plane=True)
-    got = select_region_signal(bf, y, {"P": (np.arctan2(x, z), np.arctan2(h, z))})[0]
+    got = select_region_signal(bf, y, {"P": np.array([x, z, h]) / WL77})[0]
     r = np.sqrt(x * x + z * z + h * h)
     want = bf.focus(y, [x / r], [h / r], r / WL77)[0]
     assert np.allclose(got.slowtime, want, rtol=1e-4, atol=0)
@@ -319,11 +319,17 @@ def _steered(cube, cascade, ula, calibrate=True):
     return bf, extract_range_bin(rc, loc.bin).astype(np.complex128)
 
 
+def _point(r, phi, theta):
+    """Scene point at range r along azimuth phi and elevation theta."""
+    u, v = np.sin(phi), np.sin(theta)
+    return r * np.array([u, np.sqrt(1.0 - u * u - v * v), v])
+
+
 def test_select_region_signal_recovers_motion(table1, cascade, ula, offset_cube):
     wl = derive_waveform(table1).wavelength
     phi = np.arctan2(3.0, 4.0)
     bf, y = _steered(offset_cube, cascade, ula)
-    signals = select_region_signal(bf, y, {"A": (phi, 0.0)})
+    signals = select_region_signal(bf, y, {"A": _point(bf.range_wl, phi, 0.0)})
     assert len(signals) == 1
     phase = np.unwrap(np.angle(signals[0].slowtime))
     t = np.arange(8) * table1.t_frame
@@ -335,10 +341,12 @@ def test_select_region_signal_recovers_motion(table1, cascade, ula, offset_cube)
 
 def test_select_region_signal_angle_checks(offset_cube, cascade, ula):
     bf, y = _steered(offset_cube, cascade, ula)
-    with pytest.raises(ProcessingError, match="field of view"):
-        select_region_signal(bf, y, {"A": (1.6, 0.0)})
+    with pytest.raises(ProcessingError, match="region A .* must be finite"):
+        select_region_signal(bf, y, {"A": (0.0, np.inf, 0.0)})
+    with pytest.raises(ProcessingError, match="region P .* depth y > 0"):
+        select_region_signal(bf, y, {"A": (0.0, 10.0, 0.0), "P": (1.0, 0.0, 0.0)})
     with pytest.raises(ConfigError):
-        select_region_signal(bf, y, {"Q": (0.0, 0.0)})
+        select_region_signal(bf, y, {"Q": (0.0, 10.0, 0.0)})
     with pytest.raises(ProcessingError):
         select_region_signal(bf, y, {})
 
@@ -367,7 +375,10 @@ def test_region_signal_matches_angle_map_cell(cascade, ula, offset_cube, calibra
     l, k = 154, 48  # sin(phi) = 0.6016, theta = 3 deg
     amap = angle_map(bf, y)
     phi, theta = amap.azimuth_grid[256 + l], amap.elevation_grid[k]
-    signal = select_region_signal(bf, y, {"A": (phi, theta)})[0].slowtime
+    # A point has a finite range: plane waves are read 1e30 wavelengths out,
+    # where focus's range terms fall below float64 resolution.
+    r = bf.range_wl if calibrate else 1e30
+    signal = select_region_signal(bf, y, {"A": _point(r, phi, theta)})[0].slowtime
     for f in (0, 5):
         power = angle_map(bf, y[:, f:]).power[256 + l, k]
         assert abs(signal[f]) ** 2 == pytest.approx(power, rel=1e-12)

@@ -15,6 +15,7 @@ from multivital.errors import ConfigError, CubeFormatError, MultivitalError, Pro
 from multivital.geometry import ArrayGeometry
 from multivital.io import (
     export_angle_map,
+    export_scg_traces,
     export_traces,
     load_cube,
     load_scg_csv,
@@ -24,6 +25,7 @@ from multivital.io import (
     write_report,
 )
 from multivital.doa import AngleMap
+from multivital.scg import ScgTrace
 from multivital.simulate import RawDataCube
 from multivital.vitals import DisplacementTrace
 
@@ -310,6 +312,17 @@ def test_read_trace_table_bad_row_names_file_and_line(tmp_path, body, line):
         read_trace_table(str(path))
 
 
+def test_read_trace_table_duplicate_column_is_rejected(tmp_path):
+    # Which of two displacement_mm columns is the trace cannot be told;
+    # reading the first one silently dropped the other.
+    path = tmp_path / "scg.csv"
+    path.write_text("time_s,region,axis,displacement_mm,displacement_mm\n"
+                    "0.0,A,x,0.1,0.5\n0.05,A,x,0.2,0.6\n")
+    want = f"{path}: column 'displacement_mm' appears more than once"
+    with pytest.raises(ProcessingError, match=re.escape(want)):
+        read_trace_table(str(path))
+
+
 _RADAR = ["time_s", "region", "phase_rad", "displacement_mm"]
 _SCG = ["time_s", "region", "axis", "displacement_mm", "ecg"]
 _cells = st.one_of(
@@ -456,6 +469,34 @@ def test_load_scg_csv_peak_memory_is_bounded_by_its_arrays(tmp_path):
     nbytes = ecg.nbytes + time_s.nbytes + sum(3 * ch.ax.nbytes for ch in channels)
     assert nbytes == 17 * 8 * n
     assert peak < 4 * nbytes
+
+
+@pytest.mark.parametrize("writer", ["traces", "scg"])
+def test_trace_writers_hold_one_trace_at_a_time(tmp_path, writer):
+    """Writing 15 traces of 2000 rows peaks below the size of the file
+    written: each trace's rows are encoded and written before the next
+    trace's are made. Encoding every trace before writing peaked above it."""
+    n = 2000
+    rng = np.random.default_rng(9)
+    path = tmp_path / "out.csv"
+    if writer == "traces":
+        export, args = export_traces, [
+            [DisplacementTrace.from_phase(r, rng.normal(0.0, 1.0, n), WL, 20.0)
+             for r in "APTEM" * 3]
+        ]
+    else:
+        export, args = export_scg_traces, [
+            [ScgTrace(region=r, axis=ax, fs=200.0, displacement=rng.normal(0.0, 1.0, n),
+                      transient_samples=400) for r in "APTEM" for ax in "xyz"],
+            rng.normal(0.0, 1.0, n),
+        ]
+    tracemalloc.start()
+    try:
+        export(*args, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_read_trace_table_holds_one_chunk_of_cells_at_a_time(tmp_path):

@@ -25,7 +25,9 @@ def test_alignment_angles():
         positions={"A": (0.0, 0.0), "P": (-0.05, 0.0), "M": (0.0, -0.10)},
         z_a=0.5,
     )
-    angles = compute_alignment(layout)
+    points = compute_alignment(layout)
+    angles = {rid: (math.atan2(x, y), math.atan2(z, y)) for rid, (x, y, z) in points.items()}
+    assert points["A"] == (0.0, 0.5, 0.0)
     assert angles["A"] == (0.0, 0.0)
     assert math.degrees(angles["P"][0]) == pytest.approx(-5.711, abs=1e-3)
     assert math.degrees(angles["M"][1]) == pytest.approx(-11.310, abs=1e-3)
@@ -35,9 +37,11 @@ def test_alignment_inverts_by_tan():
     layout = SensorLayout(
         positions={"A": (0.01, -0.02), "T": (-0.037, 0.055)}, z_a=0.63
     )
-    angles = compute_alignment(layout)
+    points = compute_alignment(layout)
     xa, ya = layout.positions["A"]
-    for rid, (phi, theta) in angles.items():
+    for rid, (px, depth, pz) in points.items():
+        assert depth == layout.z_a
+        phi, theta = math.atan2(px, depth), math.atan2(pz, depth)
         x, y = layout.positions[rid]
         assert layout.z_a * math.tan(phi) + xa == pytest.approx(x, abs=1e-12)
         assert layout.z_a * math.tan(theta) + ya == pytest.approx(y, abs=1e-12)

@@ -104,7 +104,7 @@ def test_streamed_range_stage_equals_the_full_cube_route(request, monkeypatch, s
     assert (streamed.range_bin, streamed.range_m) == (full.range_bin, full.range_m)
     assert streamed.azimuth_peak_rad == full.azimuth_peak_rad
     assert streamed.elevation_peak_rad == full.elevation_peak_rad
-    assert streamed.region_angles == full.region_angles
+    assert streamed.region_points == full.region_points
     for a, b in zip(streamed.traces, full.traces, strict=True):
         assert a.region == b.region
         assert np.array_equal(a.displacement, b.displacement)
@@ -251,7 +251,10 @@ def test_azimuth_of_close_target_without_layout(r, theta_deg, phi_deg):
     assert cfg.layout is None
     result = pipeline.run_pipeline(cube, cfg.pipeline)
     assert abs(np.degrees(result.azimuth_peak_rad) - phi_deg) <= 0.75
-    assert result.region_angles == {"A": (result.azimuth_peak_rad, result.elevation_peak_rad)}
+    u, v = np.sin(result.azimuth_peak_rad), np.sin(result.elevation_peak_rad)
+    want = result.range_m * np.array([u, np.sqrt(1.0 - u * u - v * v), v])
+    assert list(result.region_points) == ["A"]
+    assert result.region_points["A"] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("r,theta_deg,phi_deg", [

@@ -4,12 +4,14 @@ import copy
 import json
 import re
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from multivital import ConfigError
 from multivital.errors import MultivitalError
+from multivital import runconfig
 from multivital.geometry import ArrayGeometry
 from multivital.runconfig import (
     PipelineConfig,
@@ -109,6 +111,23 @@ def test_unreadable_json_file(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_run_config(str(path))
+
+
+@pytest.mark.parametrize("bundled", [False, True], ids=["file", "bundled"])
+def test_duplicate_key_is_rejected(tmp_path, monkeypatch, bundled):
+    # json keeps the last of two equal keys; a run config must not, or an
+    # edit that adds a key without removing the old one changes the run.
+    text = (resources.files("multivital") / "configs" / "sim-single-target.json").read_text()
+    assert text.count('"n_adc": 512,') == 1
+    path = tmp_path / "configs" / "dup.json"
+    path.parent.mkdir()
+    path.write_text(text.replace('"n_adc": 512,', '"n_adc": 512, "n_adc": 256,'))
+    source = str(path)
+    if bundled:
+        monkeypatch.setattr(runconfig, "resources", SimpleNamespace(files=lambda package: tmp_path))
+        source = "dup"
+    with pytest.raises(ConfigError, match=re.escape(f"{source}: duplicate key 'n_adc'")):
+        load_run_config(source)
 
 
 def test_unknown_key_reports_full_path():

@@ -160,6 +160,15 @@ def test_load_scg_csv_missing_axis(tmp_path):
         load_scg_csv(str(path))
 
 
+def test_load_scg_csv_duplicate_column_is_rejected(tmp_path):
+    # Region A used to be built from the second of two A_ax columns.
+    path = tmp_path / "bad.csv"
+    path.write_text("time_s,A_ax,A_ax,A_ay,A_az,ecg\n0,1,2,0,0,0\n0.01,1,2,0,0,0\n")
+    want = f"{path}: column 'A_ax' appears more than once"
+    with pytest.raises(ProcessingError, match=re.escape(want)):
+        load_scg_csv(str(path))
+
+
 def test_load_scg_csv_non_numeric(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time_s,A_ax,A_ay,A_az,ecg\n0,x,0,0,0\n")
