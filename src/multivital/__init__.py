@@ -41,8 +41,6 @@ from .io import (
     write_report,
 )
 from .metrics import (
-    ComparisonReport,
-    RegionComparison,
     SensorLayout,
     compare_traces,
     compute_alignment,
@@ -106,8 +104,6 @@ __all__ = [
     "read_trace_table",
     "save_cube",
     "write_report",
-    "ComparisonReport",
-    "RegionComparison",
     "SensorLayout",
     "compare_traces",
     "compute_alignment",

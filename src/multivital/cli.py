@@ -129,34 +129,32 @@ def _cmd_scg(args) -> int:
     return 0
 
 
-def _paired_tables(radar_tbl: dict, ref_tbl: dict) -> tuple[dict, dict]:
+def _paired_tables(radar_tbl: dict, ref_tbl: dict) -> dict:
     """Match radar regions to reference keys, including per-axis SCG keys.
 
     A radar region "A" pairs with a reference "A" or with "A.x"/"A.y"/"A.z";
     per-axis pairs keep the axis suffix in the output key. No pair at all
     is left for compare_traces to refuse.
     """
-    radar_m: dict[str, tuple[np.ndarray, float]] = {}
-    ref_m: dict[str, tuple[np.ndarray, float]] = {}
+    pairs = {}
     for rid, entry in radar_tbl.items():
         rate = trace_rate_hz(entry["time_s"])
         for key in ref_tbl:
             if key != rid and not key.startswith(rid + "."):
                 continue
             ref_entry = ref_tbl[key]
-            radar_m[key] = (entry["displacement_mm"], rate)
-            ref_m[key] = (ref_entry["displacement_mm"], trace_rate_hz(ref_entry["time_s"]))
-    return radar_m, ref_m
+            pairs[key] = ((entry["displacement_mm"], rate),
+                          (ref_entry["displacement_mm"], trace_rate_hz(ref_entry["time_s"])))
+    return pairs
 
 
 def _cmd_compare(args) -> int:
     radar_tbl = read_trace_table(args.radar)
     ref_tbl = read_trace_table(args.ref)
-    radar_m, ref_m = _paired_tables(radar_tbl, ref_tbl)
-    report = compare_traces(radar_m, ref_m)
-    write_report({"regions": report.to_dict()}, args.out)
-    worst = min(rc.rho for rc in report.regions.values())
-    print(f"compared {len(report.regions)} region(s), lowest rho {worst:.3f}; "
+    report = compare_traces(_paired_tables(radar_tbl, ref_tbl))
+    write_report({"regions": report}, args.out)
+    worst = min(entry["rho"] for entry in report.values())
+    print(f"compared {len(report)} region(s), lowest rho {worst:.3f}; "
           f"wrote {args.out}")
     return 0
 
@@ -213,11 +211,12 @@ def _cmd_e2e(args) -> int:
         export_traces(truth, paths["truth"])
         doc["files"]["truth"] = paths["truth"]
         frame_rate = cfg.chirp.frame_rate
-        radar_m = {t.region: (t.displacement, frame_rate) for t in result.traces}
-        ref_m = {t.region: (t.displacement, frame_rate) for t in truth}
-        report = compare_traces(radar_m, ref_m)
-        for rid, rc in report.to_dict().items():
-            doc["regions"][rid].update(rc)
+        report = compare_traces({
+            tr.region: ((tr.displacement, frame_rate), (ref.displacement, frame_rate))
+            for tr, ref in zip(result.traces, truth)
+        })
+        for rid, entry in report.items():
+            doc["regions"][rid].update(entry)
 
     write_report(doc, paths["report"])
     first = doc["regions"][region_ids[0]]

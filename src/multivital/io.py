@@ -196,8 +196,15 @@ def export_scg_traces(traces: list[ScgTrace], ecg: np.ndarray, path: str) -> Non
     recording, so its row i carries ecg[i]. The time cells are formatted
     once per (fs, length), as the traces of one recording share them. Each
     trace's rows are encoded as one chunk and written before the next is
-    made, so no more than one trace is held as text.
+    made, so no more than one trace is held as text. A trace whose length
+    is not the ecg's is a ProcessingError, raised before anything is written.
     """
+    for tr in traces:
+        if len(tr.displacement) != len(ecg):
+            raise ProcessingError(
+                f"SCG trace {tr.region}.{tr.axis} has {len(tr.displacement)} samples "
+                f"but the ecg has {len(ecg)}"
+            )
     ecg_cells = [repr(v) for v in ecg.tolist()]
     time_cells: dict[tuple[float, int], list[str]] = {}
 

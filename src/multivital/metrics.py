@@ -31,32 +31,6 @@ class SensorLayout:
         return self
 
 
-@dataclass(frozen=True)
-class RegionComparison:
-    """Metrics for one radar/reference trace pair."""
-
-    rho: float  # max normalized cross-correlation, [0, 1]
-    lag: int  # samples; > 0 when the radar trace is delayed vs the reference
-    delta_f_max: float  # Hz
-    rate_hz: float  # common rate the comparison ran at
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    regions: Mapping[str, RegionComparison]
-
-    def to_dict(self) -> dict:
-        return {
-            rid: {
-                "rho": rc.rho,
-                "lag_samples": rc.lag,
-                "delta_f_max_hz": rc.delta_f_max,
-                "rate_hz": rc.rate_hz,
-            }
-            for rid, rc in self.regions.items()
-        }
-
-
 def compute_alignment(layout: SensorLayout) -> dict[str, tuple[float, float, float]]:
     """Scene point of every sensor, m: x lateral, y boresight depth, z up.
 
@@ -140,26 +114,36 @@ def align_rates(
 
 
 def compare_traces(
-    radar: Mapping[str, tuple[np.ndarray, float]],
-    reference: Mapping[str, tuple[np.ndarray, float]],
-) -> ComparisonReport:
-    """Build a ComparisonReport for every region present in both inputs.
+    pairs: Mapping[str, tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]],
+) -> dict[str, dict[str, float]]:
+    """Score every radar/reference trace pair, as the report's JSON entries.
 
     Parameters
     ----------
-    radar, reference : mapping region -> (displacement trace, rate_hz)
+    pairs : mapping key -> ((radar trace, rate_hz), (reference trace, rate_hz))
+
+    Returns
+    -------
+    dict key -> {"rho", "lag_samples", "delta_f_max_hz", "rate_hz"}
+        rho in [0, 1]; lag_samples > 0 when the radar trace is delayed vs
+        the reference; rate_hz is the common rate the pair was scored at.
+
+    Raises
+    ------
+    ProcessingError
+        If pairs is empty, or a pair cannot be scored; the message then
+        starts with the pair's key.
     """
-    regions: dict[str, RegionComparison] = {}
-    for rid, (trace, rate) in radar.items():
-        if rid not in reference:
-            continue
-        ref_trace, ref_rate = reference[rid]
-        a, b, common = align_rates(trace, rate, ref_trace, ref_rate)
-        rho, lag = normalized_xcorr_max(a, b)
-        delta_f = max_freq_difference(a, common, b, common)
-        regions[rid] = RegionComparison(
-            rho=rho, lag=lag, delta_f_max=delta_f, rate_hz=common
-        )
-    if not regions:
+    if not pairs:
         raise ProcessingError("no overlapping regions between radar and reference traces")
-    return ComparisonReport(regions=regions)
+    report: dict[str, dict[str, float]] = {}
+    for key, ((trace, rate), (ref_trace, ref_rate)) in pairs.items():
+        try:
+            a, b, common = align_rates(trace, rate, ref_trace, ref_rate)
+            rho, lag = normalized_xcorr_max(a, b)
+            delta_f = max_freq_difference(a, common, b, common)
+        except ProcessingError as exc:
+            raise ProcessingError(f"{key}: {exc}") from exc
+        report[key] = {"rho": rho, "lag_samples": lag,
+                       "delta_f_max_hz": delta_f, "rate_hz": common}
+    return report

@@ -23,7 +23,6 @@ class RangeCube:
     """Range-transformed cube indexed (frame, tx, rx, range bin)."""
 
     bins: np.ndarray  # complex64
-    n_fft_range: int
     bin_width_m: float
 
 
@@ -67,11 +66,7 @@ def range_fft(cube: RawDataCube, n_fft_range: int) -> RangeCube:
 
     wf = derive_waveform(cube.chirp)
     bins = scipy.fft.fft(cube.samples, n=n_fft_range, axis=-1, workers=thread_count())
-    return RangeCube(
-        bins=bins,
-        n_fft_range=n_fft_range,
-        bin_width_m=wf.range_resolution * n_adc / n_fft_range,
-    )
+    return RangeCube(bins=bins, bin_width_m=wf.range_resolution * n_adc / n_fft_range)
 
 
 def locate_subject(rc: RangeCube | Iterable[RangeCube]) -> SubjectLocation:

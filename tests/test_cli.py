@@ -833,6 +833,30 @@ def test_compare_without_overlap_fails(workdir, tmp_path, capsys):
     assert "overlap" in err["message"]
 
 
+def test_compare_error_names_its_pair(tmp_path, capsys):
+    """A pair that cannot be scored fails compare as one JSON error whose
+    message starts with the pair's key."""
+    radar = tmp_path / "radar.csv"
+    ref = tmp_path / "ref.csv"
+    report = tmp_path / "report.json"
+    header = "time_s,region,phase_rad,displacement_mm\n"
+    wave = [math.sin(2 * math.pi * i / 20.0) for i in range(100)]
+    radar.write_text(header + "".join(
+        f"{i / 20.0!r},{rid},0.0,{d!r}\n" for rid, scale in (("A", 1.0), ("P", 0.0))
+        for i, d in enumerate(w * scale for w in wave)))
+    ref.write_text(header + "".join(
+        f"{i / 20.0!r},{rid},0.0,{d!r}\n" for rid in "AP" for i, d in enumerate(wave)))
+    capsys.readouterr()
+    assert main(["compare", "--radar", str(radar), "--ref", str(ref),
+                 "--out", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one object, nothing else
+    assert err["error"] == "processing"
+    assert err["message"].startswith("P: constant input")
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("radar_step,ref_step", [(1 / 20.0, 1e-6), (1e-320, 1 / 20.0)],
                          ids=["20Hz-against-1MHz", "subnormal-steps"])
 def test_compare_rate_extremes_report_processing_error(tmp_path, capsys, radar_step, ref_step):

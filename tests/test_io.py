@@ -499,6 +499,18 @@ def test_trace_writers_hold_one_trace_at_a_time(tmp_path, writer):
     assert peak < path.stat().st_size
 
 
+@pytest.mark.parametrize("ecg_size", [99, 101], ids=["shorter", "longer"])
+def test_export_scg_traces_rejects_ecg_of_other_length(tmp_path, ecg_size):
+    """An ecg whose length is not the traces' is a ProcessingError naming
+    the trace and both lengths, and leaves no file behind."""
+    traces = [ScgTrace(region="A", axis=ax, fs=200.0, displacement=np.zeros(100),
+                       transient_samples=10) for ax in "xyz"]
+    with pytest.raises(ProcessingError,
+                       match=rf"SCG trace A\.x has 100 samples but the ecg has {ecg_size}"):
+        export_scg_traces(traces, np.zeros(ecg_size), str(tmp_path / "out.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_read_trace_table_holds_one_chunk_of_cells_at_a_time(tmp_path):
     """Reading 4 chunks of an SCG-schema trace CSV peaks below 1.3x reading
     1 chunk of the same width: the rows of a chunk are freed before the

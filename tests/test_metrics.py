@@ -174,18 +174,27 @@ def test_align_rates_downsamples_faster():
 def test_compare_traces_report():
     t = np.arange(1200) / 20.0
     x = np.sin(2 * np.pi * 1.0 * t)
-    radar = {"A": (x, 20.0), "P": (np.sin(2 * np.pi * 1.2 * t), 20.0)}
-    reference = {"A": (x.copy(), 20.0), "M": (x, 20.0)}
-    report = compare_traces(radar, reference)
-    assert set(report.regions) == {"A"}
-    entry = report.to_dict()["A"]
+    report = compare_traces({"A": ((x, 20.0), (x.copy(), 20.0))})
+    assert set(report) == {"A"}
+    entry = report["A"]
     assert entry["rho"] == 1.0
     assert entry["delta_f_max_hz"] == 0.0
     assert entry["rate_hz"] == 20.0
 
 
 def test_compare_traces_no_overlap():
-    t = np.arange(100) / 20.0
-    x = np.sin(2 * np.pi * 1.0 * t)
     with pytest.raises(ProcessingError, match="overlap"):
-        compare_traces({"A": (x, 20.0)}, {"P": (x, 20.0)})
+        compare_traces({})
+
+
+@pytest.mark.parametrize("trace,match", [
+    (np.zeros(100), "constant input has no normalized cross-correlation"),
+    (np.array([0.0, 1.0]), r"band \(0.5, 3.0\) Hz holds no FFT bin"),
+], ids=["constant", "two-samples"])
+def test_compare_traces_error_names_its_pair(trace, match):
+    """A pair that cannot be scored fails with its key before the message,
+    so a report over many SCG axes says which one."""
+    x = np.sin(2 * np.pi * 1.0 * np.arange(100) / 20.0)
+    ref = x[:trace.size] + 1.0
+    with pytest.raises(ProcessingError, match=f"^P: {match}"):
+        compare_traces({"A": ((x, 20.0), (x, 20.0)), "P": ((trace, 20.0), (ref, 20.0))})

@@ -66,7 +66,7 @@ def test_range_fft_rejects_bad_sizes(cube5m):
 
 def test_locate_empty_cube():
     rc = RangeCube(bins=np.zeros((0, 0, 0, 0), dtype=np.complex64),
-                   n_fft_range=512, bin_width_m=0.03)
+                   bin_width_m=0.03)
     with pytest.raises(ProcessingError, match="empty"):
         locate_subject(rc)
     with pytest.raises(ProcessingError, match="empty"):
@@ -110,7 +110,7 @@ def _random_range_cube(shape, seed):
     bins = rng.standard_normal(2 * math.prod(shape), dtype=np.float32).view(np.complex64)
     bins = bins.reshape(shape)
     bins *= rng.uniform(0.5, 1.5, shape[-1]).astype(np.float32)
-    return RangeCube(bins=bins, n_fft_range=shape[-1], bin_width_m=0.03)
+    return RangeCube(bins=bins, bin_width_m=0.03)
 
 
 def test_locate_subject_peak_memory_is_one_chunk():
