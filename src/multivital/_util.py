@@ -47,7 +47,10 @@ def atomic_write_bytes(path: str, chunks: Iterable) -> None:
     chunks raises, nothing is renamed and the temp file is removed.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except FileNotFoundError as exc:  # it names the temp file, not path
+        raise FileNotFoundError(exc.errno, "no such directory", path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 for data/processing errors (a JSON object with
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -108,8 +109,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _require_directories(*paths: str | None) -> None:
+    """Raise FileNotFoundError naming the first output path whose directory
+    does not exist, so a run fails before its work rather than at its
+    first write."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(errno.ENOENT, "no such directory", path)
+
+
 def _cmd_process(args) -> int:
     cfg = load_run_config(args.config)
+    _require_directories(args.out, args.angle_map)
     cube = load_cube(args.cube, geometry=cfg.geometry)
     result = run_pipeline(cube, cfg.pipeline, layout=cfg.layout)
     export_traces(result.traces, args.out)

@@ -43,19 +43,15 @@ def estimate_angles(bf: Beamformer, y: np.ndarray) -> tuple[float, float]:
     """Azimuth/elevation of the strongest return in subject-bin data y.
 
     Azimuth from the frame-averaged power of the ULA spectrum; elevation
-    from frame 0 focused along the grid azimuths, then swept in 0.25
-    degree steps at the strongest.
+    from frame 0 focused along that azimuth, swept in 0.25 degree steps.
     """
     n_fft = bf.n_fft
     u = 2.0 * (np.arange(n_fft) - n_fft // 2) / n_fft  # the grid's direction cosines
     power = np.mean(np.abs(bf.ula_spectrum(y)) ** 2, axis=1)
-    azimuth = float(np.arcsin(u[int(np.argmax(power))]))
-
-    u_peak = u[int(np.argmax(bf.directional_power(y, u, 0.0)))]
+    u_peak = u[int(np.argmax(power))]
     grid = np.deg2rad(np.arange(-45.0, 45.25, 0.25))
     pattern = bf.directional_power(y, u_peak, np.sin(grid))
-    elevation = float(grid[int(np.argmax(pattern))])
-    return azimuth, elevation
+    return float(np.arcsin(u_peak)), float(grid[int(np.argmax(pattern))])
 
 
 def _frames(cube: RawDataCube, start: int, stop: int) -> RawDataCube:

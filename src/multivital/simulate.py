@@ -5,12 +5,15 @@ frame. Every channel's response is traced along its exact Tx -> point -> Rx
 path, so wavefront curvature is in the data at every range, and the
 far-field (plane-wave) behaviour is its limit far from the aperture.
 
-Each path's phase is linear in the fast-time sample index, so its n_adc
-tones are the outer product of about sqrt(n_adc) coarse and sqrt(n_adc)
-fine phasors. A frame is one batched matrix product of those factors over
-the points. Noise, when the scene has an SNR, is complex Gaussian from
-polar Box-Muller on float32 uniforms of a Philox stream keyed (seed,
-frame), added straight into the complex64 frame.
+Each path's phase is linear in the fast-time sample index, so its n_adc =
+q s tones are the outer product of q coarse and s fine phasors (s the
+largest divisor of n_adc at most sqrt(n_adc)), each a running product of
+one step phasor. A frame is one batched complex64 matrix product of those
+factors over the points, written straight into its slot of the cube.
+Noise, when the scene has an SNR, is complex Gaussian from polar
+Box-Muller on float32 uniforms of an SFC64 stream keyed by
+SeedSequence((seed, frame)), added in two contiguous halves of the
+frame's float32 components.
 
 Every validate raises ConfigError for a non-finite number, so a library
 caller gets the same loud failure as a run config rather than a NaN cube.
@@ -65,8 +68,9 @@ class SinusoidMotion:
             raise ConfigError("motion frequency must be > 0")
         return self
 
-    def displacement(self, t: float) -> float:
-        return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t + self.phase)
+    def displacement(self, t) -> np.ndarray:
+        """Displacement in m at time t (s), or at each of an array of times."""
+        return self.amplitude * np.sin(2.0 * np.pi * self.frequency * np.asarray(t) + self.phase)
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,11 @@ class SampledMotion:
             raise ConfigError("sampled motion needs at least one displacement value")
         return self
 
-    def displacement(self, t: float) -> float:
-        idx = int(round(t * self.rate_hz))
-        idx = min(max(idx, 0), len(self.displacement_m) - 1)
-        return self.displacement_m[idx]
+    def displacement(self, t) -> np.ndarray:
+        """Displacement in m at time t (s), or at each of an array of times:
+        the nearest sample, ties to even as round() breaks them."""
+        idx = np.clip(np.rint(np.asarray(t) * self.rate_hz), 0, len(self.displacement_m) - 1)
+        return np.asarray(self.displacement_m)[idx.astype(np.intp)]
 
 
 Motion = SinusoidMotion | SampledMotion
@@ -117,20 +122,19 @@ class ScatterPoint:
             self.motion.validate()
         return self
 
-    def position_at(self, t: float) -> np.ndarray:
+    def position_at(self, t) -> np.ndarray:
+        """Position in m at time t (s), or at each of an array of times:
+        shape np.shape(t) + (3,)."""
         p = np.asarray(self.position0, dtype=np.float64)
         if self.motion is None:
-            return p
-        return p + self.motion.displacement(t) * np.asarray(
-            self.motion.direction, dtype=np.float64
-        )
+            return np.broadcast_to(p, np.shape(t) + (3,))
+        d = self.motion.displacement(t)[..., None]
+        return p + d * np.asarray(self.motion.direction, dtype=np.float64)
 
     def radial_displacement(self, times: np.ndarray) -> np.ndarray:
         """Ground-truth |P(t)| - |P(0)| in meters, for comparisons."""
-        r0 = float(np.linalg.norm(self.position_at(0.0)))
-        return np.array(
-            [float(np.linalg.norm(self.position_at(float(t)))) - r0 for t in times]
-        )
+        r0 = np.linalg.norm(self.position_at(0.0))
+        return np.linalg.norm(self.position_at(times), axis=-1) - r0
 
 
 def _check_seed(seed, owner: str) -> None:
@@ -189,21 +193,29 @@ class RawDataCube:
 class _Plan:
     """What synthesize_frame needs that does not change from frame to frame.
 
-    omega holds the fast-time angular frequencies per second of delay as
-    b = ceil(sqrt(n_adc)) coarse steps (row 0) and b fine steps (row 1):
-    sample i = q b + s sits at omega[0, q] + omega[1, s]. The arrays are
+    The n_adc fast-time samples split exactly as n_adc = q s, with s the
+    largest divisor of n_adc at most sqrt(n_adc): sample i = k s + j sits
+    at angular frequency omega[0] + k omega[1] + j omega[2] per second of
+    delay. positions[m] holds every point at frame m. The arrays are
     read-only because simulate shares one plan across its threads.
-    work_size counts the complex128 cells of synthesize_frame's scratch:
-    the (n_tx, n_rx, b, b) product, the coarse and fine factors of
-    n_points * n_tx * n_rx * b cells each, and one frame of float32 cells
-    for the noise.
+    work_size counts the complex64 cells of synthesize_frame's scratch:
+    the coarse and fine factors of n_tx * n_rx * n_points * q and
+    n_tx * n_rx * n_points * s cells, and one frame of float32 cells for
+    the noise.
     """
 
-    omega: np.ndarray  # (2, b) rad/s
-    reflectivity: np.ndarray  # (n_points,)
-    tx_xyz: np.ndarray  # (n_tx, 3) m
-    rx_xyz: np.ndarray  # (n_rx, 3) m
+    omega: np.ndarray  # (3,) rad/s: first sample, coarse step, fine step
+    split: tuple[int, int]  # (q, s)
+    positions: np.ndarray  # (n_frames, n_points, 3) m
+    xyz: np.ndarray  # (n_tx + n_rx, 3) m: the Tx elements, then the Rx ones
+    gain: np.ndarray  # (n_tx + n_rx, n_points): each reflectivity on Tx rows, 1 on Rx rows
     work_size: int
+
+
+def _split(n: int) -> tuple[int, int]:
+    """(q, s) with n = q s and s the largest divisor of n at most sqrt(n)."""
+    s = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
+    return n // s, s
 
 
 @functools.lru_cache(maxsize=8)
@@ -221,40 +233,65 @@ def _plan(scene: Scene, cfg: ChirpConfig, geom: ArrayGeometry) -> _Plan:
     # contributes no slow-time phase at a fixed range bin; the per-frame
     # phase is then exactly 4 pi R(m) / lambda. The phase per second of
     # delay, 2 pi (k_chirp ts[i] + fc), is linear in i.
-    b = math.isqrt(cfg.n_adc - 1) + 1
+    q, s = _split(cfg.n_adc)
     step = 2.0 * np.pi * cfg.k_chirp / cfg.fs  # rad/s per sample
     first = 2.0 * np.pi * (cfg.fc - cfg.k_chirp * (cfg.n_adc - 1) / 2.0 / cfg.fs)
-    omega = np.stack([first + step * b * np.arange(b), step * np.arange(b)])
-    tx_xyz, rx_xyz = element_positions_m(geom, wl)
-    reflectivity = np.array([p.reflectivity for p in scene.points])
-    for arr in (omega, reflectivity, tx_xyz, rx_xyz):
+    omega = np.array([first, step * s, step])
+    times = np.arange(cfg.n_frames) * cfg.t_frame
+    positions = np.stack([p.position_at(times) for p in scene.points], axis=1)
+    xyz = np.concatenate(element_positions_m(geom, wl))
+    gain = np.ones((len(xyz), len(scene.points)))
+    gain[:geom.n_tx] = [p.reflectivity for p in scene.points]
+    for arr in (omega, positions, xyz, gain):
         arr.setflags(write=False)
-    cells = geom.n_tx * geom.n_rx * b
-    noise_cells = (geom.n_tx * geom.n_rx * cfg.n_adc + 3) // 4  # four float32 per complex128
+    factor_cells = geom.n_tx * geom.n_rx * len(scene.points) * (q + s)
+    noise_cells = (geom.n_tx * geom.n_rx * cfg.n_adc + 1) // 2  # two float32 per complex64
     return _Plan(
         omega=omega,
-        reflectivity=reflectivity,
-        tx_xyz=tx_xyz,
-        rx_xyz=rx_xyz,
-        work_size=cells * (b + 2 * len(reflectivity)) + noise_cells,
+        split=(q, s),
+        positions=positions,
+        xyz=xyz,
+        gain=gain,
+        work_size=factor_cells + noise_cells,
     )
 
 
-def _phasors(delay: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Coarse and fine fast-time phasors exp(j omega delay), shape delay.shape + (2, b)."""
-    return np.exp(1j * (delay[..., None, None] * omega))
+def _phasors(delay: np.ndarray, gain: np.ndarray, omega: np.ndarray, q: int, s: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse gain exp(j (omega[0] + k omega[1]) delay), k < q, and fine
+    exp(j k omega[2] delay), k < s, of every path's delay (n_paths,
+    n_points), as complex64 of shape (n_paths, q, n_points) and (n_paths,
+    n_points, s).
+
+    Each is a running product of one step phasor in complex128, so a path
+    costs three exponentials and the products' rounding error grows by
+    about one ulp a step before the single rounding to complex64.
+    """
+    e = np.exp(1j * (delay[..., None] * omega))  # (n_paths, n_points, 3)
+    coarse = np.empty((len(delay), q, delay.shape[1]), dtype=np.complex128)
+    np.multiply(gain, e[..., 0], out=coarse[:, 0])
+    coarse[:, 1:] = e[:, None, :, 1]
+    fine = np.empty(delay.shape + (s,), dtype=np.complex128)
+    fine[..., 0] = 1.0
+    fine[..., 1:] = e[..., 2:]
+    np.cumprod(coarse, axis=1, out=coarse)
+    np.cumprod(fine, axis=-1, out=fine)
+    return coarse.astype(np.complex64), fine.astype(np.complex64)
 
 
 def _add_noise(frame: np.ndarray, power: float, seed: int, m: int, buf: np.ndarray) -> None:
     """Add circularly-symmetric complex Gaussian noise of the given power
-    into a complex64 frame, in place, through buf, a float32 array of
-    frame.size cells.
+    into a C-contiguous complex64 frame, in place, through buf, a float32
+    array of frame.size cells.
 
-    Polar Box-Muller on float32 uniforms u, v from the frame's own Philox
-    stream keyed (seed, m): radius sqrt(-power ln(1 - u)), angle 2 pi v.
-    Since u < 1 on a 2^-24 grid, |n|^2 is capped at 24 ln2 power, that is
-    |n| at 5.8 sigma of one component; a sample reaches the cap with
-    probability 2^-24.
+    Polar Box-Muller on float32 uniforms u, v from the frame's own SFC64
+    stream, keyed by SeedSequence((seed, m)): radius sqrt(-power ln(1 - u)),
+    angle 2 pi v. Since u < 1 on a 2^-24 grid, |n|^2 is capped at 24 ln2
+    power, that is |n| at 5.8 sigma of one component; a sample reaches the
+    cap with probability 2^-24. With n = frame.size, the n cosine terms go
+    to the first half of the frame's 2 n float32 components and the n sine
+    terms to the second half: each component gets an independent
+    N(0, power / 2), and both adds are contiguous.
 
     The uniforms are those of Generator.random((2, n), dtype=float32) bit
     for bit, made in bulk from the raw stream instead of value by value:
@@ -268,8 +305,7 @@ def _add_noise(frame: np.ndarray, power: float, seed: int, m: int, buf: np.ndarr
     allocation.
     """
     n = frame.size
-    key = np.array([seed, m], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(n)
+    raw = np.random.SFC64(np.random.SeedSequence((seed, m))).random_raw(n)
     words = raw.astype("<u8", copy=False).view("<u4")  # low half first on any host
     words &= np.uint32(0xFFFFFF00)
     u = np.multiply(words[:n], np.float32(2.0**-32), out=buf, dtype=np.float32)
@@ -280,12 +316,13 @@ def _add_noise(frame: np.ndarray, power: float, seed: int, m: int, buf: np.ndarr
     uniform = words.view("<f4")
     angle = np.multiply(words[n:], np.float32(2.0 * np.pi) * np.float32(2.0**-32),
                         out=uniform[:n], dtype=np.float32)
+    parts = frame.reshape(-1).view(np.float32)
     cos = np.cos(angle, out=uniform[n:])
     cos *= radius
-    frame.real += cos.reshape(frame.shape)
+    parts[:n] += cos
     sin = np.sin(angle, out=angle)
     sin *= radius
-    frame.imag += sin.reshape(frame.shape)
+    parts[n:] += sin
 
 
 def synthesize_frame(
@@ -298,14 +335,16 @@ def synthesize_frame(
 ) -> np.ndarray:
     """Synthesize one frame of IF samples for every channel.
 
-    A path's tone over the n_adc fast-time samples is the outer product of
-    b = ceil(sqrt(n_adc)) coarse and b fine phasors, truncated to n_adc, so
-    each path costs 2 b complex exponentials. The reflectivity rides on
-    the Tx side, and one batched matrix product over the points sums every
-    channel's tones with fast time innermost. Validation and the
-    frame-independent constants are computed once per (scene, cfg, geom)
-    and reused across frames. Given its scratch, a frame allocates only
-    small per-point arrays and its noise's raw Philox words.
+    A path's tone over the n_adc = q s fast-time samples is the outer
+    product of q coarse and s fine phasors, each a running product of one
+    step phasor, so a path costs three complex exponentials. The
+    reflectivity rides on the Tx side, and one batched complex64 matrix
+    product over the points sums every channel's tones with fast time
+    innermost, straight into out. Validation and the frame-independent
+    constants, the points' positions at every frame among them, are
+    computed once per (scene, cfg, geom) and reused across frames. Given
+    its scratch, a frame allocates only small per-path arrays and its
+    noise's raw SFC64 words.
 
     Parameters
     ----------
@@ -315,11 +354,12 @@ def synthesize_frame(
     m : int
         Frame index, < cfg.n_frames.
     out : ndarray, optional
-        complex64 array of shape (n_tx, n_rx, n_adc) to write the frame
-        into, such as one frame slot of a cube; a new one when omitted.
+        C-contiguous complex64 array of shape (n_tx, n_rx, n_adc) to write
+        the frame into, such as one frame slot of a cube; a new one when
+        omitted.
     work : ndarray, optional
-        complex128 scratch of _plan(scene, cfg, geom).work_size cells that
-        holds the coarse and fine factors, their product and the noise's
+        C-contiguous complex64 scratch of _plan(scene, cfg, geom).work_size
+        cells that holds the coarse and fine factors and the noise's
         float32 terms, so a caller making many frames reuses one buffer; a
         new one when omitted.
 
@@ -331,45 +371,41 @@ def synthesize_frame(
     plan = _plan(scene, cfg, geom)
     if not 0 <= m < cfg.n_frames:
         raise ConfigError(f"frame index {m} outside 0..{cfg.n_frames - 1}")
-    pos = np.array([p.position_at(m * cfg.t_frame) for p in scene.points])  # (P, 3) m
-    refl = plan.reflectivity
+    n_tx, n_rx, n_pts = geom.n_tx, geom.n_rx, len(scene.points)
+    shape = (n_tx, n_rx, cfg.n_adc)
+    if out is None:
+        out = np.empty(shape, dtype=np.complex64)
+    elif out.shape != shape or out.dtype != np.complex64 or not out.flags.c_contiguous:
+        raise ConfigError(f"out must be a C-contiguous complex64 array of shape {shape}")
+    if work is None:
+        work = np.empty(plan.work_size, dtype=np.complex64)
+    elif (work.shape != (plan.work_size,) or work.dtype != np.complex64
+          or not work.flags.c_contiguous):
+        raise ConfigError(f"work must be a C-contiguous complex64 array of {plan.work_size} cells")
+    (q, s), pos = plan.split, plan.positions[m]  # (P, 3) m
     # The two-way path splits into (Tx -> P) + (P -> Rx), so the
     # per-channel tone factorizes into a Tx-dependent and an Rx-dependent
-    # term.
-    d_tx = np.linalg.norm(pos[:, None, :] - plan.tx_xyz, axis=-1)  # (P, T) m
-    d_rx = np.linalg.norm(pos[:, None, :] - plan.rx_xyz, axis=-1)  # (P, R) m
-    ph_tx = _phasors(d_tx / SPEED_OF_LIGHT, plan.omega)  # (P, T, 2, b)
-    ph_rx = _phasors(d_rx / SPEED_OF_LIGHT, plan.omega)  # (P, R, 2, b)
-    n_tx, n_rx, n_pts, b = geom.n_tx, geom.n_rx, len(refl), plan.omega.shape[1]
-    if work is None:
-        work = np.empty(plan.work_size, dtype=np.complex128)
-    n_prod, n_fac = n_tx * n_rx * b * b, n_tx * n_rx * b * n_pts
-    product, coarse = work[:n_prod], work[n_prod:n_prod + n_fac]
-    fine, noise = work[n_prod + n_fac:n_prod + 2 * n_fac], work[n_prod + 2 * n_fac:]
-    # coarse[t, r, q, p] = refl[p] ph_tx[p, t, 0, q] ph_rx[p, r, 0, q] and
-    # fine[t, r, p, s] = ph_tx[p, t, 1, s] ph_rx[p, r, 1, s], by broadcasting
-    # into points-major scratch: the layout numpy gives these products when
-    # it allocates them, so the product below sums in the same order.
-    ctx = (refl[:, None, None] * ph_tx[:, :, 0]).transpose(1, 2, 0)  # (T, b, P)
-    coarse = np.multiply(ctx[:, None], ph_rx[:, :, 0].transpose(1, 2, 0),
-                         out=coarse.reshape(n_pts, n_tx, n_rx, b).transpose(1, 2, 3, 0))
-    ftx = ph_tx[:, :, 1].transpose(1, 0, 2)  # (T, P, b)
-    fine = np.multiply(ftx[:, None], ph_rx[:, :, 1].transpose(1, 0, 2),
-                       out=fine.reshape(n_pts, n_tx, n_rx, b).transpose(1, 2, 0, 3))
-    # One product sums the points: sample q b + s of channel (t, r) is
-    # sum_p coarse[t, r, q, p] fine[(t, r,) p, s]; keep the first n_adc.
-    product = np.matmul(coarse, fine, out=product.reshape(n_tx, n_rx, b, b))
-    frame = product.reshape(n_tx, n_rx, -1)[..., :cfg.n_adc]
-    if out is None:
-        out = np.empty(frame.shape, dtype=np.complex64)
-    np.copyto(out, frame, casting="same_kind")
+    # term; the reflectivity rides on the Tx side.
+    dist = np.linalg.norm(plan.xyz[:, None, :] - pos, axis=-1)  # (T + R, P) m
+    coarse_ph, fine_ph = _phasors(dist / SPEED_OF_LIGHT, plan.gain, plan.omega, q, s)
+    n_coarse, n_fine = n_tx * n_rx * q * n_pts, n_tx * n_rx * n_pts * s
+    # coarse[t, r, k, p] = ph_tx[t, k, p] ph_rx[r, k, p] and
+    # fine[t, r, p, j] = ph_tx[t, p, j] ph_rx[r, p, j].
+    coarse = np.multiply(coarse_ph[:n_tx, None], coarse_ph[n_tx:],
+                         out=work[:n_coarse].reshape(n_tx, n_rx, q, n_pts))
+    fine = np.multiply(fine_ph[:n_tx, None], fine_ph[n_tx:],
+                       out=work[n_coarse:n_coarse + n_fine].reshape(n_tx, n_rx, n_pts, s))
+    # One product sums the points: sample k s + j of channel (t, r) is
+    # sum_p coarse[t, r, k, p] fine[t, r, p, j].
+    np.matmul(coarse, fine, out=out.reshape(n_tx, n_rx, q, s))
     if scene.snr_db is not None:
         # einsum, not vdot: a BLAS dot product wakes BLAS worker threads,
         # which then spin beside simulate's own workers.
-        parts = frame.view(np.float64)
-        signal_power = np.einsum("tri,tri->", parts, parts) / frame.size
+        parts = out.reshape(-1).view(np.float32)
+        signal_power = float(np.einsum("i,i->", parts, parts)) / out.size
         noise_power = signal_power * 10.0 ** (-scene.snr_db / 10.0)
-        _add_noise(out, noise_power, scene.seed, m, noise.view(np.float32)[:out.size])
+        noise = work[n_coarse + n_fine:].view(np.float32)[:out.size]
+        _add_noise(out, noise_power, scene.seed, m, noise)
     return out
 
 
@@ -411,7 +447,7 @@ def simulate_chunks(
     workers = min(thread_count(), len(buf))
     # One scratch per worker, reused by its frames, so frames do not
     # allocate and fault in their own.
-    work = [np.empty(plan.work_size, dtype=np.complex128) for _ in range(workers)]
+    work = [np.empty(plan.work_size, dtype=np.complex64) for _ in range(workers)]
 
     with ThreadPoolExecutor(workers) as pool:  # starts no thread until first used
         for start in range(0, cfg.n_frames, len(buf)):

@@ -127,6 +127,39 @@ def test_missing_cube_reports_io_error(workdir, tmp_path, capsys):
     assert "message" in err
 
 
+def test_compare_into_a_missing_directory_names_the_output(workdir, tmp_path, capsys):
+    """The write used to fail naming its temp file,
+    file not found: .../missing/.tmp-k_6cb8s6~."""
+    traces = tmp_path / "traces.csv"
+    assert main(["process", "--cube", str(workdir["cube"]),
+                 "--config", str(workdir["cfg"]), "--out", str(traces)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "missing" / "rep.json"
+    assert main(["compare", "--radar", str(traces), "--ref", str(traces),
+                 "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "io", "message": f"file not found: {out}"}
+
+
+@pytest.mark.parametrize("flag", ["--out", "--angle-map"])
+def test_process_into_a_missing_directory_fails_before_processing(
+        workdir, tmp_path, monkeypatch, capsys, flag):
+    """process used to run the whole pipeline before its first write found
+    the output's directory missing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("process ran the pipeline")
+
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    missing = tmp_path / "missing" / "out.csv"
+    paths = {"--out": tmp_path / "t.csv", "--angle-map": tmp_path / "map.csv"}
+    paths[flag] = missing
+    rc = main(["process", "--cube", str(workdir["cube"]), "--config", str(workdir["cfg"]),
+               *[str(x) for pair in paths.items() for x in pair]])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["message"] == f"file not found: {missing}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_config_name_reports_config_error(tmp_path, capsys):
     rc = main(["simulate", "--config", "no-such", "--out", str(tmp_path / "c.mvdc")])
     assert rc == 1

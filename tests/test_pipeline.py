@@ -240,6 +240,23 @@ def test_elevation_of_target_at_known_elevation(r, theta_deg, phi_deg):
     assert abs(np.degrees(result.elevation_peak_rad) - theta_deg) <= 1.0
 
 
+@pytest.mark.parametrize("seed", [7, 42, 101])
+def test_elevation_is_swept_at_the_reported_azimuth(seed):
+    """On the phantom the ULA's azimuth (grid index 228, -6.28 deg) is not
+    where frame 0 focuses strongest along the grid (index 244). The
+    elevation sweep used to run at the latter, an azimuth the run never
+    reports, and read -7.75 deg against -13.25 deg along the reported one."""
+    cfg = load_run_config("phantom-five-point")
+    scene = dataclasses.replace(cfg.scene, seed=seed)
+    cube = simulate(scene, dataclasses.replace(cfg.chirp, n_frames=120), cfg.geometry)
+    result = pipeline.run_pipeline(cube, cfg.pipeline, layout=cfg.layout)
+    y = pipeline._steered_subject(cube, cfg.pipeline, cfg.layout)[3]
+    grid = np.deg2rad(np.arange(-45.0, 45.25, 0.25))
+    pattern = result.beamformer.directional_power(
+        y, np.sin(result.azimuth_peak_rad), np.sin(grid))
+    assert result.elevation_peak_rad == grid[int(np.argmax(pattern))]
+
+
 @pytest.mark.parametrize("r,theta_deg,phi_deg", [
     _case(0.5, 0), _case(0.5, 0, 30), _case(0.5, 10, 20),
 ])

@@ -62,12 +62,13 @@ def _reference_frame(scene, cfg, geom, m, steering=None):
     return frame
 
 
-@pytest.mark.parametrize("n_adc", [64, 250, 512])
+@pytest.mark.parametrize("n_adc", [16, 64, 250, 251, 512])
 @pytest.mark.parametrize("n_points", [1, 5], ids=lambda n: f"exact-path-{n}")
 def test_frame_matches_point_by_point_reference(table1, cascade, n_points, n_adc):
     # The factored tones and the single point sum change only the rounding:
-    # square (64) and non-square (250, 512) sample counts, one reflectivity
-    # off unity, moving points at a frame past the first.
+    # square (16, 64), non-square (250 = 25 x 10, 512 = 32 x 16) and prime
+    # (251 = 251 x 1) sample counts, one reflectivity off unity, moving
+    # points at a frame past the first.
     cfg = dataclasses.replace(table1, n_adc=n_adc, n_frames=8)
     points = tuple(
         ScatterPoint(
@@ -88,17 +89,19 @@ def test_frame_matches_point_by_point_reference(table1, cascade, n_points, n_adc
 
 def test_noise_is_box_muller_on_float32_uniforms():
     # Bit for bit: radius sqrt(-power ln(1 - u)) and angle 2 pi v from one
-    # (2, n) float32 uniform draw of the (seed, frame) Philox stream.
+    # (2, n) float32 uniform draw of the SFC64 stream keyed (seed, frame);
+    # the n cosine terms fill the first half of the frame's float32
+    # components and the n sine terms the second half.
     shape, power = (12, 16, 64), 0.37
-    rng = np.random.Generator(np.random.Philox(key=np.array([3, 1], dtype=np.uint64)))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([3, 1])))
     u, v = rng.random((2, math.prod(shape)), dtype=np.float32)
     radius = np.sqrt(np.float32(-power) * np.log(np.float32(1.0) - u))
     angle = np.float32(2.0 * np.pi) * v
     frame = np.zeros(shape, dtype=np.complex64)
     _add_noise(frame, power, 3, 1, np.full(frame.size, np.nan, dtype=np.float32))
     assert frame.dtype == np.complex64
-    assert np.array_equal(frame.real, (radius * np.cos(angle)).reshape(shape))
-    assert np.array_equal(frame.imag, (radius * np.sin(angle)).reshape(shape))
+    want = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    assert np.array_equal(frame.reshape(-1).view(np.float32), want)
 
 
 def test_noise_statistics():
@@ -130,7 +133,9 @@ def test_invalid_scene_raises_after_a_valid_plan_is_cached(table2, cascade):
     plan = _plan(good, cfg, cascade)
     assert _plan(good, cfg, cascade) is plan
     with pytest.raises(ValueError):  # shared across simulate's threads
-        plan.omega[0, 0] = 0.0
+        plan.omega[0] = 0.0
+    with pytest.raises(ValueError):
+        plan.positions[0, 0, 0] = 0.0
     bad = Scene(points=(ScatterPoint((0.0, 1.0, 0.0), reflectivity=-1.0),))
     for _ in range(2):
         with pytest.raises(ConfigError):
@@ -220,10 +225,10 @@ def test_synthesize_frame_overwrites_its_out_slot(table2, cascade):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_simulate_reuses_one_product_buffer_per_worker(table2, cascade, monkeypatch, threads):
     """Each worker hands its frames one scratch for the coarse and fine
-    factors, their product and the noise's float32 terms; the frames equal
-    those made alone, whose scratch is freshly allocated, and with its
-    scratch and output slot a noisy frame allocates little beyond its raw
-    Philox words (8 bytes per sample)."""
+    factors and the noise's float32 terms; the frames equal those made
+    alone, whose scratch is freshly allocated, and with its scratch and
+    output slot a noisy frame allocates little beyond its raw SFC64 words
+    (8 bytes per sample)."""
     sim = importlib.import_module("multivital.simulate")  # the package's .simulate is the function
     cfg = dataclasses.replace(table2, n_frames=6)
     scene = _static_scene((0.0, 0.8, 0.0), snr_db=10.0, seed=5)
@@ -255,13 +260,31 @@ def test_simulate_reuses_one_product_buffer_per_worker(table2, cascade, monkeypa
 
 
 def test_synthesize_frame_overwrites_its_work_buffer(table1, cascade):
-    # n_adc 250 leaves 6 of the 16 x 16 product cells unused per channel,
-    # and the noise's terms start out NaN in the scratch too.
+    # The coarse and fine factors of n_adc 250 (25 x 10) and the noise's
+    # terms all start out NaN in the scratch.
     cfg = dataclasses.replace(table1, n_adc=250, n_frames=1)
     scene = _static_scene((0.3, 2.0, 0.1), snr_db=10.0, seed=3)
-    work = np.full(_plan(scene, cfg, cascade).work_size, np.nan, dtype=np.complex128)
+    work = np.full(_plan(scene, cfg, cascade).work_size, np.nan, dtype=np.complex64)
     frame = synthesize_frame(scene, cfg, cascade, 0, work=work)
     assert np.array_equal(frame, synthesize_frame(scene, cfg, cascade, 0))
+
+
+def test_synthesize_frame_refuses_out_and_work_it_cannot_fill(table2, cascade):
+    # The product is written through a reshape of out and the factors
+    # through one of work, so a strided view or the wrong dtype would
+    # otherwise fill a copy and leave the caller's array as it was.
+    cfg = dataclasses.replace(table2, n_frames=1)
+    scene = _static_scene((0.0, 0.8, 0.0), snr_db=10.0, seed=4)
+    cube = np.zeros((cascade.n_tx, cascade.n_rx, 2 * cfg.n_adc), dtype=np.complex64)
+    size = _plan(scene, cfg, cascade).work_size
+    for out in (cube[..., ::2], cube[..., :cfg.n_adc].astype(np.complex128)):
+        with pytest.raises(ConfigError, match="out must be a C-contiguous complex64"):
+            synthesize_frame(scene, cfg, cascade, 0, out=out)
+    for work in (np.empty(size, dtype=np.complex128), np.empty(size - 1, dtype=np.complex64),
+                 np.empty(2 * size, dtype=np.complex64)[::2]):
+        with pytest.raises(ConfigError, match="work must be a C-contiguous complex64 array"):
+            synthesize_frame(scene, cfg, cascade, 0, work=work)
+    assert not cube.any()
 
 
 def test_noise_power_matches_snr(table2, cascade):
@@ -302,6 +325,34 @@ def test_radial_displacement_boresight():
     t = np.array([0.0, 0.25, 0.5, 0.75])
     d = p.radial_displacement(t)
     assert d == pytest.approx([0.0, 1e-3, 0.0, -1e-3], abs=1e-12)
+
+
+@pytest.mark.parametrize("motion", [
+    SinusoidMotion(direction=(0.6, 0.8, 0.0), amplitude=2e-3, frequency=1.3, phase=0.4),
+    SampledMotion(direction=(0.0, 0.6, 0.8), displacement_m=(1e-3, -2e-3, 5e-4, 3e-3, -1e-3),
+                  rate_hz=4.0),
+], ids=["sinusoid", "sampled"])
+def test_radial_displacement_matches_the_per_time_loop(motion):
+    # Times from -0.5 s to 4.875 s in exact eighths: the sampled series
+    # (0 to 1 s) is clamped at both ends, and every other time is a
+    # half-sample tie, which rounds to even as round() does.
+    p = ScatterPoint((0.1, 0.9, -0.2), motion)
+    times = np.arange(-4, 40) / 8.0
+
+    def displacement(t):
+        if isinstance(motion, SinusoidMotion):
+            return motion.amplitude * math.sin(2.0 * math.pi * motion.frequency * t
+                                               + motion.phase)
+        i = min(max(round(t * motion.rate_hz), 0), len(motion.displacement_m) - 1)
+        return motion.displacement_m[i]
+
+    def radius(t):
+        d = displacement(t)
+        return math.hypot(*(c + d * e for c, e in zip(p.position0, motion.direction)))
+
+    want = np.array([radius(t) - radius(0.0) for t in times])
+    got = p.radial_displacement(times)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_scene_validation_errors():
