@@ -204,6 +204,8 @@ def _cmd_e2e(args) -> int:
         "subject": {
             "range_bin": result.range_bin,
             "range_m": result.range_m,
+            "runner_up_ratio": result.runner_up_ratio,
+            "located_frames": result.located_frames,
             "azimuth_peak_deg": float(np.degrees(result.azimuth_peak_rad)),
             "elevation_peak_deg": float(np.degrees(result.elevation_peak_rad)),
         },

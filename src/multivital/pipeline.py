@@ -18,12 +18,23 @@ from .doa import build_phase_error_table  # noqa: F401
 from .errors import ProcessingError
 from .geometry import build_virtual_array, select_azimuth_ula
 from .metrics import SensorLayout, compute_alignment
-from .rangeproc import NOT_FINITE, extract_range_bin, locate_subject, range_fft
+from .rangeproc import NO_RETURN, NOT_FINITE, extract_range_bin, locate_subject, range_fft
 from .runconfig import PipelineConfig
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace, region_signal_to_trace
 
 _CHUNK_BYTES = 32 << 20  # frame data held at a time: simulate's raw frames, a chunk's range bins
+# (for the location subset, the gathered samples with their bins)
+_SUBSET_BLOCK = 8  # the subject is first located from one frame per block of this many
+_SUBSET_SEED = 8  # fixed, so every run of a cube locates from the same frames
+# The whole cube is located again when the subset's profile is not clear: a
+# runner-up (SubjectLocation.runner_up) above RUNNER_UP_MAX of its peak, a
+# second return the subset may have misjudged (the bundled configs read 0
+# and 0.007), or any other bin above SECOND_BIN_MAX of it, two bins too close
+# for a subset to order (the bundled phantom's shoulder reads 0.93, A10's
+# five-frequency scene 0.989, where the subset picks the shoulder).
+RUNNER_UP_MAX = 0.5
+SECOND_BIN_MAX = 0.95
 
 
 @dataclass(frozen=True)
@@ -32,6 +43,8 @@ class PipelineResult:
 
     range_bin: int
     range_m: float
+    runner_up_ratio: float  # the location profile's SubjectLocation.runner_up
+    located_frames: int  # frames the location profile was summed over
     azimuth_peak_rad: float
     elevation_peak_rad: float
     region_points: dict[str, tuple[float, float, float]]  # m, as compute_alignment
@@ -79,46 +92,114 @@ def _chunks(cube: RawDataCube, n_fft: int) -> Iterator[RawDataCube]:
         release_pages(cube.samples)
 
 
+def _subset_frames(n_frames: int) -> np.ndarray:
+    """The frames the subject is first located from, ascending: one drawn
+    from each block of _SUBSET_BLOCK consecutive frames, the partial last
+    block too, by a generator with a fixed seed, so every run of a cube
+    draws the same frames. A jittered draw, unlike a fixed stride, does not
+    alias periodic motion."""
+    starts = np.arange(0, n_frames, _SUBSET_BLOCK)
+    sizes = np.minimum(_SUBSET_BLOCK, n_frames - starts)
+    return starts + np.random.default_rng(_SUBSET_SEED).integers(sizes)
+
+
+def _subset_chunks(cube: RawDataCube, n_fft: int) -> Iterator[RawDataCube]:
+    """The subset's frames of cube as copies, a chunk at a time, each chunk
+    sized so that its gathered samples plus their range bins fit in
+    _CHUNK_BYTES (one frame at least).
+
+    A frame is copied in at a time, and the pages a file-mapped cube read
+    for it are given back before the next (release_pages): a page fault
+    maps a whole block of the file around a sparse frame (about 2 MiB), so
+    gathering a chunk first would leave several times its size resident.
+    """
+    frames = _subset_frames(len(cube.samples))
+    n_ch = cube.geometry.n_tx * cube.geometry.n_rx
+    step = frames_per_chunk(8 * n_ch * (cube.chirp.n_adc + n_fft))
+    for start in range(0, len(frames), step):
+        picks = frames[start:start + step]
+        samples = np.empty((len(picks),) + cube.samples.shape[1:], cube.samples.dtype)
+        for row, frame in zip(samples, picks):
+            row[...] = cube.samples[frame]
+            release_pages(cube.samples)
+        yield replace(cube, samples=samples, chirp=replace(cube.chirp, n_frames=len(samples)))
+
+
+def _locate(cube: RawDataCube, n_fft: int):
+    """locate_subject on the frame subset; on every frame instead when the
+    subset's profile is all zero, its runner-up exceeds RUNNER_UP_MAX or its
+    second bin SECOND_BIN_MAX."""
+    try:
+        loc = locate_subject(range_fft(chunk, n_fft) for chunk in _subset_chunks(cube, n_fft))
+        if loc.runner_up <= RUNNER_UP_MAX and loc.second <= SECOND_BIN_MAX:
+            return loc
+    except ProcessingError as err:
+        if str(err) != NO_RETURN:
+            raise
+    return locate_subject(range_fft(chunk, n_fft) for chunk in _chunks(cube, n_fft))
+
+
+def _subject_column(cube: RawDataCube, n_fft: int, bin_idx: int) -> np.ndarray:
+    """complex64 slow-time matrix (n_tx * n_rx, n_frames) of range bin
+    bin_idx of the n_fft-point transform: each frame chunk's samples times
+    the bin's n_adc twiddles, one GEMV per chunk. The twiddle phases are
+    reduced in integers, (bin_idx * i) % n_fft, before scaling."""
+    n_adc = cube.chirp.n_adc
+    k = (bin_idx * np.arange(n_adc)) % n_fft
+    w = np.exp(-2j * np.pi / n_fft * k).astype(np.complex64)
+    with np.errstate(invalid="ignore", over="ignore"):  # the caller checks finiteness
+        rows = [(chunk.samples.reshape(-1, n_adc) @ w).reshape(len(chunk.samples), -1)
+                for chunk in _chunks(cube, n_fft)]
+    return np.concatenate(rows).T
+
+
+def _not_finite(cube: RawDataCube, n_fft: int) -> ProcessingError:
+    """The NOT_FINITE error naming its cause, from a second read of the
+    samples: NaN or inf samples, or finite ones that overflowed complex64."""
+    if all(np.isfinite(chunk.samples).all() for chunk in _chunks(cube, n_fft)):
+        cause = "the cube's samples are finite but overflowed the complex64 range transform"
+    else:
+        cause = "the cube holds NaN or inf samples"
+    return ProcessingError(f"{NOT_FINITE}: {cause}")
+
+
 def _steered_subject(cube, pcfg, layout):
     """Subject location, wavelength, Beamformer and complex128 subject-bin
     slab for one cube, focused at the layout's z_a (its junction table on
     that depth plane), else at the subject's range (an error at 0 m).
 
-    The cube is range-transformed a frame chunk at a time, and each chunk is
-    folded into locate_subject's profile before the next is made, keeping
-    its slow-time matrix at the bin leading the profile so far. The slab
-    joins those matrices along frames. Only a chunk whose lead was not the
-    final bin is transformed again, to take its matrix at that bin. No
-    full-size range cube exists, and of a loaded cube one chunk's pages are
-    resident at a time. Only when the profile is not finite are the samples
-    read again, to name the cause: NaN or inf samples, or finite ones that
-    overflowed the complex64 transform.
+    The subject is located (_locate) on a seeded subset of one frame per
+    block of _SUBSET_BLOCK, gathered and range-transformed a chunk at a
+    time, and on every frame when the subset's profile is all zero or not
+    clear (RUNNER_UP_MAX, SECOND_BIN_MAX). The slab is then read from every
+    frame in one pass over the frame chunks, one complex64 GEMV with the
+    bin's twiddles per chunk (_subject_column). No full-size range cube
+    exists, and of a loaded cube one chunk's pages are resident at a time.
+    Every sample reaches the slab through a unit-modulus weight, so a NaN or
+    inf in any frame, subset or not, leaves it not finite. Only then, or
+    when the profile is not finite, are the samples read again to name the
+    cause: NaN or inf samples, or finite ones that overflowed complex64.
     """
     wavelength = derive_waveform(cube.chirp).wavelength
     geom = cube.geometry
     sel = select_azimuth_ula(build_virtual_array(geom))
     n_fft = pcfg.n_fft_range
     try:
-        loc = locate_subject(range_fft(chunk, n_fft) for chunk in _chunks(cube, n_fft))
+        loc = _locate(cube, n_fft)
     except ProcessingError as err:
         if str(err) != NOT_FINITE:
             raise
-        if all(np.isfinite(chunk.samples).all() for chunk in _chunks(cube, n_fft)):
-            cause = "the cube's samples are finite but overflowed the complex64 range transform"
-        else:
-            cause = "the cube holds NaN or inf samples"
-        raise ProcessingError(f"{NOT_FINITE}: {cause}") from err
+        raise _not_finite(cube, n_fft) from err
     if not loc.range_m > 0:
         raise ProcessingError(
             f"subject located at {loc.range_m} m (range bin {loc.bin}): no range to focus at"
         )
-    slab = np.concatenate([
-        column if lead == loc.bin else extract_range_bin(range_fft(chunk, n_fft), loc.bin)
-        for (lead, column), chunk in zip(loc.columns, _chunks(cube, n_fft))
-    ], axis=1)
+    slab = _subject_column(cube, n_fft, loc.bin)
+    if not np.isfinite(slab).all():
+        raise _not_finite(cube, n_fft)
     range_z = layout.z_a if layout is not None else loc.range_m
     bf = Beamformer.build(sel, geom, pcfg.n_fft_azimuth, range_z / wavelength, layout is not None)
-    return loc, wavelength, bf, slab.astype(np.complex128)
+    return loc, wavelength, bf, slab.astype(np.complex128, order="C")
 
 
 def run_pipeline(
@@ -149,6 +230,8 @@ def run_pipeline(
     return PipelineResult(
         range_bin=loc.bin,
         range_m=loc.range_m,
+        runner_up_ratio=loc.runner_up,
+        located_frames=loc.frames,
         azimuth_peak_rad=az_peak,
         elevation_peak_rad=el_peak,
         region_points=points,

@@ -16,6 +16,9 @@ _ABS_CELLS = 1 << 15  # range cells locate_subject sums |.| of at a time: a 128 
 # locate_subject's message for a non-finite profile; a caller holding the
 # samples can name the cause.
 NOT_FINITE = "range profile is not finite"
+# locate_subject's message for an all-zero profile; a caller that located
+# from some of the frames can try the rest.
+NO_RETURN = "range profile is all zero: the cube holds no return"
 
 
 @dataclass(frozen=True)
@@ -30,16 +33,21 @@ class RangeCube:
 class SubjectLocation:
     """Range bin holding the subject, with its metric range.
 
-    columns has one (lead, matrix) pair per non-empty frame chunk that was
-    located from, in order: lead is the bin that led the profile once the
-    chunk was folded in, and matrix is extract_range_bin(chunk, lead), a
-    copy. A chunk whose lead is bin already holds its share of the subject
-    bin's slow-time matrix. columns takes no part in equality.
+    frames is how many frames the profile was summed over. runner_up is the
+    profile's largest local maximum other than the peak, over the peak: 0
+    when the peak stands alone, 1 when another bin ties it. A local maximum
+    is a bin above the bin before it and not below the bin after it, bins
+    taken circularly (bin 0 follows the last). second is the largest bin
+    other than the peak, over the peak, local maximum or not: the peak's own
+    shoulder counts. Both come from float sums whose rounding depends on how
+    the frames were chunked, so they take no part in equality.
     """
 
     bin: int
     range_m: float
-    columns: tuple[tuple[int, np.ndarray], ...] = field(default=(), compare=False, repr=False)
+    frames: int
+    runner_up: float = field(compare=False)
+    second: float = field(compare=False)
 
 
 def range_fft(cube: RawDataCube, n_fft_range: int) -> RangeCube:
@@ -72,29 +80,28 @@ def range_fft(cube: RawDataCube, n_fft_range: int) -> RangeCube:
 def locate_subject(rc: RangeCube | Iterable[RangeCube]) -> SubjectLocation:
     """Find the range bin with the largest magnitude summed over channels and frames.
 
-    rc is a range cube, or consecutive frame chunks of one as an iterable
-    (run_pipeline passes a generator, so only one chunk is held at a time).
-    Each chunk is reduced a block of channel rows at a time: the rows'
-    magnitudes go into one reused float32 buffer of _ABS_CELLS cells, each
-    block is summed in float32, and the block sums go into a float64
-    profile, so no full-size |bins| is made. Before the next chunk is taken,
-    the chunk's slow-time matrix at the bin leading the profile so far is
-    copied into columns. The checks and the argmax run once, on the summed
+    rc is a range cube, or frame chunks of one as an iterable (run_pipeline
+    passes a generator of chunks of a frame subset, or of every frame, so
+    only one chunk is held at a time). Each chunk is reduced a block of
+    channel rows at a time: the rows' magnitudes go into one reused float32
+    buffer of _ABS_CELLS cells, each block is summed in float32, and the
+    block sums go into a float64 profile, so no full-size |bins| is made.
+    The checks, the argmax and the two ratios run once, on the summed
     profile. Ties resolve to the lowest bin (argmax returns the first
     maximum).
 
     Raises
     ------
     ProcessingError
-        empty cube, or a non-finite (message NOT_FINITE) or all-zero range
-        profile. One NaN or inf sample spreads through the FFT to every bin
-        of its channel, and no sum of magnitudes turns it finite again, so
-        checking the summed profile catches any non-finite bin in any
-        chunk. Finite samples too large for complex64 overflow in the
-        transform and are caught the same way.
+        empty cube, or a non-finite (message NOT_FINITE) or all-zero
+        (message NO_RETURN) range profile. One NaN or inf sample spreads
+        through the FFT to every bin of its channel, and no sum of
+        magnitudes turns it finite again, so checking the summed profile
+        catches any non-finite bin in any chunk. Finite samples too large
+        for complex64 overflow in the transform and are caught the same way.
     """
     profile = None
-    columns = []
+    frames = 0
     for chunk in (rc,) if isinstance(rc, RangeCube) else rc:
         if chunk.bins.size:
             if profile is None:
@@ -104,17 +111,23 @@ def locate_subject(rc: RangeCube | Iterable[RangeCube]) -> SubjectLocation:
                 buf = np.empty((n_rows, n_bins), dtype=np.float32)
                 bin_width_m = chunk.bin_width_m
             _add_magnitudes(profile, chunk.bins, buf)
-            lead = int(np.argmax(profile))
-            columns.append((lead, extract_range_bin(chunk, lead)))
+            frames += chunk.bins.shape[0]
         del chunk  # freed before a generator makes the next chunk
     if profile is None:
         raise ProcessingError("empty range cube")
     if not np.all(np.isfinite(profile)):
         raise ProcessingError(NOT_FINITE)
     if not profile.any():
-        raise ProcessingError("range profile is all zero: the cube holds no return")
+        raise ProcessingError(NO_RETURN)
     bin_idx = int(np.argmax(profile))
-    return SubjectLocation(bin=bin_idx, range_m=bin_idx * bin_width_m, columns=tuple(columns))
+    is_max = (profile > np.roll(profile, 1)) & (profile >= np.roll(profile, -1))
+    is_max[bin_idx] = False
+    peak = profile[bin_idx]
+    return SubjectLocation(
+        bin=bin_idx, range_m=bin_idx * bin_width_m, frames=frames,
+        runner_up=float(profile[is_max].max(initial=0.0) / peak),
+        second=float(np.delete(profile, bin_idx).max(initial=0.0) / peak),
+    )
 
 
 def extract_range_bin(rc: RangeCube, bin_idx: int) -> np.ndarray:

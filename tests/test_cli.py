@@ -449,6 +449,21 @@ def test_cube_with_no_return_reports_processing_error(tmp_path, capsys, config):
     assert not out.exists()
 
 
+def _recording_chunks(monkeypatch) -> list[int]:
+    """Record the frame count of every chunk pipeline._chunks hands out: the
+    column pass's chunks, and a full fold's when the location falls back."""
+    frames = []
+    chunks = pipeline._chunks
+
+    def recording(cube, n_fft):
+        for chunk in chunks(cube, n_fft):
+            frames.append(chunk.samples.shape[0])
+            yield chunk
+
+    monkeypatch.setattr(pipeline, "_chunks", recording)
+    return frames
+
+
 @pytest.mark.parametrize("bad,match", [
     ("nan-last-frame", "not finite"), ("inf-middle-chunk", "not finite"),
     ("all-zero", "no return"),
@@ -456,9 +471,12 @@ def test_cube_with_no_return_reports_processing_error(tmp_path, capsys, config):
 def test_bad_cube_over_several_chunks_reports_processing_error(
     workdir, tmp_path, monkeypatch, capsys, bad, match,
 ):
-    """With the range stage in three frame chunks (6, 6 and 4 of 16 frames),
-    a NaN in the last frame, an inf in the middle chunk or a cube with no
-    return exits 1 with the one processing-error line and writes no traces."""
+    """With the frame chunks at 6, 6 and 4 of 16 frames, a NaN in the last
+    frame or an inf in the middle chunk (both outside the location subset)
+    is refused after the column pass over all three chunks and a second
+    read up to the bad chunk to name the cause, and a cube with no return
+    after the full fold its all-zero subset falls back to. Each exits 1 with
+    the one processing-error line and writes no traces."""
     cfg = load_run_config(str(workdir["cfg"]))
     cube = load_cube(str(workdir["cube"]), geometry=cfg.geometry)
     samples = cube.samples.copy()
@@ -468,24 +486,48 @@ def test_bad_cube_over_several_chunks_reports_processing_error(
         samples[8, 0, 0, 0] = np.inf
     else:
         samples[:] = 0
+    assert not {8, 15} & set(pipeline._subset_frames(16))
     path = tmp_path / "bad.mvdc"
     save_cube(dataclasses.replace(cube, samples=samples), str(path))
     frame_bytes = 8 * cfg.pipeline.n_fft_range * cfg.geometry.n_tx * cfg.geometry.n_rx
     monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 6 * frame_bytes)
-    frames = []
-    range_fft = pipeline.range_fft
-
-    def recording(cube, n_fft_range):
-        frames.append(cube.samples.shape[0])
-        return range_fft(cube, n_fft_range)
-
-    monkeypatch.setattr(pipeline, "range_fft", recording)
+    frames = _recording_chunks(monkeypatch)
     out = tmp_path / "t.csv"
     assert main(["process", "--cube", str(path), "--config", str(workdir["cfg"]),
                  "--out", str(out)]) == 1
-    assert frames == [6, 6, 4]
+    cause_read = {"nan-last-frame": [6, 6, 4], "inf-middle-chunk": [6, 6], "all-zero": []}
+    assert frames == [6, 6, 4] + cause_read[bad]
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "processing" and match in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_frame_outside_the_subset_fails_process(workdir, tmp_path, bad):
+    """A NaN or inf in a frame the subject is not located from still
+    reaches the subject column: process exits 1 with exactly one JSON
+    object on stderr, names the cause and writes no trace file."""
+    geometry = load_run_config(str(workdir["cfg"])).geometry
+    cube = load_cube(str(workdir["cube"]), geometry=geometry)
+    frame = 12
+    assert frame not in pipeline._subset_frames(16)
+    samples = cube.samples.copy()
+    samples[frame, 4, 9, 100] = bad
+    bad_cube = tmp_path / "bad.mvdc"
+    save_cube(dataclasses.replace(cube, samples=samples), str(bad_cube))
+    out = tmp_path / "t.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from multivital.cli import main; sys.exit(main())",
+         "process", "--cube", str(bad_cube),
+         "--config", str(workdir["cfg"]), "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 1
+    (line,) = proc.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "processing"
+    assert err["message"] == "range profile is not finite: the cube holds NaN or inf samples"
     assert not out.exists()
 
 
@@ -590,23 +632,33 @@ def test_process_writes_the_angle_map(workdir, tmp_path, capsys):
 
 
 def test_angle_map_range_transforms_frame_zero_only(workdir, tmp_path, monkeypatch, capsys):
-    """process --angle-map transforms all frames once for the run, then a
-    one-frame view of the same loaded cube for the map."""
-    cubes = []
+    """process --angle-map range-transforms the run's location subset (a
+    gathered copy of 2 of the 16 frames), then a one-frame view of the
+    same loaded cube for the map."""
+    cubes, loaded = [], []
     range_fft = pipeline.range_fft
+    load = cli.load_cube
 
     def recording(cube, n_fft_range):
         cubes.append(cube)
         return range_fft(cube, n_fft_range)
 
+    def loading(*args, **kwargs):
+        loaded.append(load(*args, **kwargs))
+        return loaded[-1]
+
     monkeypatch.setattr(pipeline, "range_fft", recording)
+    monkeypatch.setattr(cli, "load_cube", loading)
     assert main([
         "process", "--cube", str(workdir["cube"]), "--config", str(workdir["cfg"]),
         "--out", str(tmp_path / "traces.csv"), "--angle-map", str(tmp_path / "map.csv"),
     ]) == 0
-    assert [c.samples.shape[0] for c in cubes] == [16, 1]
+    (cube,) = loaded
+    assert [c.samples.shape[0] for c in cubes] == [2, 1]
+    assert np.array_equal(cubes[0].samples, cube.samples[pipeline._subset_frames(16)])
     assert cubes[1].chirp.n_frames == 1
-    assert np.shares_memory(cubes[0].samples, cubes[1].samples)  # a view, not a copy
+    assert not np.shares_memory(cubes[0].samples, cube.samples)  # the subset is a copy
+    assert np.shares_memory(cubes[1].samples, cube.samples)  # the map's frame is a view
     capsys.readouterr()
 
 
@@ -945,8 +997,12 @@ def test_e2e_writes_expected_files(workdir, tmp_path, capsys):
         assert (out / name).exists(), name
     doc = json.loads((out / "report.json").read_text())
     assert set(doc["subject"]) == {
-        "range_bin", "range_m", "azimuth_peak_deg", "elevation_peak_deg",
+        "range_bin", "range_m", "runner_up_ratio", "located_frames",
+        "azimuth_peak_deg", "elevation_peak_deg",
     }
+    # one return, located from the subset's one frame in each block of 8
+    assert doc["subject"]["runner_up_ratio"] < 0.3
+    assert doc["subject"]["located_frames"] == len(pipeline._subset_frames(16))
     entry = doc["regions"]["A"]
     for key in ("dominant_frequency_hz", "peak_to_peak_phase_rad",
                 "peak_to_peak_displacement_mm", "rho", "lag_samples",

@@ -1,7 +1,9 @@
-"""run_pipeline: one steering pass, the range stage streamed in frame chunks
-each transformed once (again only when its lead bin was not the final one),
-non-finite cubes refused, known elevations found; make_angle_map: frame 0
-only, steered by the run's subject bin and Beamformer."""
+"""run_pipeline: one steering pass; the subject located on a seeded subset
+of one frame per block of 8 (on every frame when the subset's profile is
+all zero or not clear), then its column read in one GEMV pass over the
+frame chunks; non-finite cubes refused in any frame; known elevations
+found. make_angle_map: frame 0 only, steered by the run's subject bin and
+Beamformer."""
 
 import dataclasses
 import tracemalloc
@@ -70,44 +72,66 @@ def test_overflowing_finite_cube_is_not_blamed_on_nan():
     assert "overflowed" in str(err.value) and "NaN" not in str(err.value)
 
 
+def _recording_chunks(monkeypatch) -> list[int]:
+    """Record the frame count of every chunk pipeline._chunks hands out: the
+    column pass's chunks, and a full fold's when the location falls back."""
+    frames = []
+    chunks = pipeline._chunks
+
+    def recording(cube, n_fft):
+        for chunk in chunks(cube, n_fft):
+            frames.append(chunk.samples.shape[0])
+            yield chunk
+
+    monkeypatch.setattr(pipeline, "_chunks", recording)
+    return frames
+
+
 def _three_chunks(cube, pcfg, monkeypatch):
-    """Set run_pipeline's chunk budget so cube's range stage takes three
-    frame chunks, the last one partial. Returns the list that records each
-    range_fft call's arguments, and the three chunks' expected frame counts."""
+    """Set run_pipeline's chunk budget so cube's frame chunks are three, the
+    last one partial. Returns the list that records each chunk's frame
+    count, and the three chunks' expected frame counts."""
     n_frames = len(cube.samples)
     step = n_frames // 3 + 1
     frame_bytes = 8 * pcfg.n_fft_range * cube.geometry.n_tx * cube.geometry.n_rx
     monkeypatch.setattr(pipeline, "_CHUNK_BYTES", step * frame_bytes + frame_bytes // 2)
-    calls = []
-    monkeypatch.setattr(pipeline, "range_fft", _counting(pipeline.range_fft, calls))
-    return calls, [step, step, n_frames - 2 * step]
+    return _recording_chunks(monkeypatch), [step, step, n_frames - 2 * step]
+
+
+def _one_chunk(cube, pcfg, monkeypatch):
+    """Set run_pipeline's chunk budget so every frame is in one chunk."""
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", cube.samples.nbytes * pcfg.n_fft_range)
+
+
+def _same_run(a, b):
+    assert (a.range_bin, a.range_m, a.located_frames) == (b.range_bin, b.range_m, b.located_frames)
+    assert a.azimuth_peak_rad == b.azimuth_peak_rad
+    assert a.elevation_peak_rad == b.elevation_peak_rad
+    assert a.region_points == b.region_points
+    for x, y in zip(a.traces, b.traces, strict=True):
+        assert x.region == y.region
+        assert np.array_equal(x.displacement, y.displacement)
 
 
 @pytest.mark.parametrize("scene,with_layout", [
     ("phantom", True), ("phantom", False), ("single_target", False),
 ])
 def test_streamed_range_stage_equals_the_full_cube_route(request, monkeypatch, scene, with_layout):
-    """Located from three frame chunks, each range-transformed once, a run
-    reads the same subject and angles as from one range cube of every frame,
-    and bit for bit the same traces: both take the subject bin from the
-    same FFT values."""
+    """With the column read in three frame chunks, one GEMV each, a run
+    reads the same subject and angles as with one chunk of every frame,
+    and bit for bit the same traces: each column value is the same dot
+    product of one channel's samples with the bin's twiddles."""
     cfg, cube = request.getfixturevalue(scene)
     layout = cfg.layout if with_layout else None
     pcfg = cfg.pipeline
     with monkeypatch.context() as m:
-        m.setattr(pipeline, "_CHUNK_BYTES", cube.samples.nbytes * pcfg.n_fft_range)
+        _one_chunk(cube, pcfg, m)
         full = pipeline.run_pipeline(cube, pcfg, layout=layout)
-    calls, chunks = _three_chunks(cube, pcfg, monkeypatch)
+    frames, chunks = _three_chunks(cube, pcfg, monkeypatch)
     streamed = pipeline.run_pipeline(cube, pcfg, layout=layout)
 
-    assert [c.samples.shape[0] for c, _ in calls] == chunks and chunks[-1] < chunks[0]
-    assert (streamed.range_bin, streamed.range_m) == (full.range_bin, full.range_m)
-    assert streamed.azimuth_peak_rad == full.azimuth_peak_rad
-    assert streamed.elevation_peak_rad == full.elevation_peak_rad
-    assert streamed.region_points == full.region_points
-    for a, b in zip(streamed.traces, full.traces, strict=True):
-        assert a.region == b.region
-        assert np.array_equal(a.displacement, b.displacement)
+    assert frames == chunks and chunks[-1] < chunks[0]
+    _same_run(streamed, full)
 
 
 def _joined_cube():
@@ -125,40 +149,49 @@ def _joined_cube():
     return cfg, RawDataCube(samples=samples, chirp=chirp, geometry=cfg.geometry).validate()
 
 
-def test_chunk_led_by_another_bin_is_transformed_again(monkeypatch):
-    """The first of three chunks (5, 5, 2 frames) is led by the 2 m bin and
-    the rest by the 5 m bin, which the whole cube locates: only the first
-    chunk is range-transformed again, and the run equals the one-chunk
-    route."""
+@pytest.mark.parametrize("draw", [None, [2, 9]], ids=["seeded", "meets-2m"])
+def test_subset_falls_back_to_every_frame_when_it_meets_a_second_return(monkeypatch, draw):
+    """The whole cube locates the 5 m bin, with the 2 m one its runner-up
+    at 0.47. The seeded subset (frames 5 and 9) sees only the 5 m point and
+    locates from its 2 frames. A subset that meets one 2 m frame reads a
+    runner-up of 0.95 and falls back to the fold over all 12 frames, in
+    three chunks. Both runs equal the one-chunk full-fold route: same bin
+    and angles, bit for bit the same traces."""
     cfg, cube = _joined_cube()
     pcfg = cfg.pipeline
     with monkeypatch.context() as m:
-        m.setattr(pipeline, "_CHUNK_BYTES", cube.samples.nbytes * pcfg.n_fft_range)
+        _one_chunk(cube, pcfg, m)
+        m.setattr(pipeline, "RUNNER_UP_MAX", -1.0)  # every run falls back
         whole = pipeline.run_pipeline(cube, pcfg)
-    calls, chunks = _three_chunks(cube, pcfg, monkeypatch)
-    located = []
-    locate = pipeline.locate_subject
+    bin_width_m = whole.range_m / whole.range_bin
+    assert abs(whole.range_m - 5.0) < bin_width_m and whole.located_frames == 12
+    assert 0.4 < whole.runner_up_ratio < 0.5
 
-    def recording(rc):
-        located.append(locate(rc))
-        return located[-1]
-
-    monkeypatch.setattr(pipeline, "locate_subject", recording)
+    if draw is not None:
+        monkeypatch.setattr(pipeline, "_subset_frames", lambda n: np.array(draw))
+    frames, chunks = _three_chunks(cube, pcfg, monkeypatch)
     streamed = pipeline.run_pipeline(cube, pcfg)
+    if draw is None:
+        assert list(pipeline._subset_frames(12)) == [5, 9]
+        assert streamed.located_frames == 2 and streamed.runner_up_ratio < 0.01
+        assert frames == chunks  # the column pass alone
+    else:
+        assert streamed.located_frames == 12
+        assert frames == chunks + chunks  # the full fold, then the column pass
+    _same_run(dataclasses.replace(streamed, located_frames=12), whole)
 
-    (loc,) = located
-    bin_width_m = loc.range_m / loc.bin
-    near, far, last = (lead for lead, _ in loc.columns)
-    assert abs(near * bin_width_m - 2.0) < bin_width_m
-    assert abs(far * bin_width_m - 5.0) < bin_width_m
-    assert last == far == loc.bin == streamed.range_bin == whole.range_bin
-    assert [c.samples.shape[0] for c, _ in calls] == chunks + chunks[:1]
-    assert np.shares_memory(calls[-1][0].samples, cube.samples[:chunks[0]])
-    assert streamed.range_m == whole.range_m
-    assert streamed.azimuth_peak_rad == whole.azimuth_peak_rad
-    assert streamed.elevation_peak_rad == whole.elevation_peak_rad
-    for a, b in zip(streamed.traces, whole.traces, strict=True):
-        assert np.array_equal(a.displacement, b.displacement)
+
+def test_returns_only_outside_the_subset_fall_back_and_are_located(single_target):
+    """Every subset frame of a cube zeroed: the subset's profile is all
+    zero, so the run falls back to the fold over every frame rather than
+    report no return, and finds the subject where the untouched cube does."""
+    cfg, cube = single_target
+    subset = pipeline._subset_frames(len(cube.samples))
+    samples = cube.samples.copy()
+    samples[subset] = 0
+    result = pipeline.run_pipeline(dataclasses.replace(cube, samples=samples), cfg.pipeline)
+    assert result.located_frames == len(cube.samples)
+    assert result.range_bin == pipeline.run_pipeline(cube, cfg.pipeline).range_bin
 
 
 @pytest.mark.parametrize("bad,match", [
@@ -166,8 +199,10 @@ def test_chunk_led_by_another_bin_is_transformed_again(monkeypatch):
     ("all-zero", "no return"),
 ])
 def test_bad_sample_in_any_chunk_fails_loudly(phantom, monkeypatch, bad, match):
-    """A NaN in the last frame only, an inf in the middle chunk, or no
-    return at all is refused after the fold over all three chunks."""
+    """A NaN in the last frame only or an inf in the middle chunk (both
+    outside the location subset) is refused after the column pass over all
+    three chunks; no return at all after the full fold that the all-zero
+    subset falls back to."""
     cfg, cube = phantom
     samples = cube.samples.copy()
     if bad == "nan-last-frame":
@@ -176,11 +211,60 @@ def test_bad_sample_in_any_chunk_fails_loudly(phantom, monkeypatch, bad, match):
         samples[len(samples) // 2, 0, 0, 0] = np.inf
     else:
         samples[:] = 0
-    calls, chunks = _three_chunks(cube, cfg.pipeline, monkeypatch)
+    assert not {len(samples) - 1, len(samples) // 2} & set(pipeline._subset_frames(len(samples)))
+    frames, chunks = _three_chunks(cube, cfg.pipeline, monkeypatch)
     with pytest.raises(ProcessingError, match=match):
         pipeline.run_pipeline(dataclasses.replace(cube, samples=samples),
                               cfg.pipeline, layout=cfg.layout)
-    assert [c.samples.shape[0] for c, _ in calls] == chunks
+    assert frames[:3] == chunks  # then, if not finite, a second read to name the cause
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_frame_outside_the_subset_fails_loudly(phantom, bad):
+    """The subject is located without frame 2, but every sample reaches the
+    subject column through a unit-modulus weight, so the run still fails
+    and names the cause."""
+    cfg, cube = phantom
+    assert 2 not in pipeline._subset_frames(len(cube.samples))
+    samples = cube.samples.copy()
+    samples[2, 7, 3, 31] = bad
+    with pytest.raises(ProcessingError) as err:
+        pipeline.run_pipeline(dataclasses.replace(cube, samples=samples),
+                              cfg.pipeline, layout=cfg.layout)
+    assert str(err.value) == "range profile is not finite: the cube holds NaN or inf samples"
+
+
+@pytest.mark.parametrize("n_frames", [1, 7, 8, 9, 16, 50, 600])
+def test_subset_takes_one_frame_per_block_of_eight(n_frames):
+    frames = pipeline._subset_frames(n_frames)
+    assert len(frames) == -(-n_frames // 8)
+    assert list(frames // 8) == list(range(len(frames)))  # one in each block
+    assert frames[-1] < n_frames  # the partial last block's frame lies inside it
+    assert np.array_equal(frames, pipeline._subset_frames(n_frames))
+
+
+def test_subset_repeats_from_run_to_run_and_across_thread_counts(single_target, monkeypatch):
+    """Two runs range-transform the same gathered subset frames, and at 1
+    and 2 worker threads give bit for bit the same traces."""
+    cfg, cube = single_target
+    calls = []
+    monkeypatch.setattr(pipeline, "range_fft", _counting(pipeline.range_fft, calls))
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MULTIVITAL_THREADS", threads)
+        runs.append(pipeline.run_pipeline(cube, cfg.pipeline))
+    subset = cube.samples[pipeline._subset_frames(len(cube.samples))]
+    assert len(calls) == 2
+    for args in calls:
+        assert np.array_equal(args[0].samples, subset)
+    _same_run(*runs)
+
+
+def test_single_return_is_located_from_the_subset(single_target):
+    cfg, cube = single_target
+    result = pipeline.run_pipeline(cube, cfg.pipeline)
+    assert result.runner_up_ratio < 0.3
+    assert result.located_frames == len(pipeline._subset_frames(len(cube.samples))) == 2
 
 
 def test_run_pipeline_peak_memory_is_about_the_range_cube():

@@ -169,15 +169,44 @@ def test_locate_subject_refolds_a_chunk_whose_float32_sums_overflow():
     assert locate_subject(rc).bin == int(np.argmax(ref))
 
 
-def test_locate_subject_keeps_each_chunks_matrix_at_the_running_lead():
-    """Each chunk's column is a copy of its slow-time matrix at the bin that
-    led the profile once that chunk was folded in."""
+def _profile_cube(profile):
+    """A one-channel, one-frame range cube whose magnitude profile is profile."""
+    bins = np.asarray(profile, dtype=np.complex64).reshape(1, 1, 1, -1)
+    return RangeCube(bins=bins, bin_width_m=0.03)
+
+
+def test_runner_up_of_a_single_peak_is_zero():
+    """A peak with shoulders on both sides has no other local maximum; its
+    larger shoulder is the second bin."""
+    loc = locate_subject(_profile_cube([0.1, 0.2, 0.5, 1.0, 0.6, 0.3, 0.1, 0.05]))
+    assert loc.bin == 3 and loc.frames == 1
+    assert loc.runner_up == 0.0
+    assert loc.second == pytest.approx(0.6)
+
+
+def test_runner_up_of_two_equal_peaks_is_one():
+    loc = locate_subject(_profile_cube([0.1, 2.0, 0.3, 0.2, 0.5, 2.0, 0.1, 0.05]))
+    assert loc.bin == 1  # the lower of the two
+    assert loc.runner_up == 1.0 and loc.second == 1.0
+
+
+def test_runner_up_takes_bins_circularly_at_the_edges():
+    """Bin 0 follows the last bin: a peak at either edge has its shoulder
+    across the wrap, which is not a local maximum."""
+    first = locate_subject(_profile_cube([1.0, 0.4, 0.2, 0.1, 0.1, 0.2, 0.3, 0.7]))
+    assert first.bin == 0 and first.runner_up == 0.0
+    assert first.second == pytest.approx(0.7)
+    last = locate_subject(_profile_cube([0.5, 0.2, 0.1, 0.3, 0.1, 0.05, 0.4, 1.0]))
+    assert last.bin == 7
+    assert last.runner_up == pytest.approx(0.3)  # bin 3; bin 0 is the peak's shoulder
+    assert last.second == pytest.approx(0.5)
+
+
+def test_location_counts_frames_and_second_bin_over_chunks():
     rc = _random_range_cube((9, 4, 7, 64), seed=1)
     chunks = [dataclasses.replace(rc, bins=rc.bins[a:b]) for a, b in ((0, 4), (4, 8), (8, 9))]
     loc = locate_subject(iter(chunks))
-    profile = np.zeros(64)
-    for chunk, (lead, column) in zip(chunks, loc.columns, strict=True):
-        profile += np.abs(chunk.bins.astype(np.complex128)).sum(axis=(0, 1, 2))
-        assert lead == int(np.argmax(profile))
-        assert np.array_equal(column, extract_range_bin(chunk, lead))
-        assert not np.shares_memory(column, rc.bins)
+    profile = np.abs(rc.bins.astype(np.complex128)).sum(axis=(0, 1, 2))
+    others = np.delete(profile, loc.bin)
+    assert loc.frames == 9
+    assert loc.second == pytest.approx(others.max() / profile[loc.bin], rel=1e-5)
