@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from ._util import thread_count
 from .config import derive_waveform
 from .errors import MultivitalError
 from .io import (
@@ -102,7 +103,8 @@ def _cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     scene, chirp, geom = cfg.scene, cfg.chirp, cfg.geometry
     # One chunk of frames at a time: each is written before the next is made.
-    step = frames_per_chunk(8 * geom.n_tx * geom.n_rx * chirp.n_adc)
+    # A chunk holds a frame per worker at least, so none of them is idle.
+    step = max(thread_count(), frames_per_chunk(8 * geom.n_tx * geom.n_rx * chirp.n_adc))
     write_cube(args.out, chirp, geom, scene.seed, simulate_chunks(scene, chirp, geom, step))
     print(f"wrote {args.out}: {chirp.n_frames} frames, {geom.n_tx}x{geom.n_rx} channels, "
           f"{chirp.n_adc} samples")

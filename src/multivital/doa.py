@@ -29,6 +29,9 @@ from .geometry import ArrayGeometry, AzimuthUlaSelection, element_positions_m
 from .rangeproc import extract_range_bin  # noqa: F401
 
 REGION_IDS = ("A", "P", "T", "E", "M")
+# Beamformer.focus's working set per point and array element (Tx or Rx):
+# its complex128 phasors and float64 path terms (~18 bytes measured).
+_FOCUS_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -156,11 +159,26 @@ class Beamformer:
 
     def directional_power(self, y: np.ndarray, u, v) -> np.ndarray:
         """Focused power of frame 0 of y at range_wl along direction cosines
-        u, v (broadcast together); 0 where u^2 + v^2 >= 1."""
+        u, v (broadcast together); 0 where u^2 + v^2 >= 1.
+
+        The points are focused in near-equal blocks whose working set
+        (_FOCUS_BYTES per point and element) fits the block budget,
+        pipeline._CHUNK_BYTES. Each point's arithmetic is that of one focus
+        call on every point; near-equal blocks leave no one-point remainder,
+        whose product would take BLAS's vector path and round differently.
+        """
+        from .pipeline import _CHUNK_BYTES  # at call time: pipeline imports this module
+
         u, v = np.broadcast_arrays(np.asarray(u, dtype=np.float64), v)
         ok = u * u + v * v < 1.0
-        power = np.zeros(u.shape)
-        power[ok] = np.abs(self.focus(y[:, :1], u[ok], v[ok], self.range_wl)[:, 0]) ** 2
+        u, v = u[ok], v[ok]
+        per_block = max(1, _CHUNK_BYTES // (_FOCUS_BYTES * (len(self.tx_wl) + len(self.rx_wl))))
+        n_blocks = max(1, -(-len(u) // per_block))
+        power = np.zeros(ok.shape)
+        power[ok] = np.concatenate([
+            np.abs(self.focus(y[:, :1], bu, bv, self.range_wl)[:, 0]) ** 2
+            for bu, bv in zip(np.array_split(u, n_blocks), np.array_split(v, n_blocks))
+        ])
         return power
 
 

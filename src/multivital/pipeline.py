@@ -23,8 +23,11 @@ from .runconfig import PipelineConfig
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace, region_signal_to_trace
 
-_CHUNK_BYTES = 32 << 20  # frame data held at a time: simulate's raw frames, a chunk's range bins
-# (for the location subset, the gathered samples with their bins)
+# The one block budget: what a pass over the frames holds at a time (the
+# simulate CLI's raw frames, the subset's gathered samples with their bins,
+# the fallback fold's bins, the column pass's samples), and the angle map's
+# focus working set (Beamformer.directional_power).
+_CHUNK_BYTES = 8 << 20
 _SUBSET_BLOCK = 8  # the subject is first located from one frame per block of this many
 _SUBSET_SEED = 8  # fixed, so every run of a cube locates from the same frames
 # The whole cube is located again when the subset's profile is not clear: a
@@ -78,15 +81,17 @@ def frames_per_chunk(frame_bytes: int) -> int:
     return max(1, _CHUNK_BYTES // frame_bytes)
 
 
-def _chunks(cube: RawDataCube, n_fft: int) -> Iterator[RawDataCube]:
+def _chunks(cube: RawDataCube, width: int) -> Iterator[RawDataCube]:
     """Consecutive frame chunks of cube as views, each of at most
-    _CHUNK_BYTES of range bins (one frame at least).
+    _CHUNK_BYTES of what the pass holds, width complex64 values per channel
+    and frame: n_adc for the samples, n_fft for their range bins (one frame
+    at least).
 
     Once a chunk has been used, the pages a file-mapped cube read for it
     are given back (release_pages), so a loaded cube keeps one chunk
     resident; an in-memory cube is left as it is.
     """
-    step = frames_per_chunk(8 * n_fft * cube.geometry.n_tx * cube.geometry.n_rx)
+    step = frames_per_chunk(8 * width * cube.geometry.n_tx * cube.geometry.n_rx)
     for start in range(0, len(cube.samples), step):
         yield _frames(cube, start, start + step)
         release_pages(cube.samples)
@@ -141,22 +146,23 @@ def _locate(cube: RawDataCube, n_fft: int):
 
 def _subject_column(cube: RawDataCube, n_fft: int, bin_idx: int) -> np.ndarray:
     """complex64 slow-time matrix (n_tx * n_rx, n_frames) of range bin
-    bin_idx of the n_fft-point transform: each frame chunk's samples times
-    the bin's n_adc twiddles, one GEMV per chunk. The twiddle phases are
-    reduced in integers, (bin_idx * i) % n_fft, before scaling."""
+    bin_idx of the n_fft-point transform: each frame chunk's samples (at
+    most _CHUNK_BYTES of them) times the bin's n_adc twiddles, one GEMV per
+    chunk. The twiddle phases are reduced in integers, (bin_idx * i) % n_fft,
+    before scaling."""
     n_adc = cube.chirp.n_adc
     k = (bin_idx * np.arange(n_adc)) % n_fft
     w = np.exp(-2j * np.pi / n_fft * k).astype(np.complex64)
     with np.errstate(invalid="ignore", over="ignore"):  # the caller checks finiteness
         rows = [(chunk.samples.reshape(-1, n_adc) @ w).reshape(len(chunk.samples), -1)
-                for chunk in _chunks(cube, n_fft)]
+                for chunk in _chunks(cube, n_adc)]
     return np.concatenate(rows).T
 
 
-def _not_finite(cube: RawDataCube, n_fft: int) -> ProcessingError:
+def _not_finite(cube: RawDataCube) -> ProcessingError:
     """The NOT_FINITE error naming its cause, from a second read of the
     samples: NaN or inf samples, or finite ones that overflowed complex64."""
-    if all(np.isfinite(chunk.samples).all() for chunk in _chunks(cube, n_fft)):
+    if all(np.isfinite(chunk.samples).all() for chunk in _chunks(cube, cube.chirp.n_adc)):
         cause = "the cube's samples are finite but overflowed the complex64 range transform"
     else:
         cause = "the cube holds NaN or inf samples"
@@ -189,14 +195,14 @@ def _steered_subject(cube, pcfg, layout):
     except ProcessingError as err:
         if str(err) != NOT_FINITE:
             raise
-        raise _not_finite(cube, n_fft) from err
+        raise _not_finite(cube) from err
     if not loc.range_m > 0:
         raise ProcessingError(
             f"subject located at {loc.range_m} m (range bin {loc.bin}): no range to focus at"
         )
     slab = _subject_column(cube, n_fft, loc.bin)
     if not np.isfinite(slab).all():
-        raise _not_finite(cube, n_fft)
+        raise _not_finite(cube)
     range_z = layout.z_a if layout is not None else loc.range_m
     bf = Beamformer.build(sel, geom, pcfg.n_fft_azimuth, range_z / wavelength, layout is not None)
     return loc, wavelength, bf, slab.astype(np.complex128, order="C")

@@ -216,6 +216,31 @@ def test_simulate_writes_frame_chunks_as_one_cube(workdir, tmp_path, monkeypatch
     capsys.readouterr()
 
 
+def test_simulate_chunk_holds_a_frame_per_worker(workdir, tmp_path, monkeypatch):
+    """With 4 workers and a block budget below one frame, simulate still
+    asks simulate_chunks for 4 frames a chunk, so no worker is idle; the
+    file is byte for byte save_cube of the whole simulated cube."""
+    cfg = load_run_config(str(workdir["cfg"]))
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1024)
+    monkeypatch.setenv("MULTIVITAL_THREADS", "4")
+    asked, sizes = [], []
+    simulate_chunks = cli.simulate_chunks
+
+    def recording(scene, chirp, geom, frames_per_chunk):
+        asked.append(frames_per_chunk)
+        for chunk in simulate_chunks(scene, chirp, geom, frames_per_chunk):
+            sizes.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(cli, "simulate_chunks", recording)
+    streamed = tmp_path / "streamed.mvdc"
+    assert main(["simulate", "--config", str(workdir["cfg"]), "--out", str(streamed)]) == 0
+    assert asked == [4] and sizes == [4] * (cfg.chirp.n_frames // 4)
+    whole = tmp_path / "whole.mvdc"
+    save_cube(simulate(cfg.scene, cfg.chirp, cfg.geometry), str(whole))
+    assert streamed.read_bytes() == whole.read_bytes()
+
+
 def test_process_writes_readable_traces(workdir, tmp_path, capsys):
     out = tmp_path / "traces.csv"
     rc = main([
@@ -455,8 +480,8 @@ def _recording_chunks(monkeypatch) -> list[int]:
     frames = []
     chunks = pipeline._chunks
 
-    def recording(cube, n_fft):
-        for chunk in chunks(cube, n_fft):
+    def recording(cube, width):
+        for chunk in chunks(cube, width):
             frames.append(chunk.samples.shape[0])
             yield chunk
 
@@ -583,13 +608,16 @@ def big_cube(tmp_path_factory):
     return {"root": root, "cfg": cfg, "cube": cube, "simulate_rise": rise}
 
 
+@pytest.mark.memory
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_simulate_peak_memory_is_one_chunk(big_cube):
-    """simulate writes its frames a <= 32 MiB chunk at a time: the peak
-    rises by at most half the cube. Holding the whole cube took ~1x."""
+    """simulate writes its frames a chunk of at most pipeline._CHUNK_BYTES
+    at a time: the peak rises by at most half the cube. Holding the whole
+    cube took ~1x."""
     assert big_cube["simulate_rise"] <= 0.5 * big_cube["cube"].stat().st_size
 
 
+@pytest.mark.memory
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_process_peak_memory_is_the_cube_plus_one_chunk(big_cube):
     """In a fresh interpreter, process on a 203 MiB cube raises the peak RSS
@@ -602,6 +630,7 @@ def test_process_peak_memory_is_the_cube_plus_one_chunk(big_cube):
     assert rise <= 1.5 * cube_bytes
 
 
+@pytest.mark.memory
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_process_angle_map_peak_memory_is_one_chunk(big_cube):
     """process --angle-map maps the cube read-only and gives back each
@@ -612,6 +641,30 @@ def test_process_angle_map_peak_memory_is_one_chunk(big_cube):
                        "--config", str(big_cube["cfg"]), "--out", str(root / "t.csv"),
                        "--angle-map", str(root / "map.csv")])
     assert rise <= 0.5 * big_cube["cube"].stat().st_size
+
+
+@pytest.mark.memory
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_simulate_peak_memory_is_within_two_blocks(big_cube):
+    """simulate raises the peak by at most two 8 MiB blocks
+    (pipeline._CHUNK_BYTES): its chunk of frames and little else. With
+    32 MiB chunks it rose 32.2 MiB."""
+    assert big_cube["simulate_rise"] <= 2 * pipeline._CHUNK_BYTES <= 2 * (8 << 20)
+
+
+@pytest.mark.memory
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_process_angle_map_peak_memory_is_within_three_blocks(big_cube):
+    """process --angle-map on the 203 MiB cube raises the peak by at most
+    three 8 MiB blocks (pipeline._CHUNK_BYTES): every frame pass holds one
+    block of samples or bins, and the angle map focuses its grid a block
+    at a time. With 32 MiB chunks and the grid focused at once it rose
+    52.7 MiB."""
+    root = big_cube["root"]
+    rise = _peak_rise(["process", "--cube", str(big_cube["cube"]),
+                       "--config", str(big_cube["cfg"]), "--out", str(root / "t.csv"),
+                       "--angle-map", str(root / "map.csv")])
+    assert rise <= 3 * pipeline._CHUNK_BYTES <= 3 * (8 << 20)
 
 
 def test_process_writes_the_angle_map(workdir, tmp_path, capsys):

@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import multivital.pipeline as pipeline
 from multivital.config import derive_waveform
 from multivital.doa import (
     Beamformer,
@@ -364,6 +366,55 @@ def test_angle_map_peak(table1, cascade, ula):
         np.degrees(np.arcsin(u)), abs=0.35)
     assert np.degrees(am.elevation_grid[el_i]) == pytest.approx(
         np.degrees(np.arcsin(v)), abs=1.0)
+
+
+def _capture_grid():
+    """The angle map's 512 x 91 grid of direction cosines at n_fft 512, as
+    angle_map lays it out, and the mask of its cells inside the unit circle."""
+    u, v = np.broadcast_arrays((2.0 * np.arange(-256, 256) / 512)[:, None],
+                               np.sin(np.deg2rad(np.arange(-45.0, 46.0, 1.0))))
+    return u, v, u * u + v * v < 1.0
+
+
+def test_directional_power_over_point_blocks_equals_one_focus_call(
+        cascade, ula, offset_cube, monkeypatch):
+    """The angle map's grid is focused in several point blocks, and every
+    cell's power equals, bit for bit, that of one focus call on every
+    point; cells outside the unit circle hold 0."""
+    bf, y = _steered(offset_cube, cascade, ula)
+    u, v, ok = _capture_grid()
+    calls = []
+    focus = Beamformer.focus
+
+    def counted(self, y, *points):  # points: u, v, range_wl
+        calls.append(len(points[0]))
+        return focus(self, y, *points)
+
+    monkeypatch.setattr(Beamformer, "focus", counted)
+    power = bf.directional_power(y, u, v)
+    assert len(calls) > 2 and sum(calls) == ok.sum() and max(calls) - min(calls) <= 1
+    whole = np.abs(focus(bf, y[:, :1], u[ok], v[ok], bf.range_wl)[:, 0]) ** 2
+    assert np.array_equal(power[ok], whole)
+    assert not power[~ok].any()
+
+
+@pytest.mark.parametrize("halve", [False, True], ids=["budget", "half-budget"])
+def test_angle_map_peak_memory_is_within_the_block_budget(cascade, ula, offset_cube,
+                                                          monkeypatch, halve):
+    """On the capture-sized 512 x 91 grid, angle_map's traced peak stays
+    within the block budget (pipeline._CHUNK_BYTES), and within half of it
+    when the budget is halved: its points are focused a block at a time.
+    Focusing all 41 861 points at once took 21.5 MiB."""
+    bf, y = _steered(offset_cube, cascade, ula)
+    budget = pipeline._CHUNK_BYTES // 2 if halve else pipeline._CHUNK_BYTES
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        angle_map(bf, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
 
 
 @pytest.mark.parametrize("calibrate", [True, False])

@@ -78,8 +78,8 @@ def _recording_chunks(monkeypatch) -> list[int]:
     frames = []
     chunks = pipeline._chunks
 
-    def recording(cube, n_fft):
-        for chunk in chunks(cube, n_fft):
+    def recording(cube, width):
+        for chunk in chunks(cube, width):
             frames.append(chunk.samples.shape[0])
             yield chunk
 
