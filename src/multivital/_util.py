@@ -1,5 +1,5 @@
-"""Small shared helpers: thread-count resolution, atomic file writes,
-giving back the pages of a read-only file mapping."""
+"""Small shared helpers: the block budget, thread-count resolution,
+atomic file writes, giving back the pages of a read-only file mapping."""
 
 from __future__ import annotations
 
@@ -13,6 +13,16 @@ import numpy as np
 from .errors import ConfigError
 
 THREADS_ENV = "MULTIVITAL_THREADS"
+# The one block budget: what a pass over the frames holds at a time (the
+# simulate CLI's raw frames; in pipeline, the subset's gathered samples with
+# their bins, the fallback fold's bins, the column pass's samples), and the
+# angle map's focus working set (doa.Beamformer.directional_power).
+BLOCK_BYTES = 8 << 20
+
+
+def per_block(item_bytes: int) -> int:
+    """Items of item_bytes each that fit in BLOCK_BYTES, one at least."""
+    return max(1, BLOCK_BYTES // item_bytes)
 
 
 def thread_count() -> int:

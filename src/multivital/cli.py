@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from ._util import thread_count
+from ._util import per_block, thread_count
 from .config import derive_waveform
 from .errors import MultivitalError
 from .io import (
@@ -30,7 +30,7 @@ from .io import (
     write_report,
 )
 from .metrics import compare_traces
-from .pipeline import frames_per_chunk, make_angle_map, run_pipeline
+from .pipeline import make_angle_map, run_pipeline
 from .runconfig import load_run_config
 from .scg import scg_to_displacement
 from .simulate import simulate, simulate_chunks
@@ -104,7 +104,7 @@ def _cmd_simulate(args) -> int:
     scene, chirp, geom = cfg.scene, cfg.chirp, cfg.geometry
     # One chunk of frames at a time: each is written before the next is made.
     # A chunk holds a frame per worker at least, so none of them is idle.
-    step = max(thread_count(), frames_per_chunk(8 * geom.n_tx * geom.n_rx * chirp.n_adc))
+    step = max(thread_count(), per_block(8 * geom.n_tx * geom.n_rx * chirp.n_adc))
     write_cube(args.out, chirp, geom, scene.seed, simulate_chunks(scene, chirp, geom, step))
     print(f"wrote {args.out}: {chirp.n_frames} frames, {geom.n_tx}x{geom.n_rx} channels, "
           f"{chirp.n_adc} samples")

@@ -61,11 +61,10 @@ class DerivedWaveform:
     bandwidth_b: float  # swept bandwidth over the ADC window, Hz
     range_resolution: float  # m
     wavelength: float  # m
-    pulse_window_t: float  # sampled chirp duration, s
 
 
 def derive_waveform(cfg: ChirpConfig) -> DerivedWaveform:
-    """Derive bandwidth, range resolution, wavelength and window length.
+    """Derive bandwidth, range resolution and wavelength.
 
     The effective bandwidth is the slope times the sampled window
     (k_chirp * n_adc / fs), not the full ramp excursion, because only the
@@ -81,11 +80,9 @@ def derive_waveform(cfg: ChirpConfig) -> DerivedWaveform:
     DerivedWaveform
     """
     cfg.validate()
-    window = cfg.n_adc / cfg.fs  # s
-    bandwidth = cfg.k_chirp * window  # Hz
+    bandwidth = cfg.k_chirp * cfg.n_adc / cfg.fs  # Hz
     return DerivedWaveform(
         bandwidth_b=bandwidth,
         range_resolution=SPEED_OF_LIGHT / (2.0 * bandwidth),
         wavelength=SPEED_OF_LIGHT / cfg.fc,
-        pulse_window_t=window,
     )

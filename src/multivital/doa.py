@@ -22,6 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._util import per_block
 from .errors import ConfigError, ProcessingError
 from .geometry import ArrayGeometry, AzimuthUlaSelection, element_positions_m
 # Not called here: kept so multivital.doa.extract_range_bin stays importable;
@@ -163,17 +164,15 @@ class Beamformer:
 
         The points are focused in near-equal blocks whose working set
         (_FOCUS_BYTES per point and element) fits the block budget,
-        pipeline._CHUNK_BYTES. Each point's arithmetic is that of one focus
+        _util.BLOCK_BYTES. Each point's arithmetic is that of one focus
         call on every point; near-equal blocks leave no one-point remainder,
         whose product would take BLAS's vector path and round differently.
         """
-        from .pipeline import _CHUNK_BYTES  # at call time: pipeline imports this module
-
         u, v = np.broadcast_arrays(np.asarray(u, dtype=np.float64), v)
         ok = u * u + v * v < 1.0
         u, v = u[ok], v[ok]
-        per_block = max(1, _CHUNK_BYTES // (_FOCUS_BYTES * (len(self.tx_wl) + len(self.rx_wl))))
-        n_blocks = max(1, -(-len(u) // per_block))
+        points = per_block(_FOCUS_BYTES * (len(self.tx_wl) + len(self.rx_wl)))
+        n_blocks = max(1, -(-len(u) // points))
         power = np.zeros(ok.shape)
         power[ok] = np.concatenate([
             np.abs(self.focus(y[:, :1], bu, bv, self.range_wl)[:, 0]) ** 2

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import release_pages
+from ._util import per_block, release_pages
 from .config import derive_waveform
 from .doa import Beamformer, angle_map, select_region_signal
 # Not called here (Beamformer.build makes the table): kept so
@@ -23,11 +23,6 @@ from .runconfig import PipelineConfig
 from .simulate import RawDataCube
 from .vitals import DisplacementTrace, region_signal_to_trace
 
-# The one block budget: what a pass over the frames holds at a time (the
-# simulate CLI's raw frames, the subset's gathered samples with their bins,
-# the fallback fold's bins, the column pass's samples), and the angle map's
-# focus working set (Beamformer.directional_power).
-_CHUNK_BYTES = 8 << 20
 _SUBSET_BLOCK = 8  # the subject is first located from one frame per block of this many
 _SUBSET_SEED = 8  # fixed, so every run of a cube locates from the same frames
 # The whole cube is located again when the subset's profile is not clear: a
@@ -76,22 +71,17 @@ def _frames(cube: RawDataCube, start: int, stop: int) -> RawDataCube:
     return replace(cube, samples=samples, chirp=replace(cube.chirp, n_frames=len(samples)))
 
 
-def frames_per_chunk(frame_bytes: int) -> int:
-    """Frames of frame_bytes each that fit in _CHUNK_BYTES, one at least."""
-    return max(1, _CHUNK_BYTES // frame_bytes)
-
-
 def _chunks(cube: RawDataCube, width: int) -> Iterator[RawDataCube]:
     """Consecutive frame chunks of cube as views, each of at most
-    _CHUNK_BYTES of what the pass holds, width complex64 values per channel
-    and frame: n_adc for the samples, n_fft for their range bins (one frame
-    at least).
+    _util.BLOCK_BYTES of what the pass holds, width complex64 values per
+    channel and frame: n_adc for the samples, n_fft for their range bins
+    (one frame at least).
 
     Once a chunk has been used, the pages a file-mapped cube read for it
     are given back (release_pages), so a loaded cube keeps one chunk
     resident; an in-memory cube is left as it is.
     """
-    step = frames_per_chunk(8 * width * cube.geometry.n_tx * cube.geometry.n_rx)
+    step = per_block(8 * width * cube.geometry.n_tx * cube.geometry.n_rx)
     for start in range(0, len(cube.samples), step):
         yield _frames(cube, start, start + step)
         release_pages(cube.samples)
@@ -111,7 +101,7 @@ def _subset_frames(n_frames: int) -> np.ndarray:
 def _subset_chunks(cube: RawDataCube, n_fft: int) -> Iterator[RawDataCube]:
     """The subset's frames of cube as copies, a chunk at a time, each chunk
     sized so that its gathered samples plus their range bins fit in
-    _CHUNK_BYTES (one frame at least).
+    _util.BLOCK_BYTES (one frame at least).
 
     A frame is copied in at a time, and the pages a file-mapped cube read
     for it are given back before the next (release_pages): a page fault
@@ -120,7 +110,7 @@ def _subset_chunks(cube: RawDataCube, n_fft: int) -> Iterator[RawDataCube]:
     """
     frames = _subset_frames(len(cube.samples))
     n_ch = cube.geometry.n_tx * cube.geometry.n_rx
-    step = frames_per_chunk(8 * n_ch * (cube.chirp.n_adc + n_fft))
+    step = per_block(8 * n_ch * (cube.chirp.n_adc + n_fft))
     for start in range(0, len(frames), step):
         picks = frames[start:start + step]
         samples = np.empty((len(picks),) + cube.samples.shape[1:], cube.samples.dtype)
@@ -147,7 +137,7 @@ def _locate(cube: RawDataCube, n_fft: int):
 def _subject_column(cube: RawDataCube, n_fft: int, bin_idx: int) -> np.ndarray:
     """complex64 slow-time matrix (n_tx * n_rx, n_frames) of range bin
     bin_idx of the n_fft-point transform: each frame chunk's samples (at
-    most _CHUNK_BYTES of them) times the bin's n_adc twiddles, one GEMV per
+    most _util.BLOCK_BYTES of them) times the bin's n_adc twiddles, one GEMV per
     chunk. The twiddle phases are reduced in integers, (bin_idx * i) % n_fft,
     before scaling."""
     n_adc = cube.chirp.n_adc

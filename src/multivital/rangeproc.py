@@ -84,8 +84,8 @@ def locate_subject(rc: RangeCube | Iterable[RangeCube]) -> SubjectLocation:
     passes a generator of chunks of a frame subset, or of every frame, so
     only one chunk is held at a time). Each chunk is reduced a block of
     channel rows at a time: the rows' magnitudes go into one reused float32
-    buffer of _ABS_CELLS cells, each block is summed in float32, and the
-    block sums go into a float64 profile, so no full-size |bins| is made.
+    buffer of _ABS_CELLS cells and each block is summed straight into a
+    float64 profile, so no full-size |bins| is made.
     The checks, the argmax and the two ratios run once, on the summed
     profile. Ties resolve to the lowest bin (argmax returns the first
     maximum).
@@ -146,29 +146,13 @@ def extract_range_bin(rc: RangeCube, bin_idx: int) -> np.ndarray:
 
 def _add_magnitudes(profile: np.ndarray, bins: np.ndarray, buf: np.ndarray) -> None:
     """profile += |bins| summed over every axis but the last, len(buf) rows
-    at a time through buf.
-
-    Each block of rows is summed in float32 and the block sums in float64.
-    If that total is not finite, a float32 block sum may have overflowed
-    where a float64 one would not, so bins is summed again with float64
-    block sums: the result is finite whenever the float64 fold is.
-    """
+    at a time through buf, each block summed in float64: a float64 sum of
+    finite float32 magnitudes does not overflow. A complex64 bin whose
+    magnitude is above the float32 range reads inf (np.abs does not warn)."""
     rows = bins.reshape(-1, bins.shape[-1])
-    with np.errstate(over="ignore"):
-        total = _block_sums(rows, buf, np.float32)
-    if not np.all(np.isfinite(total)):
-        total = _block_sums(rows, buf, np.float64)
-    profile += total
-
-
-def _block_sums(rows: np.ndarray, buf: np.ndarray, dtype) -> np.ndarray:
-    """|rows| summed along axis 0 into float64, each len(buf)-row block
-    summed in dtype first."""
-    total = np.zeros(rows.shape[-1])
     for start in range(0, len(rows), len(buf)):
         part = rows[start:start + len(buf)]
-        total += np.abs(part, out=buf[:len(part)]).sum(axis=0, dtype=dtype)
-    return total
+        profile += np.abs(part, out=buf[:len(part)]).sum(axis=0, dtype=np.float64)
 
 
 def _check_fft_size(n_fft_range: int, n_adc: int) -> None:

@@ -15,6 +15,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import multivital._util as _util
 import multivital.cli as cli
 import multivital.doa as doa
 import multivital.pipeline as pipeline
@@ -127,6 +128,38 @@ def test_missing_cube_reports_io_error(workdir, tmp_path, capsys):
     assert "message" in err
 
 
+def test_process_out_naming_a_directory_reports_io_error(workdir, tmp_path, capsys):
+    """The trace file cannot replace a directory: process exits 1 with an
+    io error, and neither the directory nor a temp file is left changed."""
+    out = tmp_path / "traces"
+    out.mkdir()
+    rc = main(["process", "--cube", str(workdir["cube"]),
+               "--config", str(workdir["cfg"]), "--out", str(out)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "io"
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
+def test_geometry_without_azimuth_plane_element_fails_process(tmp_path, capsys):
+    """A Tx raised one half-wavelength puts every virtual element above the
+    azimuth plane: the config parses and simulates, and process fails as
+    one JSON processing error."""
+    doc = json.loads((resources.files("multivital") / "configs"
+                      / "sim-single-target.json").read_text())
+    doc["chirp"]["n_frames"] = 4
+    doc["geometry"] = {"tx_elements": [[0, 1]], "rx_elements": [[0, 0], [1, 0]]}
+    cfg, cube = tmp_path / "raised.json", tmp_path / "cube.mvdc"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(cube)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "t.csv"
+    assert main(["process", "--cube", str(cube), "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "processing", "message": "virtual array has no azimuth-plane elements"}
+    assert not out.exists()
+
+
 def test_compare_into_a_missing_directory_names_the_output(workdir, tmp_path, capsys):
     """The write used to fail naming its temp file,
     file not found: .../missing/.tmp-k_6cb8s6~."""
@@ -195,7 +228,7 @@ def test_simulate_writes_frame_chunks_as_one_cube(workdir, tmp_path, monkeypatch
     cfg_path.write_text(json.dumps(doc))
     cfg = load_run_config(str(cfg_path))
     frame_bytes = 8 * cfg.geometry.n_tx * cfg.geometry.n_rx * cfg.chirp.n_adc
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 6 * frame_bytes + frame_bytes // 2)
+    monkeypatch.setattr(_util, "BLOCK_BYTES", 6 * frame_bytes + frame_bytes // 2)
     monkeypatch.setenv("MULTIVITAL_THREADS", threads)
     chunks = []
     simulate_chunks = cli.simulate_chunks
@@ -221,7 +254,7 @@ def test_simulate_chunk_holds_a_frame_per_worker(workdir, tmp_path, monkeypatch)
     asks simulate_chunks for 4 frames a chunk, so no worker is idle; the
     file is byte for byte save_cube of the whole simulated cube."""
     cfg = load_run_config(str(workdir["cfg"]))
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1024)
+    monkeypatch.setattr(_util, "BLOCK_BYTES", 1024)
     monkeypatch.setenv("MULTIVITAL_THREADS", "4")
     asked, sizes = [], []
     simulate_chunks = cli.simulate_chunks
@@ -515,7 +548,7 @@ def test_bad_cube_over_several_chunks_reports_processing_error(
     path = tmp_path / "bad.mvdc"
     save_cube(dataclasses.replace(cube, samples=samples), str(path))
     frame_bytes = 8 * cfg.pipeline.n_fft_range * cfg.geometry.n_tx * cfg.geometry.n_rx
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 6 * frame_bytes)
+    monkeypatch.setattr(_util, "BLOCK_BYTES", 6 * frame_bytes)
     frames = _recording_chunks(monkeypatch)
     out = tmp_path / "t.csv"
     assert main(["process", "--cube", str(path), "--config", str(workdir["cfg"]),
@@ -611,7 +644,7 @@ def big_cube(tmp_path_factory):
 @pytest.mark.memory
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_simulate_peak_memory_is_one_chunk(big_cube):
-    """simulate writes its frames a chunk of at most pipeline._CHUNK_BYTES
+    """simulate writes its frames a chunk of at most _util.BLOCK_BYTES
     at a time: the peak rises by at most half the cube. Holding the whole
     cube took ~1x."""
     assert big_cube["simulate_rise"] <= 0.5 * big_cube["cube"].stat().st_size
@@ -647,16 +680,16 @@ def test_process_angle_map_peak_memory_is_one_chunk(big_cube):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_simulate_peak_memory_is_within_two_blocks(big_cube):
     """simulate raises the peak by at most two 8 MiB blocks
-    (pipeline._CHUNK_BYTES): its chunk of frames and little else. With
+    (_util.BLOCK_BYTES): its chunk of frames and little else. With
     32 MiB chunks it rose 32.2 MiB."""
-    assert big_cube["simulate_rise"] <= 2 * pipeline._CHUNK_BYTES <= 2 * (8 << 20)
+    assert big_cube["simulate_rise"] <= 2 * _util.BLOCK_BYTES <= 2 * (8 << 20)
 
 
 @pytest.mark.memory
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_process_angle_map_peak_memory_is_within_three_blocks(big_cube):
     """process --angle-map on the 203 MiB cube raises the peak by at most
-    three 8 MiB blocks (pipeline._CHUNK_BYTES): every frame pass holds one
+    three 8 MiB blocks (_util.BLOCK_BYTES): every frame pass holds one
     block of samples or bins, and the angle map focuses its grid a block
     at a time. With 32 MiB chunks and the grid focused at once it rose
     52.7 MiB."""
@@ -664,7 +697,7 @@ def test_process_angle_map_peak_memory_is_within_three_blocks(big_cube):
     rise = _peak_rise(["process", "--cube", str(big_cube["cube"]),
                        "--config", str(big_cube["cfg"]), "--out", str(root / "t.csv"),
                        "--angle-map", str(root / "map.csv")])
-    assert rise <= 3 * pipeline._CHUNK_BYTES <= 3 * (8 << 20)
+    assert rise <= 3 * _util.BLOCK_BYTES <= 3 * (8 << 20)
 
 
 def test_process_writes_the_angle_map(workdir, tmp_path, capsys):
@@ -1012,6 +1045,25 @@ def test_compare_rate_extremes_report_processing_error(tmp_path, capsys, radar_s
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "processing"  # one object, nothing else
+    assert not report.exists()
+
+
+def test_compare_one_row_trace_reports_processing_error(tmp_path, capsys):
+    """One row gives no rate: compare fails as one JSON processing error
+    and writes no report."""
+    radar = tmp_path / "radar.csv"
+    ref = tmp_path / "ref.csv"
+    report = tmp_path / "report.json"
+    radar.write_text("time_s,region,phase_rad,displacement_mm\n0.0,A,0.0,0.1\n")
+    ref.write_text("time_s,region,phase_rad,displacement_mm\n" + "".join(
+        f"{i / 20.0!r},A,0.0,{math.sin(i)!r}\n" for i in range(40)))
+    capsys.readouterr()
+    assert main(["compare", "--radar", str(radar), "--ref", str(ref),
+                 "--out", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "processing", "message": "need at least 2 samples to infer a rate"}
     assert not report.exists()
 
 

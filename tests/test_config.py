@@ -11,7 +11,6 @@ def test_waveform_table1(table1):
     assert w.bandwidth_b == pytest.approx(4.6084e9, rel=1e-3)
     assert w.range_resolution == pytest.approx(3.2527e-2, rel=1e-3)
     assert w.wavelength == pytest.approx(3.8934e-3, rel=1e-3)
-    assert w.pulse_window_t == pytest.approx(512 / 7e6)
 
 
 def test_waveform_table2(table2):
@@ -23,7 +22,7 @@ def test_waveform_table2(table2):
 def test_waveform_internal_consistency(table1):
     # B = K * (N_adc / fs) and dR = c / (2B) by definition.
     w = derive_waveform(table1)
-    assert w.bandwidth_b == pytest.approx(table1.k_chirp * w.pulse_window_t)
+    assert w.bandwidth_b == pytest.approx(table1.k_chirp * table1.n_adc / table1.fs)
     assert w.range_resolution == pytest.approx(SPEED_OF_LIGHT / (2 * w.bandwidth_b))
     assert w.wavelength == pytest.approx(SPEED_OF_LIGHT / table1.fc)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import multivital._util as _util
 import multivital.pipeline as pipeline
 from multivital.config import derive_waveform
 from multivital.doa import (
@@ -402,12 +403,12 @@ def test_directional_power_over_point_blocks_equals_one_focus_call(
 def test_angle_map_peak_memory_is_within_the_block_budget(cascade, ula, offset_cube,
                                                           monkeypatch, halve):
     """On the capture-sized 512 x 91 grid, angle_map's traced peak stays
-    within the block budget (pipeline._CHUNK_BYTES), and within half of it
+    within the block budget (_util.BLOCK_BYTES), and within half of it
     when the budget is halved: its points are focused a block at a time.
     Focusing all 41 861 points at once took 21.5 MiB."""
     bf, y = _steered(offset_cube, cascade, ula)
-    budget = pipeline._CHUNK_BYTES // 2 if halve else pipeline._CHUNK_BYTES
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", budget)
+    budget = _util.BLOCK_BYTES // 2 if halve else _util.BLOCK_BYTES
+    monkeypatch.setattr(_util, "BLOCK_BYTES", budget)
     tracemalloc.start()
     try:
         angle_map(bf, y)

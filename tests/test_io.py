@@ -22,6 +22,7 @@ from multivital.io import (
     read_trace_table,
     save_cube,
     trace_rate_hz,
+    write_cube,
     write_report,
 )
 from multivital.doa import AngleMap
@@ -65,6 +66,26 @@ def test_save_cube_validates_the_cube(tmp_path, table2, cascade):
     with pytest.raises(ConfigError, match="cube seed must be an integer, got 1.5"):
         save_cube(cube, str(tmp_path / "cube.mvdc"))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shapes, match", [
+    ([(2, 12, 16, 256), (1, 12, 16, 128)],
+     r"cube chunk shape \(1, 12, 16, 128\) does not match meta \(12, 16, 256\)"),
+    ([(2, 12, 16, 256)], "cube chunks hold 2 frames, meta says 3"),
+], ids=["chunk-shape", "frame-count"])
+def test_write_cube_refuses_chunks_that_do_not_fit(tmp_path, table2, cascade, shapes, match):
+    """A chunk of the wrong shape, or chunks whose frames do not add up to
+    n_frames, fail write_cube; the file at path is left as it was and no
+    temp file remains."""
+    import dataclasses
+    cfg = dataclasses.replace(table2, n_frames=3)
+    chunks = [np.zeros(shape, dtype=np.complex64) for shape in shapes]
+    path = tmp_path / "cube.mvdc"
+    path.write_bytes(b"before")
+    with pytest.raises(ConfigError, match=match):
+        write_cube(str(path), cfg, cascade, 0, chunks)
+    assert path.read_bytes() == b"before"
+    assert [p.name for p in tmp_path.iterdir()] == ["cube.mvdc"]
 
 
 def test_cube_header_layout(tmp_path, table2, cascade):
@@ -423,6 +444,20 @@ def test_fuzzed_scg_csv_reads_finite_or_fails_as_package_error(tmp_path_factory,
     columns = [ecg, time_s] + [a for ch in channels for a in (ch.ax, ch.ay, ch.az)]
     assert all(len(a) == len(time_s) and np.isfinite(a).all() for a in columns)
     assert all(math.isfinite(ch.fs) and ch.fs > 0 for ch in channels)
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (read_trace_table, "", "empty file"),
+    (load_scg_csv, "", "empty file"),
+    (load_scg_csv, "time_s,A_ax,A_ay,A_az,ecg\n0.0,0,0,0,0\n", "need at least 2 samples"),
+    (load_scg_csv, "time_s,A_ax,A_ay,A_q,ecg\n0.0,0,0,0,0\n0.004,0,0,0,0\n",
+     "unrecognized column 'A_q'"),
+], ids=["trace-empty", "scg-empty", "scg-one-row", "scg-unknown-column"])
+def test_csv_input_that_holds_no_trace_names_its_file(tmp_path, reader, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(ProcessingError, match=re.escape(f"{path}: {message}")):
+        reader(str(path))
 
 
 @pytest.mark.parametrize("body, line, fields", [

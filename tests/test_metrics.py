@@ -190,7 +190,8 @@ def test_compare_traces_no_overlap():
 @pytest.mark.parametrize("trace,match", [
     (np.zeros(100), "constant input has no normalized cross-correlation"),
     (np.array([0.0, 1.0]), r"band \(0.5, 3.0\) Hz holds no FFT bin"),
-], ids=["constant", "two-samples"])
+    (np.array([0.0]), "cross-correlation needs at least 2 samples per input"),
+], ids=["constant", "two-samples", "one-sample"])
 def test_compare_traces_error_names_its_pair(trace, match):
     """A pair that cannot be scored fails with its key before the message,
     so a report over many SCG axes says which one."""

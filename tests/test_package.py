@@ -1,5 +1,6 @@
 """The package's export list matches what the package binds, and its
-modules import nothing they do not use."""
+modules import nothing they do not use and import one another in no
+cycle."""
 
 import ast
 import types
@@ -48,3 +49,37 @@ def test_every_module_import_is_used():
                 if bound not in used:
                     unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
+
+
+def _relative_imports(path: Path, modules: set) -> set:
+    """Modules of the package that path imports relatively, at module level
+    or inside a function: from .x import y gives x, and from . import y
+    gives y when it is a module, else the package's __init__."""
+    targets = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is not None:
+                targets.add(node.module.split(".")[0])
+            else:
+                targets.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return targets
+
+
+def test_modules_import_one_another_in_no_cycle():
+    paths = {p.stem: p for p in Path(multivital.__file__).parent.glob("*.py")}
+    graph = {name: _relative_imports(path, set(paths)) for name, path in paths.items()}
+    done, cycles = set(), []
+
+    def visit(name, stack):
+        if name in stack:
+            cycles.append(" -> ".join(stack[stack.index(name):] + [name]))
+            return
+        if name in done:
+            return
+        for target in sorted(graph.get(name, ())):
+            visit(target, stack + [name])
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name, [])
+    assert cycles == []

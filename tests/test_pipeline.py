@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import multivital._util as _util
 import multivital.doa as doa
 import multivital.pipeline as pipeline
 from multivital.config import derive_waveform
@@ -94,13 +95,13 @@ def _three_chunks(cube, pcfg, monkeypatch):
     n_frames = len(cube.samples)
     step = n_frames // 3 + 1
     frame_bytes = 8 * pcfg.n_fft_range * cube.geometry.n_tx * cube.geometry.n_rx
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", step * frame_bytes + frame_bytes // 2)
+    monkeypatch.setattr(_util, "BLOCK_BYTES", step * frame_bytes + frame_bytes // 2)
     return _recording_chunks(monkeypatch), [step, step, n_frames - 2 * step]
 
 
 def _one_chunk(cube, pcfg, monkeypatch):
     """Set run_pipeline's chunk budget so every frame is in one chunk."""
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", cube.samples.nbytes * pcfg.n_fft_range)
+    monkeypatch.setattr(_util, "BLOCK_BYTES", cube.samples.nbytes * pcfg.n_fft_range)
 
 
 def _same_run(a, b):

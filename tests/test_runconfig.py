@@ -343,6 +343,24 @@ def test_non_finite_number_rejected_with_its_path(tmp_path, keys, value, where):
         load_run_config(str(path))
 
 
+@pytest.mark.parametrize("keys, value, message", [
+    (("geometry",), "ti-cascade-2",
+     r"config\.geometry must be \"ti-cascade\" or an object, got 'ti-cascade-2'"),
+    (("geometry",), {"tx_elements": [], "rx_elements": [[0, 0]]},
+     r"config\.geometry\.tx_elements must be a non-empty list"),
+    (("scene", "points", 0, "motion"),
+     {"kind": "sampled", "direction": [0.0, 1.0, 0.0], "displacement_m": [], "rate_hz": 20.0},
+     r"config\.scene\.points\[0\]\.motion\.displacement_m must be a non-empty list"),
+    (("layout", "positions_m"), {}, r"config\.layout\.positions_m must be a non-empty object"),
+], ids=["geometry-name", "tx_elements-empty", "displacement_m-empty", "positions_m-empty"])
+def test_invalid_value_rejected_with_its_path(keys, value, message):
+    doc = _with_motion_and_layout()
+    parse_run_config(copy.deepcopy(doc))
+    _set(doc, keys, value)
+    with pytest.raises(ConfigError, match=message):
+        parse_run_config(doc)
+
+
 _BUNDLED = {
     name: json.loads((resources.files("multivital") / "configs" / f"{name}.json").read_text())
     for name in bundled_config_names()

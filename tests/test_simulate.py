@@ -392,6 +392,18 @@ def test_non_finite_scene_value_is_a_config_error(table2, cascade, field, point)
         simulate(Scene(points=(point,)), cfg, cascade)
 
 
+@pytest.mark.parametrize("motion, match", [
+    (dataclasses.replace(_SINE, frequency=0.0), "motion frequency must be > 0"),
+    (dataclasses.replace(_SINE, frequency=-1.0), "motion frequency must be > 0"),
+    (dataclasses.replace(_SERIES, rate_hz=0.0), "motion rate_hz must be > 0"),
+    (dataclasses.replace(_SERIES, displacement_m=()),
+     "sampled motion needs at least one displacement value"),
+], ids=["frequency-zero", "frequency-negative", "rate_hz-zero", "displacement_m-empty"])
+def test_motion_out_of_range_is_a_config_error(motion, match):
+    with pytest.raises(ConfigError, match=match):
+        Scene(points=(ScatterPoint((0.0, 1.0, 0.0), motion),)).validate()
+
+
 def test_frame_index_out_of_range(table2, cascade):
     cfg = dataclasses.replace(table2, n_frames=2)
     with pytest.raises(ConfigError):

@@ -35,6 +35,11 @@ def test_extract_phase_zero_samples():
     assert got[2] == pytest.approx(0.7)  # holds the previous value
 
 
+def test_extract_phase_of_an_empty_signal_is_a_processing_error():
+    with pytest.raises(ProcessingError, match="region P has an empty slow-time signal"):
+        extract_phase(RegionSignal(region="P", slowtime=np.array([], dtype=complex)))
+
+
 @given(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=200))
 @settings(max_examples=100, deadline=None)
 def test_unwrap_recovers_bounded_step_ramps(steps):
